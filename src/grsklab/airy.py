@@ -5,15 +5,17 @@ The two-time distribution is the block Fredholm expansion of
 det(I - f Ai f) on L^2({t1,t2} x R): summed over per-time multiplicities,
 each term is an orthant integral of a determinant of extended-Airy-kernel
 blocks.  The limit terms I_{m,n} use the closed-form block entries
-A', B', C', D' (1-D x-integrals of Airy products); the contour-integral
-route to the same quantities lives in grsklab.contour.prelimit_term.
+A', B', C', D' (1-D x-integrals of Airy products).  Their pre-limit
+counterparts, grsklab.contour.prelimit_term, are the double-series terms
+of the polymer at the N^{2/3}-scaled points; the orthant form of those
+terms is the identity they rest on.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -146,6 +148,8 @@ class AiryQuery:
     def __post_init__(self):
         if len(self.times) != len(self.thresholds):
             raise ValueError("need one threshold per time")
+        if not all(math.isfinite(x) for x in [*self.times, *self.thresholds]):
+            raise ValueError("times and thresholds must be finite")
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if any(x < _MIN_THRESHOLD for x in self.thresholds):
@@ -308,12 +312,13 @@ def limit_term(
         return blocks["C"]
 
     # orthant integral of det(M(tau_i, tau_j)): expand over permutations;
-    # each cycle contributes a trace of a product of weighted matrices
+    # each cycle contributes a trace of a product of weighted matrices, and
+    # each even-length cycle flips the sign of the permutation
     d = m + n
     W = np.diag(wt)
     total = 0.0
     for sigma in permutations(range(d)):
-        sign = _perm_sign(sigma)
+        sign = 1
         visited = [False] * d
         contrib = 1.0
         for start in range(d):
@@ -326,6 +331,8 @@ def limit_term(
                 cyc.append(k)
                 visited[k] = True
                 k = sigma[k]
+            if len(cyc) % 2 == 0:
+                sign = -sign
             P = None
             for idx in range(len(cyc)):
                 a, b = cyc[idx], cyc[(idx + 1) % len(cyc)]
@@ -335,23 +342,6 @@ def limit_term(
         total += sign * contrib
     pref = (-1.0) ** (m + n) / (math.factorial(m) * math.factorial(n))
     return pref * total
-
-
-def _perm_sign(sigma: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def conjecture_rhs(

@@ -9,6 +9,7 @@ GRSKLAB_CIRCLE, GRSKLAB_SAMPLES).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -201,8 +202,6 @@ def _laplace_value(points, us, params, args, quad):
     if args.delta is not None:
         kw["delta"] = args.delta
     if m2 >= n2:
-        if args.delta1 is not None:
-            kw["delta1"] = args.delta1
         return laplace2_case_a(m1, n1, m2, n2, us[0], us[1], params.alpha,
                                params.alphahat, params.gamma,
                                length=args.L, **kw)
@@ -240,7 +239,7 @@ def cmd_laplace(args) -> int:
         "gamma": params.gamma,
         "contours": {
             "delta": args.delta if args.delta is not None else dflt.delta,
-            "delta1": args.delta1 if args.delta1 is not None else dflt.delta1,
+            "delta1": dflt.delta1,
             "length": args.L,
             "nodes_per_unit": base,
         },
@@ -423,41 +422,42 @@ def cmd_sweep(args) -> int:
     seed = int(cfg.get("seed", 0))
     samples = int(cfg.get("samples", 10**5))
 
-    writer = csv.writer(
-        sys.stdout if args.output in (None, "-")
-        else open(args.output, "w", newline="", encoding="utf-8")
-    )
-    header = ["u1", "u2", "value", "error", "wall_time_s", "failure"]
-    writer.writerow(header)
     mmax = max(m for m, _ in points)
     nmax = max(n for _, n in points)
     params = ParameterSet.flat(gamma, mmax, nmax)
-    for u1 in u1s:
-        for u2 in u2s:
-            us = [u1] if u2 is None else [u1, u2]
-            t0 = time.time()
-            try:
-                if use_mc:
-                    est = mc_laplace(points, us, params, n_samples=samples,
-                                     seed=seed)
-                    val, err = est.mean, est.stderr
-                elif len(points) == 1:
-                    (m, n) = points[0]
-                    val = laplace1(m, n, u1, params.alpha,
-                                   params.alphahat).real
-                    err = 0.0
-                else:
-                    (m1, n1), (m2, n2) = points
-                    fn = laplace2_case_a if m2 >= n2 else laplace2_case_b
-                    val = fn(m1, n1, m2, n2, u1, u2, params.alpha,
-                             params.alphahat, gamma).real
-                    err = 0.0
-                writer.writerow([u1, u2 if u2 is not None else "",
-                                 repr(val), repr(err),
-                                 f"{time.time() - t0:.3f}", ""])
-            except (ValueError, ArithmeticError) as exc:
-                writer.writerow([u1, u2 if u2 is not None else "",
-                                 "", "", f"{time.time() - t0:.3f}", str(exc)])
+    with contextlib.ExitStack() as stack:
+        fh = sys.stdout
+        if args.output not in (None, "-"):
+            fh = stack.enter_context(
+                open(args.output, "w", newline="", encoding="utf-8"))
+        writer = csv.writer(fh)
+        writer.writerow(["u1", "u2", "value", "error", "wall_time_s", "failure"])
+        for u1 in u1s:
+            for u2 in u2s:
+                us = [u1] if u2 is None else [u1, u2]
+                t0 = time.time()
+                try:
+                    if use_mc:
+                        est = mc_laplace(points, us, params, n_samples=samples,
+                                         seed=seed)
+                        val, err = est.mean, est.stderr
+                    elif len(points) == 1:
+                        (m, n) = points[0]
+                        val = laplace1(m, n, u1, params.alpha,
+                                       params.alphahat).real
+                        err = 0.0
+                    else:
+                        (m1, n1), (m2, n2) = points
+                        fn = laplace2_case_a if m2 >= n2 else laplace2_case_b
+                        val = fn(m1, n1, m2, n2, u1, u2, params.alpha,
+                                 params.alphahat, gamma).real
+                        err = 0.0
+                    writer.writerow([u1, u2 if u2 is not None else "",
+                                     repr(val), repr(err),
+                                     f"{time.time() - t0:.3f}", ""])
+                except (ValueError, ArithmeticError) as exc:
+                    writer.writerow([u1, u2 if u2 is not None else "",
+                                     "", "", f"{time.time() - t0:.3f}", str(exc)])
     return EXIT_OK
 
 
@@ -509,13 +509,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     p.add_argument("--alphahat", default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--delta1", type=float, default=None)
-    p.add_argument("--delta2", type=float, default=None)
     p.add_argument("--L", type=float,
                    default=_env_default("LENGTH", float, 12.0))
     p.add_argument("--nodes", type=int,
                    default=_env_default("NODES", int, None))
-    p.add_argument("--order", type=int, default=None)
     p.add_argument("--mc-check", action="store_true")
     p.add_argument("--samples", type=int,
                    default=_env_default("SAMPLES", int, 10**5))

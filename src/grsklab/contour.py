@@ -687,7 +687,7 @@ def joint_series_term(
     delta1: Optional[float] = None,
     quad: Optional[QuadratureSpec] = None,
     n_circle: int = 64,
-    length: float = 12.0,
+    length: Optional[float] = None,
 ) -> complex:
     """The (m, n) summand of the double series for the (0, gamma) joint
     Laplace transform.  The first index m counts contour pairs (v, w)
@@ -698,6 +698,12 @@ def joint_series_term(
     Each pair contributes a circle C_{delta1} and a line ell_delta
     integral; pairs interact through Cauchy determinants within a group
     and through the gamma-function cross term across groups.
+
+    The line half-length defaults to min(12, max(2, 80/decay)), where
+    decay = (pi/2) min(m_i + n_i) over the points whose group the term
+    uses: a group's w-factor decays like exp(-decay |Im w|), and a short
+    line keeps the fixed node count dense against the oscillation of u^w
+    when u is far from 1.
     """
     if m < 0 or n < 0:
         raise ValueError("term indices must be >= 0")
@@ -713,6 +719,10 @@ def joint_series_term(
     if not (0 < delta1 < min(delta, 1.0 - delta) and delta < gamma / 2):
         raise ValueError("requires 0 < delta1 < min(delta, 1-delta), delta < gamma/2")
 
+    if length is None:
+        sizes = ([m2 + n2] if m else []) + ([m1 + n1] if n else [])
+        decay = min(sizes) * math.pi / 2.0
+        length = min(12.0, max(2.0, 80.0 / decay))
     nl = _line_nodes_for_dim(2 * (m + n), quad)
     v, dv = circle(delta1, n_circle).nodes()
     w, dw = vertical_line(delta, length, nl).nodes()
@@ -770,15 +780,14 @@ def joint_series_term(
     return pref * val
 
 
-def _cross_term_pairs(v: np.ndarray, w: np.ndarray, gamma: float,
-                      shift: float = 0.0) -> Dict[str, np.ndarray]:
-    """Cross-term pair matrices Gamma(s+gamma-a-b) between the two groups:
+def _cross_term_pairs(v: np.ndarray, w: np.ndarray,
+                      gamma: float) -> Dict[str, np.ndarray]:
+    """Cross-term pair matrices Gamma(gamma-a-b) between the two groups:
     'ww' for (w, w'), 'vv' for (v, v'), 'vw' for mixed, with numerators on
     the like pairs and denominators on the mixed ones."""
-    g = gamma + shift
-    ww = np.exp(_lg(g - w[:, None] - w[None, :]))
-    vv = np.exp(_lg(g - v[:, None] - v[None, :]))
-    vw = np.exp(-_lg(g - v[:, None] - w[None, :]))
+    ww = np.exp(_lg(gamma - w[:, None] - w[None, :]))
+    vv = np.exp(_lg(gamma - v[:, None] - v[None, :]))
+    vw = np.exp(-_lg(gamma - v[:, None] - w[None, :]))
     return {"ww": ww, "vv": vv, "vw": vw}
 
 
@@ -944,18 +953,22 @@ def prelimit_term(
     delta: Optional[float] = None,
     delta1: Optional[float] = None,
     quad: Optional[QuadratureSpec] = None,
-    n_circle: int = 128,
-    n_orthant: int = 1024,
 ) -> complex:
     """The pre-limit summand I^{(N)}_{m,n} of the two-point expansion, for
     the (0, gamma) polymer at the N^{2/3}-separated points, with
     u_i = exp(-N f_gamma - r_i N^{1/3}).
 
+    This is joint_series_term at (m1,n1,m2,n2) = scaled_points(N, t1, t2)
+    and u_i = scaled_u(N, gamma, r_i), on the pre-limit offsets
+    delta = 0.45 gamma, delta1 = 0.2 gamma.  The paper writes the term as
+    tau and x orthant integrals of a block determinant; the two forms agree
+    exactly.  int_0^inf e^{x s} dx = -1/s (Re s < 0) collapses the tau and
+    x integrals of a pair to its Cauchy factor, and at (1,1) the identity
+    Gamma(1+s)/s = Gamma(s) turns the mixed-block term into the block
+    Cauchy determinant (see block_cauchy_check).
+
     Index convention matches joint_series_term: m counts (v, w) pairs of
     the second point (u2, m2, n2), n counts pairs of the first point.
-    The tau and x orthant integrals are done by truncated Gauss-Legendre
-    quadrature; tau factors out of the determinant row/column-wise and x
-    enters column-wise, so both reduce to per-pair 1-D quadratures.
     Summing over m <= n2, n <= m1 reproduces the joint Laplace transform.
     """
     if m < 0 or n < 0 or m + n > 2:
@@ -967,94 +980,16 @@ def prelimit_term(
     m1, n1, m2, n2 = scaled_points(N, t1, t2)
     if m > n2 or n > m1:
         raise ValueError("term indices exceed the series range (n2, m1)")
-    u1 = scaled_u(N, gamma, r1)
-    u2 = scaled_u(N, gamma, r2)
     if delta is None:
         delta = 0.45 * gamma
     if delta1 is None:
         delta1 = 0.2 * gamma
     if not (0 < delta1 < delta < gamma / 2):
         raise ValueError("requires 0 < delta1 < delta < gamma/2")
-
-    # line truncation adapted to the gamma-power decay rate
-    decay = (m2 + n2) * math.pi / 2.0
-    length = min(12.0, max(2.0, 80.0 / decay))
-    nl = max(256, _line_nodes_for_dim(2 * (m + n), quad))
-    v, dv = circle(delta1, n_circle).nodes()
-    w, dw = vertical_line(delta, length, nl).nodes()
-
-    # orthant quadrature factors: T(v,w) ~ int_0^L e^{tau (v-w)} d tau and
-    # X couplers; truncation by the slowest decay rate
-    gap_a = delta - delta1
-    gap_b = gamma - 2.0 * delta
-    La = 60.0 / gap_a
-    Lb = 60.0 / min(gap_a, gap_b)
-    xa, qa = gl_panels(0.0, La, n_orthant, max(1, n_orthant // 64))
-    xb, qb = gl_panels(0.0, Lb, n_orthant, max(1, n_orthant // 64))
-
-    def coupler(za, zb, nodes, wts):
-        # sum_x q e^{x (za + zb)}, Re(za + zb) < 0; za column, zb row
-        s = za[:, None] + zb[None, :]
-        return np.exp(s[:, :, None] * nodes[None, None, :]) @ wts
-
-    T_vw = coupler(v, -w, xa, qa)          # tau integral, e^{tau(v-w)}
-    X_vw = T_vw                             # x integral for A/D entries
-    X_ww = coupler(w - gamma / 2.0, w - gamma / 2.0, xb, qb)  # e^{x(w+w'-gamma)}
-    X_vv = coupler(v - gamma / 2.0, v - gamma / 2.0, xb, qb)  # e^{x(v+v'-gamma)}
-
-    sin_vw = np.pi * (v[:, None] - w[None, :]) / _safe_sin_pi(
-        v[:, None] - w[None, :]
-    )
-
-    def log_psi(z, u, eg, ez):
-        return (np.log(u) * (z - gamma / 2.0)
-                + eg * _lg(gamma - z) - ez * _lg(z))
-
-    lp2w = log_psi(w, u2, m2, n2)
-    lp2v = log_psi(v, u2, m2, n2)
-    lp1w = log_psi(w, u1, n1, m1)
-    lp1v = log_psi(v, u1, n1, m1)
-
-    # as in the joint series, each (v, w) pair carries two 1/(2 pi i)
-    # factors: the circle measure and the line integral
-    pref = (-1.0) ** (m + n) / (
-        math.factorial(m) * math.factorial(n) * TWO_PI_I ** (2 * (m + n))
-    )
-
-    if (m, n) in ((1, 0), (0, 1)):
-        lpw, lpv = (lp2w, lp2v) if m == 1 else (lp1w, lp1v)
-        gv = np.exp(-lpv) * dv
-        gw = np.exp(lpw) * dw
-        val = np.einsum("a,b,ab,ab,ab->", gv, gw, sin_vw, T_vw, X_vw,
-                        optimize=True)
-        return pref * complex(val)
-
-    # (1, 1): 2x2 block determinant; det = psi-ratio * (XA XD + XB XC)
-    ct = _cross_term_pairs(v, w, gamma, shift=1.0)
-    g2v = np.exp(-lp2v) * dv
-    g2w = np.exp(lp2w) * dw
-    g1v = np.exp(-lp1v) * dv
-    g1w = np.exp(lp1w) * dw
-    base_pairs = {
-        (0, 1): sin_vw * T_vw,
-        (2, 3): sin_vw * T_vw,
-        (1, 3): ct["ww"],
-        (0, 2): ct["vv"],
-        (0, 3): ct["vw"],
-        (2, 1): ct["vw"],
-    }
-    vecs = [g2v, g2w, g1v, g1w]
-    # XA XD term: diagonal couplings (v2,w2) and (v1,w1)
-    p1 = dict(base_pairs)
-    p1[(0, 1)] = p1[(0, 1)] * X_vw
-    p1[(2, 3)] = p1[(2, 3)] * X_vw
-    term1 = _contract(vecs, p1)
-    # XB XC term: couplings (w2, w1) and (v2, v1)
-    p2 = dict(base_pairs)
-    p2[(1, 3)] = p2[(1, 3)] * X_ww
-    p2[(0, 2)] = p2[(0, 2)] * X_vv
-    term2 = _contract(vecs, p2)
-    return pref * (term1 + term2)
+    u1 = scaled_u(N, gamma, r1)
+    u2 = scaled_u(N, gamma, r2)
+    return joint_series_term(m, n, m1, n1, m2, n2, u1, u2, gamma,
+                             delta=delta, delta1=delta1, quad=quad)
 
 
 def prelimit_sum(

@@ -115,6 +115,15 @@ def test_query_validation():
         airy_two_point_series(0.0, 1.0, 0.0, 0.0, order=4)
 
 
+@pytest.mark.parametrize("args", [(0.0, 1.0, math.nan, 0.0),
+                                  (0.0, 1.0, 0.0, math.inf),
+                                  (math.nan, 1.0, 0.0, 0.0),
+                                  (0.0, -math.inf, 0.0, 0.0)])
+def test_non_finite_query_rejected(args):
+    with pytest.raises(ValueError):
+        airy_two_point(*args)
+
+
 def test_one_point_marginal_vs_tracy_widom_oracle():
     # a vacuous second threshold reduces the joint probability to the
     # Tracy-Widom GUE marginal, checked against an independent oracle

@@ -1,11 +1,17 @@
 """Command-line interface tests: JSON/CSV contracts, exit codes, and
-determinism.  Commands run in-process through main(argv)."""
+determinism.  Commands run in-process through main(argv), except where
+a fresh interpreter must see the exit code, the traceback or a warning."""
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grsklab
 from grsklab.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, main
+from grsklab.contour import default_contours
 
 
 def run(capsys, *argv):
@@ -17,6 +23,18 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_process(*argv, python_flags=()):
+    """Run the CLI in a fresh interpreter, so that exit codes, tracebacks
+    and interpreter warnings are seen as a shell user would see them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grsklab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "grsklab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.fixture
@@ -168,6 +186,28 @@ def test_airy2_threshold_window_error(capsys):
     assert code == EXIT_INPUT
 
 
+def test_airy2_non_finite_threshold_error(capsys):
+    code, _ = run(capsys, "airy2", "--t1", "0.0", "--t2", "1.0",
+                  "--x1", "nan")
+    assert code == EXIT_INPUT
+
+
+def test_laplace_rejects_delta1_without_traceback():
+    # laplace has no --delta1 (the two-point integrals take one offset,
+    # --delta), so argparse rejects it as a usage error
+    proc = run_process("laplace", "--points", "1,3,3,1", "--u", "1,1",
+                       "--delta1", "0.05")
+    assert proc.returncode == EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+    assert "--delta1" in proc.stderr
+
+
+def test_laplace_reports_default_delta1(capsys):
+    code, doc = run_json(capsys, "laplace", "--points", "1,1", "--u", "1.0")
+    assert code == EXIT_OK
+    assert doc["contours"]["delta1"] == default_contours(1.0).delta1
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -246,6 +286,21 @@ def test_sweep_mc_reproducible(tmp_path, capsys):
     # identical up to the wall-time column
     strip = lambda rows: [r[:4] + r[5:] for r in rows]
     assert strip(a) == strip(b)
+
+
+def test_sweep_output_file_is_closed(tmp_path):
+    # an unclosed -o file shows up as a ResourceWarning when it is
+    # collected; turned into an error it is reported on stderr
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"points": [[1, 1]], "grid": {"u1": [1.0]}}))
+    out = tmp_path / "out.csv"
+    proc = run_process("sweep", str(p), "-o", str(out),
+                       python_flags=("-W", "error::ResourceWarning"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and rows[1][5] == ""
 
 
 def test_sweep_bad_config(tmp_path, capsys):

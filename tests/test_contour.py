@@ -400,6 +400,37 @@ def test_prelimit_sum_matches_case_a_anchor():
     assert abs(total - ref) / abs(ref) < 1e-4
 
 
+def test_prelimit_term_matches_orthant_values():
+    # the paper's tau/x orthant form, integrated by 1024-node
+    # Gauss-Legendre per orthant axis; the joint-series term is the same
+    # integral with those axes done in closed form
+    g, t = 1.0, 0.5
+    pins = {(1, 0, 2): -0.027293398234508583,
+            (1, 0, 8): -0.026053436460265735,
+            (1, 0, 16): -0.025443787747939657,
+            (1, 1, 2): 0.002998209025934317}
+    for (m, n, N), want in pins.items():
+        got = prelimit_term(m, n, N, g, t, t)
+        assert got.real == pytest.approx(want, rel=1e-6)
+        assert abs(got.imag) < 1e-12
+    # at t1 = t2 the two groups see the same geometry and u
+    for N in (2, 8, 16):
+        assert prelimit_term(0, 1, N, g, t, t) == pytest.approx(
+            prelimit_term(1, 0, N, g, t, t), rel=1e-12)
+
+
+def test_joint_series_term_resolves_scaled_u():
+    # at the scaled points u^w oscillates with period 2 pi / |log u|; the
+    # default line length follows the decay of the group, so the fixed node
+    # count resolves it (references: 40 and 80 nodes per unit agree)
+    g, t = 1.0, 0.5
+    for N, want in ((16, -0.0254437877479), (24, -0.0246191304244)):
+        pts = scaled_points(N, t, t)
+        u = scaled_u(N, g, 0.0)
+        got = joint_series_term(1, 0, *pts, u, u, g)
+        assert got.real == pytest.approx(want, rel=1e-8)
+
+
 def test_prelimit_term_validation():
     with pytest.raises(ValueError):
         prelimit_term(2, 1, 8, 1.0, 0.5, 0.5)  # m + n cap
