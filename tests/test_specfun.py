@@ -15,6 +15,7 @@ mpmath = pytest.importorskip("mpmath")
 from grsklab.quadrature import QuadratureSpec, gl_nodes
 from grsklab.specfun import (
     WhittakerArg,
+    _airy_ai_wedge,
     airy_ai,
     digamma,
     gamma,
@@ -166,6 +167,19 @@ def test_airy_at_zero():
 def test_airy_accuracy_vs_mpmath():
     for x in [-10, -5.5, -2, -0.5, 0.7, 3, 10]:
         assert abs(airy_ai(float(x)) - float(mpmath.airyai(x))) <= 1e-10
+
+
+AIRY_GRID = np.linspace(-10.0, 10.0, 201)
+
+
+def test_airy_interpolant_vs_mpmath_grid():
+    ref = np.array([float(mpmath.airyai(x)) for x in AIRY_GRID])
+    assert float(np.abs(airy_ai(AIRY_GRID) - ref).max()) <= 1e-12
+
+
+def test_airy_interpolant_matches_wedge_contour():
+    diff = np.abs(airy_ai(AIRY_GRID) - _airy_ai_wedge(AIRY_GRID))
+    assert float(diff.max()) <= 1e-12
 
 
 def test_airy_monotone_decay_positive_axis():
