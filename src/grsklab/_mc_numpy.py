@@ -1,8 +1,8 @@
-"""Pure-numpy fallback for the Monte Carlo polymer DP kernel.
+"""The Monte Carlo polymer DP kernel.
 
-Same contract as the compiled kernel in _mckernel.pyx: given a batch of
-weight arrays embedded in the bounding rectangle (zeros outside the shape),
-run the partition-function DP and return exp(-sum_l u_l * Z_l) per sample.
+Given a batch of weight arrays embedded in the bounding rectangle (zeros
+outside the shape), run the partition-function DP and return
+exp(-sum_l u_l * Z_l) per sample.
 """
 from __future__ import annotations
 
@@ -12,18 +12,21 @@ import numpy as np
 def mc_chunk(w: np.ndarray, points, us) -> np.ndarray:
     """w: (S, M, N) weights, zero-padded outside the staircase shape.
 
-    Vectorized over the sample axis; the DP runs cell by cell, which is fine
-    because the array has at most a few dozen cells at desk scale.
+    The DP runs cell by cell (a few dozen cells at desk scale) with the
+    sample axis last, so each cell update is one in-place add and one
+    in-place multiply over S contiguous values.  Pass the transpose of an
+    (M, N, S) array to make the weight rows contiguous too; any (S, M, N)
+    array gives the same result.
     """
     S, M, N = w.shape
-    Z = np.zeros((S, M + 1, N + 1))
+    wt = w.transpose(1, 2, 0)
+    Z = np.zeros((M + 1, N + 1, S))
+    Z[0, 1] = 1.0  # seeds Z[1, 1] = w_11 through the common recursion
     for i in range(1, M + 1):
         for j in range(1, N + 1):
-            prev = Z[:, i - 1, j] + Z[:, i, j - 1]
-            if i == 1 and j == 1:
-                prev = np.ones(S)
-            Z[:, i, j] = w[:, i - 1, j - 1] * prev
+            np.add(Z[i - 1, j], Z[i, j - 1], out=Z[i, j])
+            Z[i, j] *= wt[i - 1, j - 1]
     expo = np.zeros(S)
     for (m, n), u in zip(points, us):
-        expo += u * Z[:, m, n]
+        expo += u * Z[m, n]
     return np.exp(-expo)

@@ -4,7 +4,7 @@ Airy evaluations, verification suites, and CSV sweeps.
 Exit codes: 0 success, 1 computational failure (non-convergence), 2 input
 validation.  Defaults for quadrature settings can be overridden with
 GRSKLAB_-prefixed environment variables (GRSKLAB_NODES, GRSKLAB_LENGTH,
-GRSKLAB_CIRCLE, GRSKLAB_SAMPLES).
+GRSKLAB_SAMPLES).
 """
 from __future__ import annotations
 
@@ -50,7 +50,10 @@ def _env_default(name: str, cast, fallback):
 
 
 def _emit(obj: dict, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"non-finite value in the result: {exc}")
     if out is None or out == "-":
         print(text)
     else:
@@ -72,16 +75,29 @@ def _load_array(path: str):
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValueError(f"{path}: expected an object with a 'rows' field")
     rows = doc["rows"]
-    if "triangular" in doc:
-        n = int(doc["triangular"])
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) for row in rows):
+        raise ValueError(f"{path}: field 'rows' must be a list of lists")
+    for row in rows:
+        for x in row:
+            # bool is an int subclass, but true/false are not weights
+            if (isinstance(x, bool) or not isinstance(x, (int, float))
+                    or (isinstance(x, float) and not math.isfinite(x))):
+                raise ValueError(
+                    f"{path}: field 'rows': {x!r} is not a finite real number")
+    try:
+        n = int(doc["triangular"]) if "triangular" in doc else None
+        corners = ([tuple(int(x) for x in c) for c in doc["corners"]]
+                   if "corners" in doc else None)
+    except TypeError as exc:
+        raise ValueError(
+            f"{path}: fields 'triangular' and 'corners' take integers: {exc}")
+    if n is not None:
         if len(rows) != n:
             raise ValueError(
                 f"{path}: field 'triangular'={n} but {len(rows)} rows given"
             )
         return arrays.TriangularArray.from_rows(rows)
-    corners = None
-    if "corners" in doc:
-        corners = [tuple(int(x) for x in c) for c in doc["corners"]]
     try:
         return arrays.PolygonalArray.from_rows(rows, corners=corners)
     except ValueError as exc:
@@ -145,7 +161,18 @@ def _parse_points(spec: str) -> List[Tuple[int, int]]:
 
 
 def _parse_floats(spec: str) -> List[float]:
-    return [float(x) for x in spec.split(",") if x != ""]
+    vals = [float(x) for x in spec.split(",") if x != ""]
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{spec!r}: values must be finite")
+    return vals
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a finite float, so that nan and inf are usage errors."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return val
 
 
 def _params_from_args(args, n_rows: int, n_cols: int) -> ParameterSet:
@@ -478,8 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="grsklab",
         description="geometric RSK / log-gamma polymer workbench",
     )
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap worker parallelism (MC streams)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grsk", help="run geometric RSK on an array file")
@@ -498,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="Monte Carlo Laplace transform")
     p.add_argument("--points", required=True)
     p.add_argument("--u", required=True)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--alpha", default=None)
     p.add_argument("--alphahat", default=None)
     p.add_argument("--samples", type=int,
@@ -512,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True,
                    help="m1,n1[,m2,n2]")
     p.add_argument("--u", required=True)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--alpha", default=None)
     p.add_argument("--alphahat", default=None)
     p.add_argument("--delta", type=float, default=None)
@@ -530,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fredholm", help="Fredholm-determinant transform")
     p.add_argument("--points", required=True, help="m,n")
     p.add_argument("--u", required=True)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--alpha", default=None)
     p.add_argument("--alphahat", default=None)
     p.add_argument("--delta1", type=float, default=None)
@@ -549,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None,
                    help="order of the partial sums reported in kernel mode "
                         "(default 3)")
-    p.add_argument("--gamma", type=float, default=None,
+    p.add_argument("--gamma", type=_finite_float, default=None,
                    help="route through the polymer scaling map "
                         "(uses --r1/--r2 instead of --x1/--x2)")
     p.add_argument("--r1", type=float, default=0.0)
@@ -576,8 +601,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if args.threads is not None and hasattr(args, "streams"):
-        args.streams = max(1, args.threads)
     try:
         return args.fn(args)
     except ValueError as exc:

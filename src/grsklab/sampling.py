@@ -5,9 +5,9 @@ a_ij = alpha_i + alphahat_j, on the cells of a staircase index set.  The
 Monte Carlo estimator evaluates E[exp(-sum_l u_l Z_{m_l,n_l})] with the
 partition function Z computed by the DP recursion per sample.
 
-The per-sample DP is the hot loop; a compiled kernel (grsklab._mckernel,
-built from _mckernel.pyx) is used when available, with a vectorized numpy
-fallback (grsklab._mc_numpy) selected at import time.
+Samples are drawn in chunks; the per-sample DP runs in the numpy kernel
+grsklab._mc_numpy with the sample axis last, and a shape shared by every
+cell is drawn with one scalar-shape call.
 """
 from __future__ import annotations
 
@@ -17,16 +17,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from . import _mc_numpy
 from .arrays import IndexSet, PolygonalArray
-
-try:  # compiled kernel is optional; the numpy fallback is contract-identical
-    from . import _mckernel as _kernel
-
-    KERNEL = "cython"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _mc_numpy as _kernel
-
-    KERNEL = "numpy"
 
 
 @dataclass
@@ -49,8 +41,8 @@ class ParameterSet:
     @classmethod
     def flat(cls, gamma: float, m: int, n: int, **kw) -> "ParameterSet":
         """The (0, gamma) specialization: alpha_i = 0, alphahat_j = gamma."""
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValueError("gamma must be positive and finite")
         return cls(alpha=[0.0] * m, alphahat=[gamma] * n, gamma=gamma, **kw)
 
     def shape_at(self, i: int, j: int) -> float:
@@ -96,10 +88,25 @@ def _inverse_gamma_weights(rng: np.random.Generator, shapes: np.ndarray) -> np.n
     shape < 1 we use the boost transformation: if G ~ Gamma(shape + 1) and
     U ~ Uniform(0,1) independently, then G * U^{1/shape} ~ Gamma(shape).
     This avoids the density blow-up at 0 for small shapes.
+
+    When every shape is the same value a, one scalar-shape call consumes
+    the stream in the same order as the per-element draw, so it returns the
+    same weights, faster.
     """
     shapes = np.asarray(shapes, dtype=float)
-    if np.any(shapes <= 0):
+    if not np.all(shapes > 0):
         raise ValueError("all Gamma shapes alpha_i + alphahat_j must be > 0")
+    if shapes.size and np.all(shapes == shapes.flat[0]):
+        a = shapes.flat[0]
+        if a >= 1.0:
+            g = rng.standard_gamma(a, size=shapes.shape)
+        else:
+            g = rng.standard_gamma(a + 1.0, size=shapes.shape)
+            # a full exponent array keeps numpy's elementwise power; a scalar
+            # exponent of 2 (a = 0.5) takes a squaring shortcut that differs
+            # in the last bit
+            g *= rng.random(shapes.shape) ** np.full(shapes.shape, 1.0 / a)
+        return np.reciprocal(g, out=g)
     g = np.empty(shapes.shape)
     small = shapes < 1.0
     if np.any(~small):
@@ -155,6 +162,8 @@ def mc_laplace(
     _validate_staircase(points)
     if len(us) != len(points):
         raise ValueError("need one Laplace argument per corner point")
+    if not all(math.isfinite(u) for u in us):
+        raise ValueError("Laplace arguments must be finite")
     if any(u < 0 for u in us):
         raise ValueError("Laplace arguments must be >= 0")
     n_samples = int(n_samples)
@@ -170,6 +179,7 @@ def mc_laplace(
     for (i, j) in cells:
         shape_grid[i - 1, j - 1] = params.shape_at(i, j)
         in_shape[i - 1, j - 1] = True
+    shapes = shape_grid[in_shape]
 
     per_stream = [n_samples // n_streams] * n_streams
     for k in range(n_samples - sum(per_stream)):
@@ -181,12 +191,12 @@ def mc_laplace(
         done = 0
         while done < budget:
             s = min(chunk, budget - done)
-            flat_shapes = np.broadcast_to(
-                shape_grid[in_shape], (s, int(in_shape.sum()))
-            )
-            w = np.zeros((s, M, N_cols))
-            w[:, in_shape] = _inverse_gamma_weights(rng, flat_shapes)
-            vals.append(np.asarray(_kernel.mc_chunk(w, points, list(us))))
+            # sample axis last: the kernel's per-cell rows are contiguous
+            w = np.zeros((M, N_cols, s))
+            w[in_shape] = _inverse_gamma_weights(
+                rng, np.broadcast_to(shapes, (s, shapes.size))
+            ).T
+            vals.append(_mc_numpy.mc_chunk(w.transpose(2, 0, 1), points, us))
             done += s
     sample = np.concatenate(vals)
     mean = float(np.mean(sample))

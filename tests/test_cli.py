@@ -75,6 +75,33 @@ def test_grsk_malformed_corners(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("doc", [
+    {"rows": [[1, "x"], [2, 3]]},
+    {"rows": [[1, True], [2, 3]]},
+    {"rows": [[1, None], [2, 3]]},
+    {"rows": [[1, 2], 3]},
+    {"rows": [[1, 2], [3, 4]], "corners": [[None, 2]]},
+    {"rows": [[1, 2], [3, 4]], "corners": 5},
+])
+def test_grsk_bad_array_is_input_error(tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    proc = run_process("grsk", str(p))
+    assert proc.returncode == EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+
+
+def test_grsk_overflow_is_compute_error_not_nan(tmp_path):
+    # the corner value overflows to inf and the energy to nan; neither may
+    # be printed as JSON (NaN and Infinity are not JSON)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"rows": [[1e300, 1e300], [1e300, 1e300]]}))
+    proc = run_process("grsk", str(p))
+    assert proc.returncode == EXIT_COMPUTE
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_grsk_rejects_triangular(capsys, tmp_path):
     p = tmp_path / "tri.json"
     p.write_text(json.dumps({"triangular": 2, "rows": [[1.0, 1.0], [1.0]]}))
@@ -116,6 +143,29 @@ def test_sample_schema_and_determinism(capsys):
     assert a == b
     _, c = run_json(capsys, *args[:-1], "8")
     assert c["mean"] != a["mean"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--points", "2,2", "--u", "nan"],
+    ["sample", "--points", "2,2", "--u", "inf"],
+    ["sample", "--points", "2,2", "--u", "1.0", "--gamma", "nan"],
+    ["sample", "--points", "2,2", "--u", "1.0", "--alpha", "0,nan"],
+    ["laplace", "--points", "2,2", "--u", "nan"],
+    ["laplace", "--points", "2,2", "--u", "1.0", "--gamma", "inf"],
+    ["fredholm", "--points", "2,2", "--u", "nan"],
+])
+def test_non_finite_input_is_usage_error(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_threads_flag_is_gone():
+    proc = run_process("--threads", "2", "sample", "--points", "2,2",
+                       "--u", "1.0", "--samples", "1000")
+    assert proc.returncode == EXIT_INPUT
+    assert "Traceback" not in proc.stderr
 
 
 def test_laplace_one_point_with_mc_check(capsys):

@@ -17,11 +17,6 @@ from grsklab.sampling import (
     sample_array,
 )
 
-try:
-    from grsklab import _mckernel
-except ImportError:  # pragma: no cover
-    _mckernel = None
-
 
 # ---------------------------------------------------------------------------
 # weight sampler
@@ -46,6 +41,29 @@ def test_inverse_gamma_rejects_bad_shape():
     rng = _stream_rng(0, 0)
     with pytest.raises(ValueError):
         _inverse_gamma_weights(rng, np.array([0.5, -0.1]))
+
+
+@pytest.mark.parametrize("shapes", [[1.0, np.nan], [np.nan, np.nan]])
+def test_inverse_gamma_rejects_nan_shape(shapes):
+    with pytest.raises(ValueError):
+        _inverse_gamma_weights(_stream_rng(0, 0), np.array(shapes))
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.6, 1.0, 2.5])
+def test_uniform_shape_draw_matches_array_shape_draw(a):
+    # one scalar-shape call must consume the stream exactly as the
+    # per-element draw does (shape >= 1: standard gamma; shape < 1: the
+    # boost G * U^{1/a} with G ~ Gamma(a + 1))
+    shapes = np.full((5000, 7), a)
+    got = _inverse_gamma_weights(_stream_rng(21, 2), shapes)
+    rng = _stream_rng(21, 2)
+    if a >= 1.0:
+        g = rng.standard_gamma(shapes)
+    else:
+        boost = rng.standard_gamma(shapes.ravel() + 1.0)
+        u = rng.random(shapes.size)
+        g = (boost * u ** (1.0 / shapes.ravel())).reshape(shapes.shape)
+    assert np.array_equal(got, 1.0 / g)
 
 
 def test_sample_array_determinism():
@@ -97,21 +115,50 @@ def test_kernel_matches_dp_oracle():
     assert val == pytest.approx(math.exp(-expo), rel=1e-12)
 
 
-@pytest.mark.skipif(_mckernel is None, reason="compiled kernel not built")
-def test_compiled_kernel_matches_fallback():
+def test_kernel_padded_cell_is_ignored():
+    # cells (2..3, 3..4) lie outside the staircase (1,4),(3,2); their zero
+    # padding must leave each corner's partition function as the oracle has it
     rng = np.random.default_rng(3)
-    w = 1.0 / rng.standard_gamma(1.3, size=(500, 3, 4))
-    w[:, 2, 3] = 0.0  # a padded-out cell must not affect either kernel
+    w = 1.0 / rng.standard_gamma(1.3, size=(50, 3, 4))
+    w[:, 1:, 2:] = 0.0
     points = [(1, 4), (3, 2)]
     us = [0.8, 0.3]
-    a = _mc_numpy.mc_chunk(w, points, us)
-    b = np.asarray(_mckernel.mc_chunk(np.ascontiguousarray(w), points, us))
-    assert np.array_equal(a, b)
+    idx = IndexSet(points)
+    got = _mc_numpy.mc_chunk(w, points, us)
+    for s in range(w.shape[0]):
+        arr = PolygonalArray(index=idx, entries={
+            (i, j): float(w[s, i - 1, j - 1]) for (i, j) in idx.cells()})
+        expo = sum(u * oracle.partition_function(arr, m, n)
+                   for (m, n), u in zip(points, us))
+        assert got[s] == pytest.approx(math.exp(-expo), rel=1e-12)
+    # the sample-last layout mc_laplace passes gives the same bits
+    wt = np.ascontiguousarray(w.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert np.array_equal(_mc_numpy.mc_chunk(wt, points, us), got)
 
 
 # ---------------------------------------------------------------------------
 # mc_laplace
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("points, us, params, n, seed, streams, mean, stderr", [
+    ([(2, 6), (4, 4), (6, 2)], [0.02] * 3, ParameterSet.flat(1.0, 6, 6),
+     200000, 3, 1, 0.0066246520553701, 0.00011266318467685942),
+    ([(1, 3), (3, 1)], [0.4, 0.4], ParameterSet.flat(0.6, 3, 3),
+     200000, 4, 1, 0.01629845318636107, 0.0001750188779781458),
+    ([(1, 2), (2, 1)], [1.0, 2.0],
+     ParameterSet(alpha=[0.2, -0.1], alphahat=[0.9, 1.4]),
+     200000, 5, 1, 0.06118767918837826, 0.00029535205626126954),
+    ([(2, 2)], [1.0], ParameterSet(alpha=[0.1, 0.4], alphahat=[0.7, 1.1]),
+     200007, 6, 3, 0.1086595604856258, 0.00045298818442641845),
+])
+def test_mc_laplace_pinned_values(points, us, params, n, seed, streams,
+                                  mean, stderr):
+    # the stream layout and the DP are fixed: the estimates are reproducible
+    # to the last bit for flat shapes >= 1 and < 1 and for mixed shapes
+    est = mc_laplace(points, us, params, n, seed=seed, n_streams=streams)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 def test_mc_laplace_u_zero_is_one():
@@ -181,6 +228,24 @@ def test_mc_laplace_input_validation():
         mc_laplace([(2, 2)], [1.0], p, 500)  # below sample floor
     with pytest.raises(ValueError):
         MCEstimate(mean=1.0, stderr=0.0, n_samples=1, seed=0)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf])
+def test_mc_laplace_rejects_non_finite_u(u):
+    with pytest.raises(ValueError):
+        mc_laplace([(2, 2)], [u], ParameterSet.flat(1.0, 2, 2), 10**3)
+
+
+def test_mc_laplace_rejects_nan_shape():
+    p = ParameterSet(alpha=[0.0, math.nan], alphahat=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        mc_laplace([(2, 2)], [1.0], p, 10**3)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_parameter_set_flat_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError):
+        ParameterSet.flat(gamma, 2, 2)
 
 
 def test_parameter_set_flat_and_bounds():
