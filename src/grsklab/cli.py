@@ -509,9 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grsk", help="run geometric RSK on an array file")
     p.add_argument("input")
-    p.add_argument("--polygonal", action="store_true",
-                   help="treat input as polygonal (same behavior; "
-                        "rectangular files are the k=1 case)")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_grsk)
 
@@ -540,8 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--alpha", default=None)
     p.add_argument("--alphahat", default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--L", type=float,
+    p.add_argument("--delta", type=_finite_float, default=None)
+    p.add_argument("--L", type=_finite_float,
                    default=_env_default("LENGTH", float, 12.0))
     p.add_argument("--nodes", type=int,
                    default=_env_default("NODES", int, None))
@@ -558,10 +555,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--alpha", default=None)
     p.add_argument("--alphahat", default=None)
-    p.add_argument("--delta1", type=float, default=None)
-    p.add_argument("--delta2", type=float, default=None)
+    p.add_argument("--delta1", type=_finite_float, default=None)
+    p.add_argument("--delta2", type=_finite_float, default=None)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--L", type=float,
+    p.add_argument("--L", type=_finite_float,
                    default=_env_default("LENGTH", float, 12.0))
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_fredholm)

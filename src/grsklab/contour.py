@@ -16,8 +16,10 @@ Conventions:
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +55,9 @@ class ContourSpec:
     def __post_init__(self):
         if self.kind not in ("line", "circle", "polyline"):
             raise ValueError(f"unknown contour kind {self.kind!r}")
+        geometry = (self.delta, self.length, self.center, self.radius, *self.points)
+        if not all(cmath.isfinite(x) for x in geometry):
+            raise ValueError("contour geometry must be finite")
         if self.kind == "circle" and self.radius <= 0:
             raise ValueError("circle radius must be positive")
         if self.kind == "line" and self.length <= 0:
@@ -138,24 +143,51 @@ def default_contours(gamma: float) -> ContourDefaults:
 # dense tensor-product contraction
 # ---------------------------------------------------------------------------
 
-_AXES = "abcdefgh"
+_AXES = "abcd"
 
 
 def _contract(vectors: List[np.ndarray], pairs: Dict[Tuple[int, int], np.ndarray]) -> complex:
     """Sum over a tensor-product grid of prod_k vectors[k][i_k] times
-    prod pairs[(k,l)][i_k, i_l]; dimension-capped einsum contraction."""
+    prod pairs[(k,l)][i_k, i_l], for at most four axes.
+
+    Up to three axes this is one einsum.  Four axes must form a complete
+    pair graph (one matrix per unordered pair; a key (l,k) with l > k is
+    used as its transpose).  With a and c the two shortest axes and b, d
+    the other two, the sum runs as a loop over a of one (c,b) @ (b,d)
+    matmul each: X[c,b] = v_a P_ac P_ab (v_c P_cb v_b), Y[c,d] = P_ad (P_cd
+    v_d), total += sum((X @ P_bd) * Y).  The loop keeps the temporaries at
+    C x max(B, D); the full (A C) x B tensor at once would not.
+    """
     dim = len(vectors)
     if dim == 0:
         return 1.0 + 0j
     if dim > len(_AXES):
         raise ValueError("contraction dimension cap exceeded")
-    terms = [v.astype(complex) for v in vectors]
-    labels = [_AXES[k] for k in range(dim)]
+    if dim < 4:
+        terms = [v.astype(complex) for v in vectors]
+        labels = [_AXES[k] for k in range(dim)]
+        for (k, l), mat in pairs.items():
+            terms.append(mat.astype(complex))
+            labels.append(_AXES[k] + _AXES[l])
+        expr = ",".join(labels) + "->"
+        return complex(np.einsum(expr, *terms, optimize=True))
+
+    P = {}
     for (k, l), mat in pairs.items():
-        terms.append(mat.astype(complex))
-        labels.append(_AXES[k] + _AXES[l])
-    expr = ",".join(labels) + "->"
-    return complex(np.einsum(expr, *terms, optimize=True))
+        P[(k, l)] = np.asarray(mat, dtype=complex)
+        P[(l, k)] = P[(k, l)].T
+    if len(pairs) != 6 or len(P) != 12:
+        raise ValueError("a 4-axis contraction needs a complete pair graph")
+    v = [np.asarray(x, dtype=complex) for x in vectors]
+    a, c, b, d = sorted(range(4), key=lambda k: len(v[k]))
+    W = v[c][:, None] * P[(c, b)] * v[b][None, :]
+    Z = P[(c, d)] * v[d][None, :]
+    Pbd = P[(b, d)]
+    total = 0j
+    for i in range(len(v[a])):
+        X = (v[a][i] * P[(a, c)][i][:, None]) * P[(a, b)][i][None, :] * W
+        total += np.sum((X @ Pbd) * (P[(a, d)][i][None, :] * Z))
+    return complex(total)
 
 
 def _line_nodes_for_dim(dim: int, quad: Optional[QuadratureSpec]) -> int:
@@ -168,12 +200,32 @@ def _line_nodes_for_dim(dim: int, quad: Optional[QuadratureSpec]) -> int:
 
 
 def _sklyanin_pair(mu: np.ndarray) -> np.ndarray:
-    """Pairwise factor of the Sklyanin density: 1/(Gamma(a-b) Gamma(b-a)),
-    zero on the diagonal (the density vanishes at coincident points)."""
+    """Pairwise factor of the Sklyanin density, 1/(Gamma(d) Gamma(-d)) with
+    d = a - b.  By the reflection formula Gamma(d) Gamma(-d) =
+    -pi/(d sin(pi d)) this is -d sin(pi d)/pi, exactly zero on the diagonal
+    (the density vanishes at coincident points).  The sine is the
+    overflow-safe one: long lines reach |Im d| near 100."""
     d = mu[:, None] - mu[None, :]
-    out = np.zeros_like(d, dtype=complex)
-    off = ~np.eye(len(mu), dtype=bool)
-    out[off] = np.exp(-log_gamma(d[off]) - log_gamma(-d[off]))
+    return -d * _safe_sin_pi(d) / math.pi
+
+
+def _safe_sin_pi(z: np.ndarray) -> np.ndarray:
+    """sin(pi z), the one sine of the module.  For |Im z| >= 20 it keeps
+    only the dominant half of (e^{i pi z} - e^{-i pi z})/2i (the other is
+    below e^{-125} relative), so nothing overflows before the result does.
+    Written as exp(specfun._log_sin_pi(z)) it would lose digits where
+    1 - e^{-2 pi i z} cancels: 3.9e-10 relative at z = 1e-8."""
+    z = np.asarray(z, dtype=complex)
+    im = np.imag(z)
+    small = np.abs(im) < 20
+    out = np.empty_like(z)
+    out[small] = np.sin(np.pi * z[small])
+    big = ~small
+    if np.any(big):
+        zb = z[big]
+        s = np.sign(np.imag(zb))
+        # sin(pi z) = (e^{i pi z} - e^{-i pi z}) / 2i; keep dominant term
+        out[big] = np.exp(-1j * np.pi * zb * s) * (-s) / 2j
     return out
 
 
@@ -239,15 +291,30 @@ def laplace1(
         for a in alpha:
             log_den += float(_lg(ah + a).real)
     g = np.exp(logg - log_den / n) * dmu
-    P = _sklyanin_pair(mu)
-    pairs = {(i, j): P for i in range(n) for j in range(i + 1, n)}
-    val = _contract([g] * n, pairs)
-    return val / (TWO_PI_I**n * math.factorial(n))
+    return _two_group_integral(g, mu, n, None, None, 0, None)
 
 
 # ---------------------------------------------------------------------------
 # two-point Laplace transforms
 # ---------------------------------------------------------------------------
+
+
+def _two_group_integral(gl, lam, k1, gm, mu, k2, cross) -> complex:
+    """(2 pi i)^{-(k1+k2)}/(k1! k2!) times the sum over k1 axes on the nodes
+    lam and k2 axes on mu of the per-axis weights gl and gm (line elements
+    included), the Sklyanin pair factors within each group, and
+    cross[i, j] between every lam-axis and every mu-axis."""
+    pairs: Dict[Tuple[int, int], np.ndarray] = {}
+    for k, z, first in ((k1, lam, 0), (k2, mu, k1)):
+        if k >= 2:
+            P = _sklyanin_pair(z)
+            for i, j in combinations(range(first, first + k), 2):
+                pairs[(i, j)] = P
+    for i in range(k1):
+        for j in range(k1, k1 + k2):
+            pairs[(i, j)] = cross
+    val = _contract([gl] * k1 + [gm] * k2, pairs)
+    return val / (TWO_PI_I ** (k1 + k2) * math.factorial(k1) * math.factorial(k2))
 
 
 def _check_two_points(m1, n1, m2, n2):
@@ -299,8 +366,7 @@ def laplace2_case_a(
     if u1 == 0:
         return laplace1(m2, n2, u2, alpha, alphahat, quad=quad)
 
-    dim = m1 + n2
-    nn = _line_nodes_for_dim(dim, quad)
+    nn = _line_nodes_for_dim(m1 + n2, quad)
     lam, dlam = vertical_line(delta, length, nn).nodes()
     mu, dmu = vertical_line(delta + gamma, length, nn).nodes()
 
@@ -341,22 +407,7 @@ def laplace2_case_a(
 
     gl = np.exp(log_l - log_dl / m1) * dlam
     gm = np.exp(log_m - log_dm / n2) * dmu
-    Pl = _sklyanin_pair(lam)
-    Pm = _sklyanin_pair(mu)
-
-    vectors = [gl] * m1 + [gm] * n2
-    pairs: Dict[Tuple[int, int], np.ndarray] = {}
-    for i in range(m1):
-        for j in range(i + 1, m1):
-            pairs[(i, j)] = Pl
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            pairs[(m1 + i, m1 + j)] = Pm
-    for i in range(m1):
-        for j in range(n2):
-            pairs[(i, m1 + j)] = cross
-    val = _contract(vectors, pairs)
-    return val / (TWO_PI_I**dim * math.factorial(m1) * math.factorial(n2))
+    return _two_group_integral(gl, lam, m1, gm, mu, n2, cross)
 
 
 def _case_a_u2zero(m1, n1, u1, alpha, alphahat, quad):
@@ -409,8 +460,7 @@ def laplace2_case_b(
     if min(u1, u2) <= 0:
         raise ValueError("requires u1, u2 > 0")
 
-    dim = m1 + m2
-    nn = _line_nodes_for_dim(dim, quad)
+    nn = _line_nodes_for_dim(m1 + m2, quad)
     lam, dlam = vertical_line(delta, length, nn).nodes()
     mu, dmu = vertical_line(delta_prime, length, nn).nodes()
     u12 = u1 / u2
@@ -443,22 +493,7 @@ def laplace2_case_b(
 
     gl = np.exp(log_l - log_dl / m1) * dlam
     gm = np.exp(log_m - log_dm / m2) * dmu
-    Pl = _sklyanin_pair(lam)
-    Pm = _sklyanin_pair(mu)
-
-    vectors = [gl] * m1 + [gm] * m2
-    pairs: Dict[Tuple[int, int], np.ndarray] = {}
-    for i in range(m1):
-        for j in range(i + 1, m1):
-            pairs[(i, j)] = Pl
-    for i in range(m2):
-        for j in range(i + 1, m2):
-            pairs[(m1 + i, m1 + j)] = Pm
-    for i in range(m1):
-        for j in range(m2):
-            pairs[(i, m1 + j)] = cross
-    val = _contract(vectors, pairs)
-    return val / (TWO_PI_I**dim * math.factorial(m1) * math.factorial(m2))
+    return _two_group_integral(gl, lam, m1, gm, mu, m2, cross)
 
 
 def oy_laplace2(
@@ -501,8 +536,6 @@ def oy_laplace2(
     if u2 == 0:
         raise ValueError("u2 must be > 0 (take m1 as the only point instead)")
 
-    dim = m1 + m2
-
     def half_length(rate: float, growth: float) -> float:
         # smallest Y with (rate/2) Y^2 - growth * Y >= 30
         return (growth + math.sqrt(growth**2 + 60.0 * rate)) / rate
@@ -537,22 +570,7 @@ def oy_laplace2(
     cross = np.exp(_lg(mu[None, :] - lam[:, None]))
     gl = np.exp(log_l - log_dl / m1) * dlam if m1 > 0 else dlam
     gm = np.exp(log_m - log_dm / m2) * dmu
-    Pl = _sklyanin_pair(lam)
-    Pm = _sklyanin_pair(mu)
-
-    vectors = [gl] * m1 + [gm] * m2
-    pairs: Dict[Tuple[int, int], np.ndarray] = {}
-    for i in range(m1):
-        for j in range(i + 1, m1):
-            pairs[(i, j)] = Pl
-    for i in range(m2):
-        for j in range(i + 1, m2):
-            pairs[(m1 + i, m1 + j)] = Pm
-    for i in range(m1):
-        for j in range(m2):
-            pairs[(i, m1 + j)] = cross
-    val = _contract(vectors, pairs)
-    return val / (TWO_PI_I**dim * math.factorial(m1) * math.factorial(m2))
+    return _two_group_integral(gl, lam, m1, gm, mu, m2, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -649,23 +667,6 @@ def bcr_fredholm(
     for x in lam:
         e[1:] = e[1:] + x * e[:-1]
     return complex(np.sum(e[: order + 1]))
-
-
-def _safe_sin_pi(z: np.ndarray) -> np.ndarray:
-    """sin(pi z) without overflow for large |Im z| (returns inf-safe values
-    by computing in log space off the real axis)."""
-    z = np.asarray(z, dtype=complex)
-    im = np.imag(z)
-    small = np.abs(im) < 20
-    out = np.empty_like(z)
-    out[small] = np.sin(np.pi * z[small])
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        s = np.sign(np.imag(zb))
-        # sin(pi z) = (e^{i pi z} - e^{-i pi z}) / 2i; keep dominant term
-        out[big] = np.exp(-1j * np.pi * zb * s) * (-s) / 2j
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -870,8 +871,6 @@ def block_cauchy_check(
     # build the block determinant column by column on the tensor grid;
     # each column depends on a single x variable, so precompute per-axis
     # column entries and sum det over permutations of per-axis products
-    from itertools import permutations
-
     cols = []  # cols[j][i] = vector over x_j nodes of entry (i, j)
     for j in range(n):
         x = grids[j][0]

@@ -60,10 +60,11 @@ def test_grsk_all_ones(capsys, ones2x2):
     assert doc["array"]["corners"] == [[2, 2]]
 
 
-def test_grsk_polygonal_flag_is_cosmetic(capsys, ones2x2):
-    _, plain = run_json(capsys, "grsk", ones2x2)
-    _, poly = run_json(capsys, "grsk", ones2x2, "--polygonal")
-    assert plain == poly
+def test_grsk_polygonal_flag_is_gone(ones2x2):
+    proc = run_process("grsk", ones2x2, "--polygonal")
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
 
 
 def test_grsk_malformed_corners(capsys, tmp_path):
@@ -155,6 +156,21 @@ def test_sample_schema_and_determinism(capsys):
     ["fredholm", "--points", "2,2", "--u", "nan"],
 ])
 def test_non_finite_input_is_usage_error(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["laplace", "--points", "2,2", "--u", "1.0", "--L", "nan"],
+    ["laplace", "--points", "2,2", "--u", "1.0", "--L", "inf"],
+    ["laplace", "--points", "2,2", "--u", "1.0", "--delta", "nan"],
+    ["fredholm", "--points", "2,2", "--u", "1.0", "--L", "nan"],
+    ["fredholm", "--points", "2,2", "--u", "1.0", "--delta1", "nan"],
+    ["fredholm", "--points", "2,2", "--u", "1.0", "--delta2", "inf"],
+])
+def test_non_finite_contour_geometry_is_usage_error(argv):
     proc = run_process(*argv)
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""

@@ -10,11 +10,16 @@ of these cross-checks live in the acceptance suite.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from grsklab import specfun
 from grsklab.contour import (
     ContourSpec,
+    _contract,
+    _safe_sin_pi,
+    _sklyanin_pair,
     bcr_fredholm,
     block_cauchy_check,
     circle,
@@ -53,6 +58,36 @@ def test_contour_validation():
         ContourSpec(kind="polyline", points=(1.0,))
     with pytest.raises(ValueError):
         ContourSpec(kind="line", n_nodes=2)
+
+
+@pytest.mark.parametrize("kw", [
+    {"kind": "line", "length": math.nan},
+    {"kind": "line", "length": math.inf},
+    {"kind": "line", "delta": math.nan},
+    {"kind": "line", "delta": -math.inf},
+    {"kind": "circle", "radius": math.nan},
+    {"kind": "circle", "radius": math.inf},
+    {"kind": "circle", "radius": 1.0, "center": complex(0.0, math.nan)},
+])
+def test_contour_rejects_non_finite_geometry(kw):
+    with pytest.raises(ValueError, match="finite"):
+        ContourSpec(**kw)
+
+
+def test_evaluators_reject_non_finite_geometry():
+    with pytest.raises(ValueError):
+        laplace1(2, 2, 1.0, [0.0] * 2, [1.0] * 2, length=math.nan)
+    with pytest.raises(ValueError):
+        laplace1(2, 2, 1.0, [0.0] * 2, [1.0] * 2, delta=math.inf)
+    with pytest.raises(ValueError):
+        laplace1(2, 2, 1.0, [0.0] * 2, [1.0] * 2, delta=math.nan)
+    with pytest.raises(ValueError):
+        laplace2_case_a(1, 2, 2, 1, 0.5, 0.5, [0.0] * 2, [1.0] * 2, 1.0,
+                        length=math.inf)
+    with pytest.raises(ValueError):
+        joint_series_term(1, 0, 1, 2, 2, 1, 1.0, 1.0, 1.0, length=math.nan)
+    with pytest.raises(ValueError):
+        oy_laplace2(1, 1.0, 2, 0.5, 1.0, 1.0, [0.0, 0.0], length=math.nan)
 
 
 def test_circle_residue():
@@ -457,3 +492,86 @@ def test_fub_bound_margin_stays_bounded():
     s1 = (ms[1] - ms[0]) / (ys[1] - ys[0])
     s2 = (ms[2] - ms[1]) / (ys[2] - ys[1])
     assert s2 < s1
+
+
+# ---------------------------------------------------------------------------
+# the hot layers: Sklyanin pairs, the overflow-safe sine, the 4-axis sum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta, half_length, n_nodes", [
+    (0.4, 12.0, 240),    # the default line
+    (0.5, 47.75, 955),   # the mu line of oy_laplace2(1, 1.0, 2, 0.5, ...)
+])
+def test_sklyanin_pair_matches_log_gamma_route(delta, half_length, n_nodes):
+    mu = vertical_line(delta, half_length, n_nodes).nodes()[0]
+    P = _sklyanin_pair(mu)
+    assert np.all(np.diag(P) == 0)
+    i, j = np.nonzero(~np.eye(len(mu), dtype=bool))
+    d = mu[i] - mu[j]
+    assert np.max(np.abs(d.imag)) >= 2 * half_length - 0.1
+    ref = specfun.sklyanin([mu[i], mu[j]]) * (2j * math.pi) ** 2 * 2
+    # the reference is exp(-log_gamma(d) - log_gamma(-d)): it carries the
+    # rounding of log-gamma values of size up to ~450 on the long line,
+    # about eps |log Gamma| relative, on top of the 1e-13 budget
+    log_size = np.abs(specfun.log_gamma(d)) + np.abs(specfun.log_gamma(-d))
+    tol = 1e-13 + 2 * np.finfo(float).eps * log_size
+    assert np.all(np.abs(P[i, j] - ref) <= tol * np.abs(ref))
+    # where the reference's rounding matters, mpmath decides
+    far = np.argsort(np.abs(d.imag))[-3:]
+    with mpmath.workdps(40):
+        exact = [complex(1 / (mpmath.gamma(mpmath.mpc(z.real, z.imag))
+                              * mpmath.gamma(-mpmath.mpc(z.real, z.imag))))
+                 for z in d[far]]
+    assert np.allclose(P[i[far], j[far]], exact, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("z", [
+    0.5 + 0.5j, 1e-8, 1e-8j, 1 + 1e-6j, 3 - 1e-9, 2 + 1e-7j,          # |Im z| < 20
+    7 + 19.9j, 0.5 + 20j, 1 - 20j, 1e-8 + 25j, -3 + 1e-7 + 40j, 2.25 - 95.5j,
+])
+def test_safe_sin_pi_matches_mpmath(z):
+    z = complex(z)
+    with mpmath.workdps(40):
+        x = mpmath.pi * mpmath.mpc(z.real, z.imag)
+        ref = complex(mpmath.sin(x))
+        # pi z rounds by about eps |pi z|, which sin(pi z) amplifies by its
+        # condition number |pi z cot(pi z)|: near a nonzero integer no
+        # double-precision sin(pi z) does better, near 0 it must be exact
+        cond = 1.0 + float(abs(x * mpmath.cot(x)))
+    got = complex(_safe_sin_pi(np.array([z]))[0])
+    assert abs(got - ref) <= 4 * np.finfo(float).eps * cond * abs(ref)
+
+
+def test_contract_four_axes_matches_einsum():
+    rng = np.random.default_rng(7)
+    sizes = [7, 11, 5, 13]
+
+    def crand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    vecs = [crand(n) for n in sizes]
+    keys = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 1), (2, 3)]  # (3, 1) reversed
+    pairs = {(k, l): crand(sizes[k], sizes[l]) for k, l in keys}
+    labels = ",".join("abcd"[k] + "abcd"[l] for k, l in keys)
+    ref = np.einsum("a,b,c,d," + labels + "->", *vecs, *pairs.values())
+    assert abs(_contract(vecs, pairs) - ref) <= 1e-12 * abs(ref)
+    del pairs[(0, 3)]
+    with pytest.raises(ValueError):
+        _contract(vecs, pairs)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: joint_series_term(1, 1, 1, 2, 2, 1, 1.0, 1.0, 1.0),
+     0.6336050442706933),
+    (lambda: prelimit_term(1, 1, 8, 1.0, 0.5, 0.5), 0.004652294966855276),
+    (lambda: laplace2_case_a(2, 4, 4, 2, 0.25, 0.25, [0.0] * 4, [1.0] * 4, 1.0,
+                             quad=QuadratureSpec(nodes_per_unit=5)),
+     0.012557521864752995),
+    (lambda: laplace2_case_b(1, 5, 3, 4, 1.0, 1.0, [0.0] * 3, [1.0] * 5, 1.0,
+                             quad=QuadratureSpec(nodes_per_unit=5)),
+     0.0006013260861868613),
+])
+def test_four_axis_values_are_pinned(call, value):
+    # values of the log-gamma pair matrices and the 4-D einsum
+    assert call().real == pytest.approx(value, rel=1e-12, abs=0)
