@@ -3,26 +3,26 @@ limiting terms of the double series expansion.
 
 The two-time distribution is the Fredholm determinant det(I - f Ai f) of
 the extended Airy kernel on L^2({t1,t2} x R), computed in full as the
-determinant of its weighted Nystrom matrix (Bornemann, Math. Comp. 79
-(2010) 871).  Its block Fredholm expansion, summed over per-time
-multiplicities, is kept as a partial-sum diagnostic: each term is an
-orthant integral of a determinant of extended-Airy-kernel blocks.  The
-limit terms I_{m,n} use the closed-form block entries
-A', B', C', D' (1-D x-integrals of Airy products).  Their pre-limit
-counterparts, grsklab.contour.prelimit_term, are the double-series terms
-of the polymer at the N^{2/3}-scaled points; the orthant form of those
-terms is the identity they rest on.
+determinant of its weighted Nystrom matrix K (Bornemann, Math. Comp. 79
+(2010) 871).  The series terms are coefficients of the graded determinant
+det(I - z1 P1 K - z2 P2 K), where P_l keeps the rows of time l, read off
+by an FFT over roots of unity: the limit terms I_{m,n} are its z2^m z1^n
+coefficients at the scaled times and thresholds, and the block Fredholm
+expansion, kept as a partial-sum diagnostic, sums the coefficients of
+det(I - z K) by total order.  The pre-limit counterparts of I_{m,n},
+grsklab.contour.prelimit_term, are the double-series terms of the polymer
+at the N^{2/3}-scaled points; the orthant form of those terms is the
+identity they rest on.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import List
 
 import numpy as np
 
-from .quadrature import gl_panels
+from .quadrature import _graded_det_coefficients, gl_panels
 from .specfun import airy_ai, scaling_constants
 
 _TAU_MAX = 10.0  # orthant truncation; Ai decay makes the tail < 1e-10
@@ -215,26 +215,17 @@ def airy_two_point_series(
     P(Ai(t1) <= xi1, Ai(t2) <= xi2) through the given total order.
 
     The sum over per-time multiplicities (n1, n2) with n1 + n2 = j of the
-    block-determinant terms equals the j-th elementary symmetric function
-    of the weighted kernel matrix (with sign (-1)^j), so the truncation is
-    computed from the Nystrom eigenvalues.  Equal times reduce to one
-    time at the lower threshold, as in airy_two_point."""
+    block-determinant terms is the z^j coefficient of det(I - z M_w), read
+    off by the FFT on 8 roots of unity per time (the operator's numerical
+    degree is <= 6 per time at thresholds >= -5).  Equal times reduce to
+    one time at the lower threshold, as in airy_two_point."""
     q = AiryQuery([t1, t2], [xi1, xi2], order)
     if order > 3:
         raise ValueError("order cap: order <= 3")
-    Mw = _nystrom_matrix(*_operator(q), n_tau)
-    ev = np.linalg.eigvals(Mw)
-    # elementary symmetric sums e_0..e_order via the Newton-free recursion
-    e = np.zeros(order + 1, dtype=complex)
-    e[0] = 1.0
-    for lam in ev:
-        e[1:] = e[1:] + lam * e[:-1].copy()
-    partial = []
-    acc = 0.0 + 0j
-    for j in range(order + 1):
-        acc = acc + (-1.0) ** j * e[j]
-        partial.append(float(acc.real))
-    return partial
+    times, thresholds = _operator(q)
+    Mw = _nystrom_matrix(times, thresholds, n_tau)
+    c = _graded_det_coefficients(-Mw, [len(Mw)], 8 * len(times))
+    return [float(p) for p in np.cumsum(c[: order + 1].real)]
 
 
 def airy_two_point(
@@ -258,32 +249,6 @@ def airy_two_point(
 # ---------------------------------------------------------------------------
 
 
-def _limit_blocks(m, n, theta1, theta2, rate, tau, n_x=160):
-    """The closed-form block entries on the tau grid: A' couples the
-    theta2 group to itself, D' the theta1 group, B'/C' mix the groups with
-    the e^{-rate * x} weight.  All are (len(tau), len(tau)) matrices."""
-    x, wx = gl_panels(0.0, _TAU_MAX, n_x, 4)
-    a2 = _ai(theta2 + x[:, None] + tau[None, :])
-    A = np.einsum("x,xi,xj->ij", wx, a2, a2)
-    out = {"A": A}
-    if n > 0:
-        a1 = _ai(theta1 + x[:, None] + tau[None, :])
-        out["D"] = np.einsum("x,xi,xj->ij", wx, a1, a1)
-    if m > 0 and n > 0:
-        # B'/C' probe Ai on the negative axis; the exponential with the
-        # given rate controls the tail
-        xm, nxb, _ = _negative_branch_window(rate)
-        xb, wxb = gl_panels(0.0, xm, max(n_x, nxb), 16)
-        ew = np.exp(-rate * xb) * wxb
-        b1 = _ai(theta1 - xb[:, None] + tau[None, :])
-        b2 = _ai(theta2 - xb[:, None] + tau[None, :])
-        c1 = _ai(theta1 + xb[:, None] + tau[None, :])
-        c2 = _ai(theta2 + xb[:, None] + tau[None, :])
-        out["B"] = -np.einsum("x,xi,xj->ij", ew, b1, b2)
-        out["C"] = np.einsum("x,xi,xj->ij", ew, c1, c2)
-    return out
-
-
 def limit_term(
     m: int,
     n: int,
@@ -299,8 +264,13 @@ def limit_term(
     group (threshold c1 r1 + c2 t1^2), mirroring the contour-route
     prelimit_term convention.
 
-    I_{m,n} = (-1)^{m+n}/(m! n!) * int over the tau orthant of the block
-    determinant with entries A', B', C', D'."""
+    I_{m,n} = (-1)^{m+n}/(m! n!) times the orthant integral of the
+    (m+n)-point block determinant of the extended Airy kernel at times
+    (-c3 t1, c3 t2) and thresholds (theta1, theta2).  That is the
+    z2^m z1^n coefficient of the graded Fredholm determinant
+    det(I - z1 P1 K - z2 P2 K) of the weighted Nystrom matrix K, read off
+    by an FFT on 8 roots of unity per variable; summed over (m, n) the
+    terms give conjecture_rhs."""
     if m < 0 or n < 0:
         raise ValueError("term indices must be >= 0")
     if m + n == 0:
@@ -312,55 +282,18 @@ def limit_term(
     theta2 = sc.c1 * r2 + sc.c2 * t2**2
     if min(theta1, theta2) < _MIN_THRESHOLD:
         raise ValueError("mapped threshold below the supported window")
-    rate = sc.c3 * (t1 + t2)
-    if m > 0 and n > 0 and rate <= 0.05:
+    if m > 0 and n > 0 and sc.c3 * (t1 + t2) <= 0.05:
         raise ValueError(
             "mixed blocks need c3 * (t1 + t2) bounded away from zero"
         )
 
-    tau, wt = gl_panels(0.0, _TAU_MAX, n_tau, 4)
-    blocks = _limit_blocks(m, n, theta1, theta2, rate, tau)
-
-    def entry(i, j):
-        if i < m and j < m:
-            return blocks["A"]
-        if i >= m and j >= m:
-            return blocks["D"]
-        if i < m:
-            return blocks["B"]
-        return blocks["C"]
-
-    # orthant integral of det(M(tau_i, tau_j)): expand over permutations;
-    # each cycle contributes a trace of a product of weighted matrices, and
-    # each even-length cycle flips the sign of the permutation
-    d = m + n
-    W = np.diag(wt)
-    total = 0.0
-    for sigma in permutations(range(d)):
-        sign = 1
-        visited = [False] * d
-        contrib = 1.0
-        for start in range(d):
-            if visited[start]:
-                continue
-            cyc = [start]
-            visited[start] = True
-            k = sigma[start]
-            while k != start:
-                cyc.append(k)
-                visited[k] = True
-                k = sigma[k]
-            if len(cyc) % 2 == 0:
-                sign = -sign
-            P = None
-            for idx in range(len(cyc)):
-                a, b = cyc[idx], cyc[(idx + 1) % len(cyc)]
-                step = entry(a, b) @ W
-                P = step if P is None else P @ step
-            contrib *= float(np.trace(P).real)
-        total += sign * contrib
-    pref = (-1.0) ** (m + n) / (math.factorial(m) * math.factorial(n))
-    return pref * total
+    # the groups the term uses: (multiplicity, time, threshold)
+    ks, times, thetas = zip(*[
+        g for g in ((n, -sc.c3 * t1, theta1), (m, sc.c3 * t2, theta2)) if g[0] > 0
+    ])
+    Mw = _nystrom_matrix(times, thetas, n_tau)
+    c = _graded_det_coefficients(-Mw, [len(Mw) // len(ks)] * len(ks), 8)
+    return float(c[ks].real)
 
 
 def conjecture_rhs(

@@ -19,12 +19,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, gl_panels
+from .quadrature import QuadratureSpec, _graded_det_coefficients, gl_panels
 from .specfun import digamma, log_gamma, polygamma
 
 TWO_PI_I = 2j * math.pi
@@ -314,7 +314,21 @@ def _two_group_integral(gl, lam, k1, gm, mu, k2, cross) -> complex:
         for j in range(k1, k1 + k2):
             pairs[(i, j)] = cross
     val = _contract([gl] * k1 + [gm] * k2, pairs)
-    return val / (TWO_PI_I ** (k1 + k2) * math.factorial(k1) * math.factorial(k2))
+    return _checked_transform(
+        val / (TWO_PI_I ** (k1 + k2) * math.factorial(k1) * math.factorial(k2))
+    )
+
+
+def _checked_transform(val: complex) -> complex:
+    """val, or ArithmeticError when its real part lies outside [0, 1] by more
+    than 1e-6: a Laplace transform of a positive variable cannot, so the
+    contour quadrature did not resolve the integrand."""
+    if not -1e-6 <= val.real <= 1.0 + 1e-6:
+        raise ArithmeticError(
+            f"transform {val.real:.6g} lies outside [0, 1]: the contour "
+            "quadrature does not resolve this input"
+        )
+    return val
 
 
 def _check_two_points(m1, n1, m2, n2):
@@ -522,8 +536,9 @@ def oy_laplace2(
     using a fixed window."""
     if not (m1 < m2 and t1 > t2 > 0):
         raise ValueError("requires m1 < m2 and t1 > t2 > 0")
-    if m1 + m2 > 4:
-        raise ValueError("dimension cap: m1 + m2 <= 4")
+    if m1 + m2 > 3:
+        # four axes do not converge within reach of the node counts
+        raise ValueError("dimension cap: m1 + m2 <= 3")
     if min(u1, u2) < 0:
         raise ValueError("Laplace arguments must be >= 0")
     if u1 == 0 and u2 == 0:
@@ -659,14 +674,10 @@ def bcr_fredholm(
     # L^2(C_{delta1}) carries the measure dv/(2 pi i): this normalization
     # is fixed by the numeric match with the n-fold line-integral form
     Kt = K * dv[None, :] / TWO_PI_I
-    lam = np.linalg.eigvals(Kt)
-    # det(I + K) = sum_k e_k(lambda); elementary symmetric sums by the
-    # usual one-pass recursion, truncated at `order`
-    e = np.zeros(len(lam) + 1, dtype=complex)
-    e[0] = 1.0
-    for x in lam:
-        e[1:] = e[1:] + x * e[:-1]
-    return complex(np.sum(e[: order + 1]))
+    # det(I + z K) has degree <= n, the kernel's rank, so n + 1 roots of
+    # unity give its coefficients exactly; the series is truncated at `order`
+    c = _graded_det_coefficients(Kt, [len(Kt)], n + 1)
+    return _checked_transform(complex(np.sum(c[: order + 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +821,8 @@ def block_cauchy_check(
     lhs: det(1/(w_k - v_l)) det(1/(ws_k - vs_l)) times the product of
     linear-factor ratios (gamma-ws-v)(gamma-vs-w)/((gamma-ws-w)(gamma-vs-v)).
     rhs: integral over the positive orthant of the exponential block
-    determinant, by tensor-product quadrature.  Returns (lhs, rhs, relerr).
+    determinant, as the determinant of its per-axis column integrals, each
+    by Gauss-Legendre quadrature.  Returns (lhs, rhs, relerr).
     """
     w = [complex(z) for z in w]
     v = [complex(z) for z in v]
@@ -849,72 +861,28 @@ def block_cauchy_check(
                 (gamma - ws[l] - w[k]) * (gamma - vs[l] - v[k])
             )
 
-    # rhs: decay rate per x-axis sets the truncation length
+    # rhs: the exponent of entry (i, j) is x_j * S[i, j]; the slowest decay
+    # in column j sets the truncation length of the x_j axis
     dim = n + mm
-    rates = []
-    for j in range(n):
-        rs = [(w[i] - v[j]).real for i in range(n)]
-        rs += [(gamma - vs[i] - v[j]).real for i in range(mm)]
-        rates.append(min(rs))
-    for j in range(mm):
-        rs = [(gamma - w[i] - ws[j]).real for i in range(n)]
-        rs += [(ws[j] - vs[i]).real for i in range(mm)]
-        rates.append(min(rs))
+    W, V, WS, VS = (np.array(z, dtype=complex) for z in (w, v, ws, vs))
+    S = np.block([
+        [W[:, None] - V[None, :], gamma - W[:, None] - WS[None, :]],
+        [gamma - VS[:, None] - V[None, :], WS[None, :] - VS[:, None]],
+    ])
+    rates = S.real.min(axis=0)
     if min(rates) <= 0:
         raise ValueError("integrand does not decay: check Re constraints")
 
-    grids = []
-    for r in rates:
+    # each column of the block determinant depends on one x_j, so its
+    # orthant integral is det of the matrix of column integrals (Leibniz)
+    A = np.empty((dim, dim), dtype=complex)
+    for j, r in enumerate(rates):
         x, wx = gl_panels(0.0, 40.0 / r, n_nodes, max(1, n_nodes // 24))
-        grids.append((x, wx))
-
-    # build the block determinant column by column on the tensor grid;
-    # each column depends on a single x variable, so precompute per-axis
-    # column entries and sum det over permutations of per-axis products
-    cols = []  # cols[j][i] = vector over x_j nodes of entry (i, j)
-    for j in range(n):
-        x = grids[j][0]
-        col = []
-        for i in range(n):
-            col.append(np.exp(-x * (w[i] - v[j])))
-        for i in range(mm):
-            col.append(np.exp(-x * (gamma - vs[i] - v[j])))
-        cols.append(col)
-    for j in range(mm):
-        x = grids[n + j][0]
-        col = []
-        for i in range(n):
-            col.append(-np.exp(-x * (gamma - w[i] - ws[j])))
-        for i in range(mm):
-            col.append(np.exp(-x * (ws[j] - vs[i])))
-        cols.append(col)
-
-    rhs = 0.0 + 0j
-    for sigma in permutations(range(dim)):
-        sgn = _perm_sign(sigma)
-        term = 1.0 + 0j
-        for j in range(dim):
-            xj, wxj = grids[j]
-            term *= np.sum(cols[j][sigma[j]] * wxj)
-        rhs += sgn * term
+        A[:, j] = np.exp(-np.outer(S[:, j], x)) @ wx
+    A[:n, n:] *= -1.0
+    rhs = complex(np.linalg.det(A))
     relerr = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return lhs, rhs, relerr
-
-
-def _perm_sign(sigma) -> int:
-    sgn = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            clen += 1
-        if clen % 2 == 0:
-            sgn = -sgn
-    return sgn
 
 
 # ---------------------------------------------------------------------------

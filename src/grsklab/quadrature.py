@@ -1,9 +1,10 @@
-"""Shared quadrature plumbing: Gauss-Legendre panels and refinement specs."""
+"""Shared quadrature plumbing: Gauss-Legendre panels, refinement specs, and
+the graded Fredholm-determinant coefficients."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -54,3 +55,25 @@ def gl_panels(a: float, b: float, n_total: int, n_panels: int = 1):
         xs.append(x)
         ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def _graded_det_coefficients(M: np.ndarray, sizes: Sequence[int],
+                             K: int) -> np.ndarray:
+    """Taylor coefficients c[k_1, ..., k_g], 0 <= k_l < K, of
+    det(I + sum_l z_l P_l M), where P_l keeps the l-th block of sizes[l]
+    consecutive rows.  Each z_l runs over the K-th roots of unity and an FFT
+    turns the determinant values into coefficients by the trapezoid rule
+    (Bornemann, Math. Comp. 79 (2010) 871).  Coefficients of degree >= K in
+    some z_l alias into the result, so K must exceed the numerical degree.
+    The determinants are taken one at a time to keep memory flat, and
+    c[0, ..., 0] = det(I) = 1 is set exactly."""
+    roots = np.exp(2j * np.pi * np.arange(K) / K)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    eye = np.eye(len(M))
+    vals = np.empty((K,) * len(sizes), dtype=complex)
+    for idx in np.ndindex(vals.shape):
+        z = roots[np.asarray(idx)][group]
+        vals[idx] = np.linalg.det(eye + z[:, None] * M)
+    c = np.fft.fftn(vals) / vals.size
+    c[(0,) * len(sizes)] = 1.0
+    return c

@@ -15,6 +15,7 @@ import scipy.special
 from grsklab.airy import (
     AiryQuery,
     _ai,
+    _nystrom_matrix,
     airy_two_point,
     airy_two_point_series,
     conjecture_rhs,
@@ -268,3 +269,86 @@ def test_conjecture_rhs_monotone_and_limits():
     hi = conjecture_rhs(0.5, 0.5, 4.0, 4.0)
     assert 0.0 < lo < mid < hi <= 1.0 + 1e-9
     assert hi > 0.999
+
+
+def christoffel_darboux_kernel(x, y):
+    """K_Ai(x, y) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y) on a grid of
+    pairs, with the diagonal limit Ai'(x)^2 - x Ai(x)^2."""
+    ax, apx, _, _ = scipy.special.airy(x)
+    ay, apy, _, _ = scipy.special.airy(y)
+    d = x - y
+    off = np.abs(d) > 1e-12
+    safe = np.where(off, d, 1.0)
+    return np.where(off, (ax * apy - apx * ay) / safe, apx**2 - x * ax**2)
+
+
+def limit_11_oracle(t1, t2, r1, r2, g=1.0):
+    """I_{1,1} = tr A' tr D' + int int e^{-rate(x+y)}
+    K_Ai(th1 - x, th1 + y) K_Ai(th2 - x, th2 + y) dx dy: each K_Ai pairs the
+    two ends of one time group, as the extended-kernel expansion does."""
+    sc = scaling_constants(g)
+    th1 = sc.c1 * r1 + sc.c2 * t1**2
+    th2 = sc.c1 * r2 + sc.c2 * t2**2
+    rate = sc.c3 * (t1 + t2)
+
+    def trace(th):
+        v, _ = scipy.integrate.quad(
+            lambda s: float(christoffel_darboux_kernel(s, s)), th, th + 30.0,
+            epsabs=1e-14, epsrel=1e-13, limit=200)
+        return v
+
+    def panels(b, n_panels, per=40):
+        t, w = np.polynomial.legendre.leggauss(per)
+        e = np.linspace(0.0, b, n_panels + 1)
+        h = 0.5 * np.diff(e)[:, None]
+        return ((e[:-1, None] + h * (1 + t)).ravel(), (h * w).ravel())
+
+    x, wx = panels(45.0 / rate, 120)
+    y, wy = panels(20.0, 10)
+    k1 = christoffel_darboux_kernel(th1 - x[:, None], th1 + y[None, :])
+    k2 = christoffel_darboux_kernel(th2 - x[:, None], th2 + y[None, :])
+    cross = (np.exp(-rate * x) * wx) @ (k1 * k2) @ (np.exp(-rate * y) * wy)
+    return trace(th1) * trace(th2) + cross
+
+
+@pytest.mark.parametrize("args", [
+    (0.6, 0.5, 0.2, 0.1),
+    (0.3, 0.8, -0.5, 0.4),
+])
+def test_limit_term_11_pairs_thresholds_within_groups(args):
+    # at theta1 != theta2 the mixed blocks must not swap the thresholds
+    # of the two groups
+    assert limit_term(1, 1, *args) == pytest.approx(
+        limit_11_oracle(*args), abs=1e-9)
+
+
+def test_limit_sum_matches_kernel_route_tight():
+    # the limit terms are coefficients of the same determinant whose
+    # order-2 truncation the kernel route sums
+    g, t1, t2, r1, r2 = 1.0, 0.6, 0.5, 0.2, 0.1
+    sc = scaling_constants(g)
+    partial = airy_two_point_series(
+        -sc.c3 * t1, sc.c3 * t2,
+        sc.c1 * r1 + sc.c2 * t1**2, sc.c1 * r2 + sc.c2 * t2**2,
+        order=2,
+    )
+    total = sum(
+        limit_term(m, n, t1, t2, r1, r2, g)
+        for m in range(3)
+        for n in range(3 - m)
+    )
+    assert total == pytest.approx(partial[-1], abs=1e-9)
+
+
+@pytest.mark.parametrize("t2", [0.2, 1.0, 3.0])
+def test_partial_sums_match_eigenvalue_recursion(t2):
+    # at the supported threshold floor the two-time operator has the
+    # highest numerical degree; the FFT coefficients must not alias
+    Mw = _nystrom_matrix([0.0, t2], [-5.0, -5.0], 64)
+    e = np.zeros(4, dtype=complex)
+    e[0] = 1.0
+    for lam in np.linalg.eigvals(Mw):
+        e[1:] = e[1:] + lam * e[:-1].copy()
+    ref = np.cumsum([(-1) ** j * e[j].real for j in range(4)])
+    p = airy_two_point_series(0.0, t2, -5.0, -5.0, order=3)
+    assert np.max(np.abs(np.array(p) - ref)) < 1e-12

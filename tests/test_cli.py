@@ -409,3 +409,14 @@ def test_env_default_applies(monkeypatch, capsys):
     code, doc = run_json(capsys, "sample", "--points", "2,2", "--u", "1.0")
     assert code == EXIT_OK
     assert doc["n"] == 2000
+
+
+@pytest.mark.parametrize("argv", [
+    ["laplace", "--points", "2,2", "--u", "1e-12"],
+    ["fredholm", "--points", "2,2", "--u", "1e8"],
+])
+def test_transform_outside_unit_interval_is_compute_error(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == EXIT_COMPUTE
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr

@@ -575,3 +575,19 @@ def test_contract_four_axes_matches_einsum():
 def test_four_axis_values_are_pinned(call, value):
     # values of the log-gamma pair matrices and the 4-D einsum
     assert call().real == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def test_oy_laplace2_four_axes_rejected():
+    # four axes gave -0.199, 0.330 and 0.511 at 4, 6 and 8 nodes per unit
+    with pytest.raises(ValueError):
+        oy_laplace2(1, 1.0, 3, 0.5, 1.0, 1.0, [0.0] * 3,
+                    quad=QuadratureSpec(nodes_per_unit=4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: laplace1(2, 2, 1e-12, [0.0, 0.0], [1.0, 1.0]),      # was 5.898
+    lambda: bcr_fredholm(2, 2, 1e8, [0.0, 0.0], [1.0, 1.0]),    # was 613.4
+])
+def test_transform_outside_unit_interval_raises(call):
+    with pytest.raises(ArithmeticError):
+        call()
