@@ -645,7 +645,9 @@ def bcr_fredholm(
     if order is None:
         order = n
 
-    nw = _line_nodes_for_dim(1, quad)
+    # u^w oscillates along the w-line at large u and the integrand decays
+    # slowly at small u: the line takes twice the 1-d node count
+    nw = 2 * _line_nodes_for_dim(1, quad)
     v, dv = circle(delta1, n_circle).nodes()
     w, dw = vertical_line(delta2, length, nw).nodes()
 

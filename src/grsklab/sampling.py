@@ -5,20 +5,28 @@ a_ij = alpha_i + alphahat_j, on the cells of a staircase index set.  The
 Monte Carlo estimator evaluates E[exp(-sum_l u_l Z_{m_l,n_l})] with the
 partition function Z computed by the DP recursion per sample.
 
-Samples are drawn in chunks; the per-sample DP runs in the numpy kernel
-grsklab._mc_numpy with the sample axis last, and a shape shared by every
-cell is drawn with one scalar-shape call.
+Weights are drawn only for the c cells of the staircase, in chunks of
+samples, with one scalar-shape call when every cell shares its shape.  The
+DP runs in the numpy kernel grsklab._mc_numpy on cell-major blocks of
+_DP_BLOCK samples, small enough that a cell update stays in L2.  The
+streams run one after another; (seed, n_streams, chunk) fixes every bit
+of an estimate, and for shapes all >= 1 the chunk does not matter.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _mc_numpy
 from .arrays import IndexSet, PolygonalArray
+
+# samples per block of the weight transpose and of the DP: the rows a cell
+# update touches stay in L2.  The draw chunk, not this, is part of the
+# stream layout.
+_DP_BLOCK = 2 * 10**4
 
 
 @dataclass
@@ -81,8 +89,15 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _inverse_gamma_weights(rng: np.random.Generator, shapes: np.ndarray) -> np.ndarray:
+def _inverse_gamma_weights(
+    rng: np.random.Generator, shapes: np.ndarray, n: Optional[int] = None
+) -> np.ndarray:
     """Draw w with 1/w ~ Gamma(shape, rate 1), any positive shape.
+
+    Returns an array of shape `shapes.shape`.  With `n` given, `shapes`
+    is one shape per cell and the result holds n independent draws of it
+    with the sample axis last, (c, n), the layout the DP kernel reads; the
+    shape checks run on the c shapes alone.
 
     For shape >= 1 we use the generator's standard gamma directly.  For
     shape < 1 we use the boost transformation: if G ~ Gamma(shape + 1) and
@@ -91,31 +106,44 @@ def _inverse_gamma_weights(rng: np.random.Generator, shapes: np.ndarray) -> np.n
 
     When every shape is the same value a, one scalar-shape call consumes
     the stream in the same order as the per-element draw, so it returns the
-    same weights, faster.
+    same weights, faster.  At a = 1 that call is the standard exponential,
+    which is the draw numpy's standard gamma makes at shape 1.
     """
     shapes = np.asarray(shapes, dtype=float)
     if not np.all(shapes > 0):
         raise ValueError("all Gamma shapes alpha_i + alphahat_j must be > 0")
+    size = shapes.shape if n is None else (int(n),) + shapes.shape
     if shapes.size and np.all(shapes == shapes.flat[0]):
         a = shapes.flat[0]
-        if a >= 1.0:
-            g = rng.standard_gamma(a, size=shapes.shape)
+        if a == 1.0:
+            g = rng.standard_exponential(size)
+        elif a > 1.0:
+            g = rng.standard_gamma(a, size=size)
         else:
-            g = rng.standard_gamma(a + 1.0, size=shapes.shape)
+            g = rng.standard_gamma(a + 1.0, size=size)
             # a full exponent array keeps numpy's elementwise power; a scalar
             # exponent of 2 (a = 0.5) takes a squaring shortcut that differs
             # in the last bit
-            g *= rng.random(shapes.shape) ** np.full(shapes.shape, 1.0 / a)
+            g *= rng.random(size) ** np.full(size, 1.0 / a)
+    else:
+        full = np.broadcast_to(shapes, size)
+        g = np.empty(size)
+        small = full < 1.0
+        if np.any(~small):
+            g[~small] = rng.standard_gamma(full[~small])
+        if np.any(small):
+            boost = rng.standard_gamma(full[small] + 1.0)
+            u = rng.random(int(np.count_nonzero(small)))
+            g[small] = boost * u ** (1.0 / full[small])
+    if n is None:
         return np.reciprocal(g, out=g)
-    g = np.empty(shapes.shape)
-    small = shapes < 1.0
-    if np.any(~small):
-        g[~small] = rng.standard_gamma(shapes[~small])
-    if np.any(small):
-        boost = rng.standard_gamma(shapes[small] + 1.0)
-        u = rng.random(int(np.count_nonzero(small)))
-        g[small] = boost * u ** (1.0 / shapes[small])
-    return 1.0 / g
+    # the stream fills g sample by sample; reciprocal and transpose run as
+    # one pass per L2-sized block
+    g = g.reshape(size[0], -1)
+    w = np.empty((shapes.size, size[0]))
+    for b in range(0, size[0], _DP_BLOCK):
+        np.divide(1.0, g[b:b + _DP_BLOCK].T, out=w[:, b:b + _DP_BLOCK])
+    return w
 
 
 def sample_array(index: IndexSet, params: ParameterSet, seed: int) -> PolygonalArray:
@@ -153,10 +181,13 @@ def mc_laplace(
 ) -> MCEstimate:
     """Monte Carlo estimate of E[exp(-sum_l u_l Z_{m_l, n_l})].
 
-    Embarrassingly parallel over samples: each stream owns an independent
-    Philox stream and an equal share of the sample budget; aggregation is a
-    deterministic pairwise reduction (numpy summation), so the estimate
-    depends only on (seed, n_streams), not on scheduling.
+    The sample budget is split into n_streams equal shares, each drawn from
+    its own Philox stream; the streams run one after another.  Each stream
+    draws its weights in chunks of `chunk` samples.  When any shape is < 1
+    (a uniform shape below 1, or mixed shapes that include one), a chunk
+    draws all its gammas before its uniforms, so (seed, n_streams, chunk)
+    fixes the estimate to the last bit; with every shape >= 1,
+    (seed, n_streams) does.  The DP block size never changes a bit.
     """
     points = [(int(m), int(n)) for m, n in points]
     _validate_staircase(points)
@@ -171,34 +202,24 @@ def mc_laplace(
         raise ValueError("n_samples must be >= 1000")
     n_streams = max(1, int(n_streams))
 
-    index = IndexSet(points)
-    M, N_cols = index.n_rows, index.n_cols
-    cells = index.cells()
-    shape_grid = np.zeros((M, N_cols))
-    in_shape = np.zeros((M, N_cols), dtype=bool)
-    for (i, j) in cells:
-        shape_grid[i - 1, j - 1] = params.shape_at(i, j)
-        in_shape[i - 1, j - 1] = True
-    shapes = shape_grid[in_shape]
+    cells = IndexSet(points).cells()
+    shapes = np.array([params.shape_at(i, j) for (i, j) in cells])
 
     per_stream = [n_samples // n_streams] * n_streams
     for k in range(n_samples - sum(per_stream)):
         per_stream[k] += 1
 
-    vals = []
+    sample = np.empty(n_samples)
+    done = 0
     for stream, budget in enumerate(per_stream):
         rng = _stream_rng(int(seed), stream)
-        done = 0
-        while done < budget:
-            s = min(chunk, budget - done)
-            # sample axis last: the kernel's per-cell rows are contiguous
-            w = np.zeros((M, N_cols, s))
-            w[in_shape] = _inverse_gamma_weights(
-                rng, np.broadcast_to(shapes, (s, shapes.size))
-            ).T
-            vals.append(_mc_numpy.mc_chunk(w.transpose(2, 0, 1), points, us))
-            done += s
-    sample = np.concatenate(vals)
+        for start in range(0, budget, chunk):
+            w = _inverse_gamma_weights(rng, shapes, min(chunk, budget - start))
+            for b in range(0, w.shape[1], _DP_BLOCK):
+                block = w[:, b:b + _DP_BLOCK]
+                sample[done:done + block.shape[1]] = _mc_numpy.mc_chunk(
+                    block, points, us)
+                done += block.shape[1]
     mean = float(np.mean(sample))
     std = float(np.std(sample, ddof=1))
     return MCEstimate(

@@ -212,6 +212,18 @@ def test_bcr_matches_laplace1():
         assert det == pytest.approx(line, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("m, n, u, rel, abs_", [
+    (3, 3, 4.0, 1e-9, 0.0),      # the 240-node w-line gave 9.67e-4 (0.33 off)
+    (3, 3, 0.25, 1e-9, 0.0),     # was 3.2e-3 off
+    (2, 2, 1e6, 0.0, 1e-10),     # was 0.134; the transform is 3.7e-18
+])
+def test_bcr_default_resolution_matches_laplace1(m, n, u, rel, abs_):
+    a, ah = [0.0] * m, [1.0] * n
+    line = laplace1(m, n, u, a, ah, quad=QuadratureSpec(nodes_per_unit=40.0))
+    det = bcr_fredholm(m, n, u, a, ah)
+    assert det.real == pytest.approx(line.real, rel=rel, abs=abs_)
+
+
 def test_bcr_rank_truncation():
     # the kernel has rank <= n, so orders beyond n add nothing
     a, ah = [0.0, 0.0], [1.0, 1.0]
@@ -586,7 +598,9 @@ def test_oy_laplace2_four_axes_rejected():
 
 @pytest.mark.parametrize("call", [
     lambda: laplace1(2, 2, 1e-12, [0.0, 0.0], [1.0, 1.0]),      # was 5.898
-    lambda: bcr_fredholm(2, 2, 1e8, [0.0, 0.0], [1.0, 1.0]),    # was 613.4
+    # the 240-node w-line the default used to take: 613.4
+    lambda: bcr_fredholm(2, 2, 1e8, [0.0, 0.0], [1.0, 1.0],
+                         quad=QuadratureSpec(nodes_per_unit=10.0)),
 ])
 def test_transform_outside_unit_interval_raises(call):
     with pytest.raises(ArithmeticError):

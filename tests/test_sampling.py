@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from grsklab import _mc_numpy, oracle
+from grsklab import _mc_numpy, oracle, sampling
 from grsklab.arrays import IndexSet, PolygonalArray
 from grsklab.quadrature import gl_nodes
 from grsklab.sampling import (
@@ -105,9 +105,7 @@ def test_kernel_matches_dp_oracle():
     idx = IndexSet(points)
     p = ParameterSet.flat(1.0, 3, 3)
     arr = sample_array(idx, p, seed=7)
-    w = np.zeros((1, 3, 3))
-    for (i, j), v in arr.entries.items():
-        w[0, i - 1, j - 1] = v
+    w = np.array([[arr.entries[c]] for c in idx.cells()])
     expo = sum(
         u * oracle.partition_function(arr, m, n) for (m, n), u in zip(points, us)
     )
@@ -115,25 +113,60 @@ def test_kernel_matches_dp_oracle():
     assert val == pytest.approx(math.exp(-expo), rel=1e-12)
 
 
-def test_kernel_padded_cell_is_ignored():
-    # cells (2..3, 3..4) lie outside the staircase (1,4),(3,2); their zero
-    # padding must leave each corner's partition function as the oracle has it
-    rng = np.random.default_rng(3)
-    w = 1.0 / rng.standard_gamma(1.3, size=(50, 3, 4))
-    w[:, 1:, 2:] = 0.0
+def test_kernel_cells_outside_shape_are_never_drawn_or_read(monkeypatch):
+    # the staircase (1,4),(3,2) has 8 cells in its 3 x 4 bounding
+    # rectangle; only those 8 are drawn, and the kernel gets 8 rows
     points = [(1, 4), (3, 2)]
     us = [0.8, 0.3]
     idx = IndexSet(points)
+    cells = idx.cells()
+    assert len(cells) == 8
+    rng = np.random.default_rng(3)
+    w = 1.0 / rng.standard_gamma(1.3, size=(len(cells), 50))
     got = _mc_numpy.mc_chunk(w, points, us)
-    for s in range(w.shape[0]):
+    for s in range(w.shape[1]):
         arr = PolygonalArray(index=idx, entries={
-            (i, j): float(w[s, i - 1, j - 1]) for (i, j) in idx.cells()})
+            c: float(w[k, s]) for k, c in enumerate(cells)})
         expo = sum(u * oracle.partition_function(arr, m, n)
                    for (m, n), u in zip(points, us))
         assert got[s] == pytest.approx(math.exp(-expo), rel=1e-12)
-    # the sample-last layout mc_laplace passes gives the same bits
-    wt = np.ascontiguousarray(w.transpose(1, 2, 0)).transpose(2, 0, 1)
-    assert np.array_equal(_mc_numpy.mc_chunk(wt, points, us), got)
+    # a bounding-rectangle layout is refused, not silently misread
+    with pytest.raises(ValueError):
+        _mc_numpy.mc_chunk(np.ones((12, 50)), points, us)
+
+    drawn, read = [], []
+    draw, kernel = sampling._inverse_gamma_weights, _mc_numpy.mc_chunk
+
+    def counting_draw(*a, **k):
+        out = draw(*a, **k)
+        drawn.append(out.size)
+        return out
+
+    def counting_kernel(w, *a, **k):
+        read.append(w.shape[0])
+        return kernel(w, *a, **k)
+
+    monkeypatch.setattr(sampling, "_inverse_gamma_weights", counting_draw)
+    monkeypatch.setattr(_mc_numpy, "mc_chunk", counting_kernel)
+    n = 130001
+    mc_laplace(points, us, ParameterSet.flat(1.3, 3, 4), n, seed=1,
+               n_streams=2)
+    assert sum(drawn) == len(cells) * n
+    assert set(read) == {len(cells)}
+
+
+@pytest.mark.parametrize("shapes", [
+    [0.6] * 5, [1.0] * 5, [2.5] * 5, [0.6, 1.0, 1.4, 0.3, 2.0]])
+def test_cell_major_draw_matches_sample_major_draw(shapes):
+    # n draws of c shapes come back (c, n) with the stream consumed as by
+    # one draw of the (n, c) broadcast shapes
+    shapes = np.array(shapes)
+    n = 2 * sampling._DP_BLOCK + 7
+    got = _inverse_gamma_weights(_stream_rng(4, 1), shapes, n)
+    want = _inverse_gamma_weights(
+        _stream_rng(4, 1), np.broadcast_to(shapes, (n, shapes.size)))
+    assert got.shape == (shapes.size, n)
+    assert np.array_equal(got, want.T)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +184,17 @@ def test_kernel_padded_cell_is_ignored():
      200000, 5, 1, 0.06118767918837826, 0.00029535205626126954),
     ([(2, 2)], [1.0], ParameterSet(alpha=[0.1, 0.4], alphahat=[0.7, 1.1]),
      200007, 6, 3, 0.1086595604856258, 0.00045298818442641845),
+    # uniform shape 1 from non-flat parameters: the exponential draw
+    ([(1, 2), (2, 1)], [0.7, 1.3],
+     ParameterSet(alpha=[0.5, 0.5], alphahat=[0.5, 0.5]),
+     200000, 8, 1, 0.083043955544766, 0.0003549959662021406),
+    ([(1, 3), (2, 2), (3, 1)], [0.3, 0.2, 0.5], ParameterSet.flat(1.5, 3, 3),
+     200000, 9, 1, 0.30471706478788074, 0.0006494699253154991),
+    # a sample count that is no multiple of the DP block or the draw chunk,
+    # on a non-rectangular staircase with mixed shapes below and above 1
+    ([(1, 4), (3, 2)], [0.3, 0.4],
+     ParameterSet(alpha=[0.1, 0.3, 0.0], alphahat=[0.9, 0.5, 1.2, 0.8]),
+     130001, 10, 2, 0.013214410448386905, 0.00019493779707614134),
 ])
 def test_mc_laplace_pinned_values(points, us, params, n, seed, streams,
                                   mean, stderr):
