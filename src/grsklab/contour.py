@@ -8,7 +8,14 @@ two-point formula, a numeric check of the block Cauchy identity, and the
 pre-limit terms of the two-point Airy asymptotics.
 
 Conventions:
-  - vertical lines ell_delta = delta + i R are traced upwards;
+  - vertical lines ell_delta = delta + i R are traced upwards and, for the
+    Sklyanin-density integrals, truncated to [-L, L] and discretized by the
+    trapezoid rule (Trefethen & Weideman, SIAM Rev. 56 (2014) 385): uniform
+    nodes at a fixed spacing h, so a longer line gets more nodes, not
+    coarser ones.  On uniform lines the pair factor of a group is Toeplitz
+    and the cross factor between groups is Hankel (Gamma(lambda + mu)) or
+    Toeplitz (Gamma(mu - lambda)): each matrix is gathered from its 2n-1
+    generating values instead of n^2 special-function evaluations;
   - circles C_r are centred at 0 and traced counter-clockwise;
   - the Sklyanin density s_n(mu) = (2 pi i)^{-n}/n! prod_{i != j}
     Gamma(mu_i - mu_j)^{-1} is used with the plain complex line elements
@@ -39,7 +46,10 @@ TWO_PI_I = 2j * math.pi
 class ContourSpec:
     """A quadrature-ready contour: vertical line, circle, or polyline.
 
-    kind "line": z = delta + i y, y in [-L, L], traced upwards.
+    kind "line": z = delta + i y, y in [-L, L], traced upwards, by the
+        trapezoid rule: y_k = h (k - (n-1)/2), k < n, with h = 2L/n and
+        dz = i h.  Node differences are multiples of i h, which makes the
+        pair and cross matrices on such lines Toeplitz or Hankel.
     kind "circle": z = center + radius e^{i theta}, counter-clockwise.
     kind "polyline": straight segments through the listed complex points.
     """
@@ -71,8 +81,9 @@ class ContourSpec:
         """Return (z, dz): node locations and complex line elements."""
         n = int(n_nodes or self.n_nodes)
         if self.kind == "line":
-            y, wy = gl_panels(-self.length, self.length, n, max(1, n // 48))
-            return self.delta + 1j * y, 1j * wy
+            h = 2.0 * self.length / n
+            y = h * (np.arange(n) - (n - 1) / 2.0)
+            return self.delta + 1j * y, np.full(n, 1j * h)
         if self.kind == "circle":
             # trapezoid rule: spectrally accurate for periodic integrands
             theta = 2.0 * math.pi * np.arange(n) / n
@@ -89,6 +100,8 @@ class ContourSpec:
 
 
 def vertical_line(delta: float, length: float = 12.0, n_nodes: int = 240) -> ContourSpec:
+    """The line delta + i[-length, length] with n_nodes trapezoid nodes at
+    spacing h = 2 length / n_nodes (0.1 at the defaults)."""
     return ContourSpec(kind="line", delta=delta, length=length, n_nodes=n_nodes)
 
 
@@ -190,23 +203,70 @@ def _contract(vectors: List[np.ndarray], pairs: Dict[Tuple[int, int], np.ndarray
     return complex(total)
 
 
-def _line_nodes_for_dim(dim: int, quad: Optional[QuadratureSpec]) -> int:
+def _checked_length(length: float) -> float:
+    if not (math.isfinite(length) and length > 0):
+        raise ValueError("line half-length must be finite and positive")
+    return float(length)
+
+
+def _line_nodes_for_dim(dim: int, quad: Optional[QuadratureSpec],
+                        length: float = 12.0) -> int:
+    """Nodes on a line of half-length `length`: the base count belongs to
+    L = 12 and scales with the length, so the spacing stays fixed."""
     # the 4-d joint terms carry a slowly-decaying cross term along the
     # lines, so they need denser panels than the lower-dimensional cases
+    length = _checked_length(length)
     base = {1: 240, 2: 240, 3: 200}.get(dim, 320)
     if quad is not None:
         base = max(32, int(base * quad.nodes_per_unit / 20.0))
-    return base
+    return max(32, round(base * length / 12.0))
 
 
-def _sklyanin_pair(mu: np.ndarray) -> np.ndarray:
-    """Pairwise factor of the Sklyanin density, 1/(Gamma(d) Gamma(-d)) with
-    d = a - b.  By the reflection formula Gamma(d) Gamma(-d) =
-    -pi/(d sin(pi d)) this is -d sin(pi d)/pi, exactly zero on the diagonal
-    (the density vanishes at coincident points).  The sine is the
-    overflow-safe one: long lines reach |Im d| near 100."""
-    d = mu[:, None] - mu[None, :]
-    return -d * _safe_sin_pi(d) / math.pi
+def _gl_line(delta: float, length: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and line elements on delta + i[-L, L],
+    panels of about 48 nodes: the w-lines of bcr_fredholm and
+    joint_series_term.  Their matrices pair the line with a circle, so
+    uniform nodes give no Toeplitz structure, and the Gamma(gamma - w - w')
+    pole of the (1,1) series term, 0.1-0.2 from the line, costs the
+    trapezoid rule accuracy there."""
+    y, wy = gl_panels(-_checked_length(length), length, n, max(1, n // 48))
+    return delta + 1j * y, 1j * wy
+
+
+def _toeplitz_index(rows: int, cols: int) -> np.ndarray:
+    """index[i, j] = j - i + rows - 1 into a vector of rows + cols - 1
+    generating values, first column reversed then first row."""
+    return np.arange(cols)[None, :] - np.arange(rows)[:, None] + (rows - 1)
+
+
+def _sklyanin_pair(n: int, h: float) -> np.ndarray:
+    """Pairwise factor of the Sklyanin density on n trapezoid nodes of
+    spacing h, 1/(Gamma(d) Gamma(-d)) with d = mu_i - mu_j = i h (i - j).
+    By the reflection formula Gamma(d) Gamma(-d) = -pi/(d sin(pi d)) this is
+    -d sin(pi d)/pi, exactly zero on the diagonal (the density vanishes at
+    coincident points).  The matrix is Toeplitz: it is gathered from the
+    2n-1 offsets.  The sine is the overflow-safe one: long lines reach
+    |Im d| near 100."""
+    d = 1j * h * np.arange(1 - n, n)
+    return (-d * _safe_sin_pi(d) / math.pi)[_toeplitz_index(n, n).T]
+
+
+def _gamma_cross(lam: np.ndarray, mu: np.ndarray, hankel: bool,
+                 log_scale: float = 0.0) -> np.ndarray:
+    """exp(log_gamma(z_ij) - log_scale) between two trapezoid lines of one
+    spacing, with z_ij = lam_i + mu_j (Hankel in i + j) if hankel, else
+    z_ij = mu_j - lam_i (Toeplitz in j - i).  log_gamma and exp run once on
+    the len(lam) + len(mu) - 1 generating values, the entries of the first
+    column and the last row (Hankel) or first row (Toeplitz); a gather fills
+    the grid."""
+    nl, nm = len(lam), len(mu)
+    if hankel:
+        z = np.concatenate([lam + mu[0], lam[-1] + mu[1:]])
+        index = np.arange(nl)[:, None] + np.arange(nm)[None, :]
+    else:
+        z = np.concatenate([mu[0] - lam[::-1], mu[1:] - lam[0]])
+        index = _toeplitz_index(nl, nm)
+    return np.exp(_lg(z) - log_scale)[index]
 
 
 def _safe_sin_pi(z: np.ndarray) -> np.ndarray:
@@ -276,7 +336,7 @@ def laplace1(
         raise ValueError("contour must lie right of all poles: delta > "
                          f"{lower}")
 
-    nn = _line_nodes_for_dim(n, quad)
+    nn = _line_nodes_for_dim(n, quad, length)
     mu, dmu = vertical_line(delta, length, nn).nodes()
     logg = np.zeros(len(mu), dtype=complex)
     for ah in alphahat:
@@ -291,7 +351,7 @@ def laplace1(
         for a in alpha:
             log_den += float(_lg(ah + a).real)
     g = np.exp(logg - log_den / n) * dmu
-    return _two_group_integral(g, mu, n, None, None, 0, None)
+    return _two_group_integral(g, n, None, 0, None, dmu[0].imag)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +359,16 @@ def laplace1(
 # ---------------------------------------------------------------------------
 
 
-def _two_group_integral(gl, lam, k1, gm, mu, k2, cross) -> complex:
-    """(2 pi i)^{-(k1+k2)}/(k1! k2!) times the sum over k1 axes on the nodes
-    lam and k2 axes on mu of the per-axis weights gl and gm (line elements
-    included), the Sklyanin pair factors within each group, and
-    cross[i, j] between every lam-axis and every mu-axis."""
+def _two_group_integral(gl, k1, gm, k2, cross, h) -> complex:
+    """(2 pi i)^{-(k1+k2)}/(k1! k2!) times the sum over k1 axes on the lam
+    line and k2 axes on the mu line of the per-axis weights gl and gm (line
+    elements included), the Sklyanin pair factors within each group, and
+    cross[i, j] between every lam-axis and every mu-axis.  Both lines are
+    trapezoid lines of spacing h."""
     pairs: Dict[Tuple[int, int], np.ndarray] = {}
-    for k, z, first in ((k1, lam, 0), (k2, mu, k1)):
+    for k, g, first in ((k1, gl, 0), (k2, gm, k1)):
         if k >= 2:
-            P = _sklyanin_pair(z)
+            P = _sklyanin_pair(len(g), h)
             for i, j in combinations(range(first, first + k), 2):
                 pairs[(i, j)] = P
     for i in range(k1):
@@ -321,11 +382,17 @@ def _two_group_integral(gl, lam, k1, gm, mu, k2, cross) -> complex:
 
 def _checked_transform(val: complex) -> complex:
     """val, or ArithmeticError when its real part lies outside [0, 1] by more
-    than 1e-6: a Laplace transform of a positive variable cannot, so the
-    contour quadrature did not resolve the integrand."""
+    than 1e-6 or its imaginary part exceeds 1e-6 in size: the Laplace
+    transform of a positive variable is real and in [0, 1], so the contour
+    quadrature did not resolve the integrand."""
     if not -1e-6 <= val.real <= 1.0 + 1e-6:
         raise ArithmeticError(
-            f"transform {val.real:.6g} lies outside [0, 1]: the contour "
+            f"transform real part {val.real:.6g} lies outside [0, 1]: the "
+            "contour quadrature does not resolve this input"
+        )
+    if abs(val.imag) > 1e-6:
+        raise ArithmeticError(
+            f"transform imaginary part {val.imag:.6g} is not 0: the contour "
             "quadrature does not resolve this input"
         )
     return val
@@ -380,7 +447,7 @@ def laplace2_case_a(
     if u1 == 0:
         return laplace1(m2, n2, u2, alpha, alphahat, quad=quad)
 
-    nn = _line_nodes_for_dim(m1 + n2, quad)
+    nn = _line_nodes_for_dim(m1 + n2, quad, length)
     lam, dlam = vertical_line(delta, length, nn).nodes()
     mu, dmu = vertical_line(delta + gamma, length, nn).nodes()
 
@@ -415,13 +482,11 @@ def laplace2_case_a(
     for a in alpha[:m1]:
         for ah in alphahat[:n2]:
             log_cross_den += float(_lg(a + ah).real)
-    cross = np.exp(
-        _lg(lam[:, None] + mu[None, :]) - log_cross_den / (m1 * n2)
-    )
+    cross = _gamma_cross(lam, mu, True, log_cross_den / (m1 * n2))
 
     gl = np.exp(log_l - log_dl / m1) * dlam
     gm = np.exp(log_m - log_dm / n2) * dmu
-    return _two_group_integral(gl, lam, m1, gm, mu, n2, cross)
+    return _two_group_integral(gl, m1, gm, n2, cross, dlam[0].imag)
 
 
 def _case_a_u2zero(m1, n1, u1, alpha, alphahat, quad):
@@ -474,7 +539,7 @@ def laplace2_case_b(
     if min(u1, u2) <= 0:
         raise ValueError("requires u1, u2 > 0")
 
-    nn = _line_nodes_for_dim(m1 + m2, quad)
+    nn = _line_nodes_for_dim(m1 + m2, quad, length)
     lam, dlam = vertical_line(delta, length, nn).nodes()
     mu, dmu = vertical_line(delta_prime, length, nn).nodes()
     u12 = u1 / u2
@@ -503,11 +568,11 @@ def laplace2_case_b(
         for ah in alphahat[:n2]:
             log_dm += float(_lg(a + ah).real)
 
-    cross = np.exp(_lg(mu[None, :] - lam[:, None]))
+    cross = _gamma_cross(lam, mu, False)
 
     gl = np.exp(log_l - log_dl / m1) * dlam
     gm = np.exp(log_m - log_dm / m2) * dmu
-    return _two_group_integral(gl, lam, m1, gm, mu, m2, cross)
+    return _two_group_integral(gl, m1, gm, m2, cross, dlam[0].imag)
 
 
 def oy_laplace2(
@@ -559,12 +624,15 @@ def oy_laplace2(
         len_l = 2.0 * half_length(t1 - t2, math.pi * (m1 - 1) + math.pi * m2 / 2)
         len_m = 2.0 * half_length(t2, math.pi * (m2 - 1) + math.pi * m1 / 2)
     else:
-        len_l = len_m = float(length)
+        len_l = len_m = _checked_length(length)
+    # both lines share the spacing h (2/nodes_per_unit, finer if a line
+    # would get fewer than 64 nodes), so the cross matrix is Toeplitz
     npu = 20.0 if quad is None else quad.nodes_per_unit
-    nl = max(64, int(len_l * npu))
-    nm = max(64, int(len_m * npu))
-    lam, dlam = vertical_line(delta, len_l, nl).nodes()
-    mu, dmu = vertical_line(delta_prime, len_m, nm).nodes()
+    h = min(2.0 / npu, len_l / 32.0, len_m / 32.0)
+    nl = round(2.0 * len_l / h)
+    nm = round(2.0 * len_m / h)
+    lam, dlam = vertical_line(delta, 0.5 * nl * h, nl).nodes()
+    mu, dmu = vertical_line(delta_prime, 0.5 * nm * h, nm).nodes()
 
     log_l = np.zeros(len(lam), dtype=complex)
     log_dl = 0.0
@@ -582,10 +650,10 @@ def oy_laplace2(
     log_m += -np.log(u2) * mu + 0.5 * t2 * mu**2
     log_dm = sum(-math.log(u2) * a + 0.5 * t2 * a**2 for a in alpha[:m2])
 
-    cross = np.exp(_lg(mu[None, :] - lam[:, None]))
+    cross = _gamma_cross(lam, mu, False)
     gl = np.exp(log_l - log_dl / m1) * dlam if m1 > 0 else dlam
     gm = np.exp(log_m - log_dm / m2) * dmu
-    return _two_group_integral(gl, lam, m1, gm, mu, m2, cross)
+    return _two_group_integral(gl, m1, gm, m2, cross, h)
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +715,9 @@ def bcr_fredholm(
 
     # u^w oscillates along the w-line at large u and the integrand decays
     # slowly at small u: the line takes twice the 1-d node count
-    nw = 2 * _line_nodes_for_dim(1, quad)
+    nw = 2 * _line_nodes_for_dim(1, quad, length)
     v, dv = circle(delta1, n_circle).nodes()
-    w, dw = vertical_line(delta2, length, nw).nodes()
+    w, dw = _gl_line(delta2, length, nw)
 
     def log_F(z):
         out = np.log(u) * z
@@ -739,7 +807,7 @@ def joint_series_term(
         length = min(12.0, max(2.0, 80.0 / decay))
     nl = _line_nodes_for_dim(2 * (m + n), quad)
     v, dv = circle(delta1, n_circle).nodes()
-    w, dw = vertical_line(delta, length, nl).nodes()
+    w, dw = _gl_line(delta, length, nl)
 
     def axis_factors(u, expo_gamma, expo_zero):
         # w-axis: u^w Gamma(gamma-w)^expo_gamma / Gamma(w)^expo_zero

@@ -210,6 +210,20 @@ def test_laplace_two_point_routes_and_custom_nodes(capsys):
     assert 0 < b["value"] < a["value"] < 1
 
 
+@pytest.mark.parametrize("u, ref", [
+    # laplace2_case_b at 60 and 80 nodes per unit agree to <= 6e-9
+    (0.25, 0.0726486985), (1.0, 0.0152742697), (4.0, 0.0015835009),
+])
+def test_laplace_case_b_within_its_error_estimate(capsys, u, ref):
+    # Gauss-Legendre lines were 1.4e-3 to 5.7e-3 off here, and at
+    # u = 0.25 beyond the reported error estimate
+    code, doc = run_json(capsys, "laplace", "--points", "1,4,2,3",
+                         "--u", f"{u},{u}")
+    assert code == EXIT_OK
+    assert doc["value"] == pytest.approx(ref, rel=1e-3)
+    assert doc["error_estimate"] >= abs(doc["value"] - ref)
+
+
 def test_laplace_input_errors(capsys):
     code, _ = run(capsys, "laplace", "--points", "2,2", "--u", "1.0,2.0")
     assert code == EXIT_INPUT  # u-count mismatch
@@ -412,9 +426,10 @@ def test_env_default_applies(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["laplace", "--points", "2,2", "--u", "1e-12"],
-    # a 200-unit w-line at the default node count leaves u^w unresolved
-    ["fredholm", "--points", "2,2", "--u", "1e8", "--L", "100"],
+    # the real part reads -8.71 and -82.5 at the two node densities
+    ["laplace", "--points", "2,2", "--u", "1e-20"],
+    # the real part lies in [0, 1], the imaginary part reads 1.48
+    ["fredholm", "--points", "2,2", "--u", "1e20"],
 ])
 def test_transform_outside_unit_interval_is_compute_error(argv):
     proc = run_process(*argv)

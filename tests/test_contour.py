@@ -18,6 +18,7 @@ from grsklab import specfun
 from grsklab.contour import (
     ContourSpec,
     _contract,
+    _gamma_cross,
     _safe_sin_pi,
     _sklyanin_pair,
     bcr_fredholm,
@@ -516,13 +517,17 @@ def test_fub_bound_margin_stays_bounded():
     (0.5, 47.75, 955),   # the mu line of oy_laplace2(1, 1.0, 2, 0.5, ...)
 ])
 def test_sklyanin_pair_matches_log_gamma_route(delta, half_length, n_nodes):
-    mu = vertical_line(delta, half_length, n_nodes).nodes()[0]
-    P = _sklyanin_pair(mu)
+    mu, dmu = vertical_line(delta, half_length, n_nodes).nodes()
+    h = dmu[0].imag
+    P = _sklyanin_pair(n_nodes, h)
     assert np.all(np.diag(P) == 0)
     i, j = np.nonzero(~np.eye(len(mu), dtype=bool))
-    d = mu[i] - mu[j]
+    # the Toeplitz form takes d at the exact offsets i h (i - j); the node
+    # differences mu_i - mu_j equal them up to the rounding of the nodes
+    d = 1j * h * (i - j)
+    assert np.max(np.abs(mu[i] - mu[j] - d)) <= 1e-12 * half_length
     assert np.max(np.abs(d.imag)) >= 2 * half_length - 0.1
-    ref = specfun.sklyanin([mu[i], mu[j]]) * (2j * math.pi) ** 2 * 2
+    ref = specfun.sklyanin([d, np.zeros_like(d)]) * (2j * math.pi) ** 2 * 2
     # the reference is exp(-log_gamma(d) - log_gamma(-d)): it carries the
     # rounding of log-gamma values of size up to ~450 on the long line,
     # about eps |log Gamma| relative, on top of the 1e-13 budget
@@ -577,16 +582,41 @@ def test_contract_four_axes_matches_einsum():
     (lambda: joint_series_term(1, 1, 1, 2, 2, 1, 1.0, 1.0, 1.0),
      0.6336050442706933),
     (lambda: prelimit_term(1, 1, 8, 1.0, 0.5, 0.5), 0.004652294966855276),
+    # the two line integrals are pinned on trapezoid lines at 5 nodes per
+    # unit, far from converged (case b tends to 0.000948662): they pin the
+    # structured matrices and the 4-axis contraction, not the transform
     (lambda: laplace2_case_a(2, 4, 4, 2, 0.25, 0.25, [0.0] * 4, [1.0] * 4, 1.0,
                              quad=QuadratureSpec(nodes_per_unit=5)),
-     0.012557521864752995),
+     0.011698547113378125),
     (lambda: laplace2_case_b(1, 5, 3, 4, 1.0, 1.0, [0.0] * 3, [1.0] * 5, 1.0,
                              quad=QuadratureSpec(nodes_per_unit=5)),
-     0.0006013260861868613),
+     0.0011110090157402121),
 ])
 def test_four_axis_values_are_pinned(call, value):
-    # values of the log-gamma pair matrices and the 4-D einsum
+    # values of the pair and cross matrices and the 4-D contraction
     assert call().real == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d_lam, d_mu, n_lam, n_mu, hankel", [
+    (0.4, 1.4, 240, 240, True),     # case a: Gamma(lam + mu) on ell_delta, ell_{delta+gamma}
+    (0.4, 0.5, 240, 240, False),    # case b: Gamma(mu - lam) on ell_delta, ell_delta'
+    (0.4, 0.5, 200, 331, False),    # oy_laplace2: two lengths, one spacing
+])
+def test_structured_matrices_match_dense(d_lam, d_mu, n_lam, n_mu, hankel):
+    h = 0.1
+    lam = vertical_line(d_lam, 0.5 * n_lam * h, n_lam).nodes()[0]
+    mu = vertical_line(d_mu, 0.5 * n_mu * h, n_mu).nodes()[0]
+    z = lam[:, None] + mu[None, :] if hankel else mu[None, :] - lam[:, None]
+    dense = np.exp(specfun.log_gamma(z))
+    got = _gamma_cross(lam, mu, hankel)
+    assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-13
+    for z in (lam, mu):
+        d = z[:, None] - z[None, :]
+        off = ~np.eye(len(z), dtype=bool)
+        dense = np.exp(-specfun.log_gamma(d[off]) - specfun.log_gamma(-d[off]))
+        got = _sklyanin_pair(len(z), h)
+        assert np.all(np.diag(got) == 0)
+        assert np.max(np.abs(got[off] - dense) / np.abs(dense)) <= 1e-13
 
 
 def test_oy_laplace2_four_axes_rejected():
@@ -597,7 +627,7 @@ def test_oy_laplace2_four_axes_rejected():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: laplace1(2, 2, 1e-12, [0.0, 0.0], [1.0, 1.0]),      # was 5.898
+    lambda: laplace1(2, 2, 1e-20, [0.0, 0.0], [1.0, 1.0]),      # reads -8.71
     # the 240-node w-line the default used to take: 613.4
     lambda: bcr_fredholm(2, 2, 1e8, [0.0, 0.0], [1.0, 1.0],
                          quad=QuadratureSpec(nodes_per_unit=10.0)),
@@ -605,3 +635,17 @@ def test_oy_laplace2_four_axes_rejected():
 def test_transform_outside_unit_interval_raises(call):
     with pytest.raises(ArithmeticError):
         call()
+
+
+def test_complex_transform_raises():
+    # the real part, 0.0369, lies in [0, 1]; the imaginary part reads 1.48
+    with pytest.raises(ArithmeticError, match="imaginary part"):
+        bcr_fredholm(2, 2, 1e20, [0.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("length", [48.0, 100.0])
+def test_bcr_fredholm_nodes_follow_length(length):
+    # a fixed 480-node w-line read 2.7e-6 at length 48 and -860.8 at 100;
+    # the transform is about 1e-11 here, which lengths 6 to 24 agree on
+    val = bcr_fredholm(2, 2, 1e8, [0.0, 0.0], [1.0, 1.0], length=length)
+    assert abs(val) < 1e-9
