@@ -1,5 +1,5 @@
-"""Shared quadrature plumbing: Gauss-Legendre panels, refinement specs, and
-the graded Fredholm-determinant coefficients."""
+"""Shared quadrature plumbing: Gauss-Legendre panels, node-density specs,
+and the graded Fredholm-determinant coefficients."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,22 +11,19 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node density / truncation / refinement bookkeeping.
+    """Node density and truncation bookkeeping.
 
-    nodes_per_unit: target Gauss-Legendre nodes per unit contour length
+    nodes_per_unit: target nodes per unit contour length, Gauss-Legendre or
+        trapezoid
     truncation: half-length L for unbounded directions
-    refinement: factor for the convergence diagnostic (>= 2)
     """
 
     nodes_per_unit: float = 20.0
     truncation: float = 12.0
-    refinement: int = 2
 
     def __post_init__(self):
         if self.nodes_per_unit <= 0 or self.truncation <= 0:
             raise ValueError("quadrature parameters must be positive")
-        if self.refinement < 2:
-            raise ValueError("refinement factor must be >= 2")
 
     def n_nodes(self, length: float) -> int:
         return max(8, int(round(self.nodes_per_unit * length)))

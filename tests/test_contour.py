@@ -8,6 +8,7 @@ semi-discrete (Brownian) formula against a Gaussian quadrature oracle and
 the scaling link to the lattice formula.  Heavier high-precision versions
 of these cross-checks live in the acceptance suite.
 """
+import itertools
 import math
 
 import mpmath
@@ -25,9 +26,8 @@ from grsklab.contour import (
     block_cauchy_check,
     circle,
     default_contours,
+    _two_group_integral,
     fub_bound_margin,
-    integrate,
-    integrate_with_refinement,
     joint_series_term,
     laplace1,
     laplace2_case_a,
@@ -55,8 +55,6 @@ def test_contour_validation():
         ContourSpec(kind="circle", radius=0.0)
     with pytest.raises(ValueError):
         ContourSpec(kind="line", length=-1.0)
-    with pytest.raises(ValueError):
-        ContourSpec(kind="polyline", points=(1.0,))
     with pytest.raises(ValueError):
         ContourSpec(kind="line", n_nodes=2)
 
@@ -93,38 +91,17 @@ def test_evaluators_reject_non_finite_geometry():
 
 def test_circle_residue():
     # (1/2 pi i) int dz/z = winding number
-    val = integrate(lambda z: 1.0 / z, circle(0.7))
-    assert val == pytest.approx(2j * math.pi, abs=1e-12)
+    z, dz = circle(0.7).nodes()
+    assert np.sum(dz / z) == pytest.approx(2j * math.pi, abs=1e-12)
 
 
 def test_line_integral_gaussian():
     # int_{ell_delta} e^{z^2} dz = i sqrt(pi): e^{z^2} decays like
     # e^{-y^2} on vertical lines, and the value is delta-independent
     for delta in (0.0, 0.4, 1.3):
-        val = integrate(lambda z: np.exp(z**2),
-                        vertical_line(delta, length=8.0, n_nodes=160))
+        z, dz = vertical_line(delta, length=8.0, n_nodes=160).nodes()
+        val = np.sum(np.exp(z**2) * dz)
         assert val == pytest.approx(1j * math.sqrt(math.pi), abs=1e-10)
-
-
-def test_polyline_matches_line_segment():
-    # straight polyline over the same endpoints reproduces the integral
-    c = ContourSpec(kind="polyline", points=(0.5 - 6j, 0.5 + 6j), n_nodes=200)
-    ref = integrate(lambda z: np.exp(z**2), vertical_line(0.5, 6.0, 200))
-    val = integrate(lambda z: np.exp(z**2), c)
-    assert val == pytest.approx(ref, abs=1e-10)
-
-
-def test_integrate_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        integrate(lambda z: np.full_like(z, np.inf), circle(1.0))
-
-
-def test_refinement_error_estimate():
-    val, err = integrate_with_refinement(
-        lambda z: np.exp(z**2), vertical_line(0.2, 8.0, 64)
-    )
-    assert val == pytest.approx(1j * math.sqrt(math.pi), abs=1e-8)
-    assert err < 1e-8
 
 
 def test_default_contours_ordering():
@@ -171,6 +148,14 @@ def test_laplace1_u_limits():
     small = laplace1(2, 1, 0.1, [0.0, 0.0], [1.0]).real
     big = laplace1(2, 1, 20.0, [0.0, 0.0], [1.0]).real
     assert 0 < big < small < 1
+
+
+def test_laplace1_small_u_cancellation_raises():
+    # the node sum cancels to ~1 from weights of size u^{-delta}: the value
+    # 0.99999875 was 1.3e-6 off, and 200 nodes per unit read 1.00000017
+    with pytest.raises(ArithmeticError, match="rounding"):
+        laplace1(2, 2, 1e-13, [0.0, 0.0], [1.0, 1.0],
+                 quad=QuadratureSpec(nodes_per_unit=80 / 3))
 
 
 def test_laplace1_validation():
@@ -257,6 +242,21 @@ def test_case_a_degenerate_u_limits():
     v = laplace2_case_a(1, 2, 2, 1, 0.8, 0.0, a, ah, g)
     ref = laplace1(2, 1, 0.8, ah, a[:1])
     assert v == pytest.approx(ref, rel=1e-10)
+
+
+def test_case_a_degenerate_u_keeps_length_and_delta():
+    # the fallbacks run the one-point transform on the caller's line: the
+    # L = 12 value was 0.38834578 here
+    a, ah, g = [0.0] * 3, [1.0] * 3, 1.0
+    v = laplace2_case_a(1, 3, 3, 1, 0.25, 0.0, a, ah, g, length=3.0)
+    ref = laplace1(3, 1, 0.25, ah, a[:1], length=3.0)
+    assert v == ref
+    assert v.real == pytest.approx(0.38834606, abs=5e-9)
+    # a given delta is the lam line (transposed form) or mu - gamma
+    v = laplace2_case_a(1, 3, 3, 1, 0.25, 0.0, a, ah, g, delta=0.3, length=3.0)
+    assert v == laplace1(3, 1, 0.25, ah, a[:1], delta=0.3, length=3.0)
+    v = laplace2_case_a(1, 3, 3, 1, 0.0, 0.25, a, ah, g, delta=0.3, length=3.0)
+    assert v == laplace1(3, 1, 0.25, a, ah, delta=1.3, length=3.0)
 
 
 def test_case_a_vs_mc_quick():
@@ -576,6 +576,59 @@ def test_contract_four_axes_matches_einsum():
     del pairs[(0, 3)]
     with pytest.raises(ValueError):
         _contract(vecs, pairs)
+
+
+def _brute_two_group(gl, k1, gm, k2, cross, h):
+    """The node sum of _two_group_integral term by term: every tuple of k1
+    lam nodes and k2 mu nodes, its weights, Sklyanin pairs and cross
+    factors.  Tuples with a repeated node have a zero pair factor."""
+    Pl = _sklyanin_pair(len(gl), h).tolist() if k1 else None
+    Pm = _sklyanin_pair(len(gm), h).tolist()
+    gl = gl.tolist() if k1 else None
+    gm, cross = gm.tolist(), (None if cross is None else cross.tolist())
+    total = 0j
+    for lam in itertools.permutations(range(len(gl or [])), k1):
+        wl = 1.0
+        for a in lam:
+            wl *= gl[a]
+        for a, b in itertools.combinations(lam, 2):
+            wl *= Pl[a][b]
+        for mu in itertools.permutations(range(len(gm)), k2):
+            term = wl
+            for b in mu:
+                term *= gm[b]
+                for a in lam:
+                    term *= cross[a][b]
+            for b, c in itertools.combinations(mu, 2):
+                term *= Pm[b][c]
+            total += term
+    norm = (2j * math.pi) ** (k1 + k2) * math.factorial(k1) * math.factorial(k2)
+    return total / norm
+
+
+@pytest.mark.parametrize("k1, k2, n_lam, n_mu", [
+    (0, 1, 0, 24), (0, 2, 0, 24), (0, 3, 0, 24), (0, 4, 0, 16),
+    (1, 3, 20, 14), (2, 2, 16, 18), (2, 3, 12, 10),
+])
+def test_two_group_integral_matches_brute_force(k1, k2, n_lam, n_mu):
+    # random complex weights and cross factors on short lines of one
+    # spacing; the determinant route must reproduce the explicit node sum
+    rng = np.random.default_rng(100 * k1 + k2)
+    h = 0.25
+
+    def crand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    gl = crand(n_lam) if k1 else None
+    gm = crand(n_mu)
+    cross = crand(n_lam, n_mu) if k1 else None
+    ref = _brute_two_group(gl, k1, gm, k2, cross, h)
+    val, _ = _two_group_integral(gl, k1, gm, k2, cross, h)
+    assert abs(val - ref) <= 1e-13 * abs(ref)
+    if k1:
+        # the same sum with the groups given the other way round
+        swapped, _ = _two_group_integral(gm, k2, gl, k1, cross.T, h)
+        assert abs(swapped - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("call, value", [
