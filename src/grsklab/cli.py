@@ -214,27 +214,20 @@ def _quad_from_args(args) -> Optional[QuadratureSpec]:
     return QuadratureSpec(nodes_per_unit=args.nodes / max(args.L, 1e-9))
 
 
-def _laplace_value(points, us, params, args, quad):
+def _laplace_value(points, us, params, quad=None, delta=None, length=12.0):
     """Dispatch one- or two-point contour evaluation."""
-    kw = {}
+    kw = {"length": length}
     if quad is not None:
         kw["quad"] = quad
+    if delta is not None:
+        kw["delta"] = delta
     if len(points) == 1:
         (m, n) = points[0]
-        if args.delta is not None:
-            kw["delta"] = args.delta
-        return laplace1(m, n, us[0], params.alpha, params.alphahat,
-                        length=args.L, **kw)
+        return laplace1(m, n, us[0], params.alpha, params.alphahat, **kw)
     (m1, n1), (m2, n2) = points
-    if args.delta is not None:
-        kw["delta"] = args.delta
-    if m2 >= n2:
-        return laplace2_case_a(m1, n1, m2, n2, us[0], us[1], params.alpha,
-                               params.alphahat, params.gamma,
-                               length=args.L, **kw)
-    return laplace2_case_b(m1, n1, m2, n2, us[0], us[1], params.alpha,
-                           params.alphahat, params.gamma,
-                           length=args.L, **kw)
+    fn = laplace2_case_a if m2 >= n2 else laplace2_case_b
+    return fn(m1, n1, m2, n2, us[0], us[1], params.alpha, params.alphahat,
+              params.gamma, **kw)
 
 
 def cmd_laplace(args) -> int:
@@ -249,11 +242,11 @@ def cmd_laplace(args) -> int:
     params = _params_from_args(args, mmax, nmax)
 
     quad = _quad_from_args(args)
-    val = _laplace_value(points, us, params, args, quad)
+    val = _laplace_value(points, us, params, quad, args.delta, args.L)
     # refinement-based error estimate: 4/3 of the node density
     base = quad.nodes_per_unit if quad is not None else 20.0
     fine = QuadratureSpec(nodes_per_unit=base * 4.0 / 3.0)
-    val_fine = _laplace_value(points, us, params, args, fine)
+    val_fine = _laplace_value(points, us, params, fine, args.delta, args.L)
     err = abs(val - val_fine)
 
     dflt = default_contours(params.gamma)
@@ -475,17 +468,8 @@ def cmd_sweep(args) -> int:
                         est = mc_laplace(points, us, params, n_samples=samples,
                                          seed=seed)
                         val, err = est.mean, est.stderr
-                    elif len(points) == 1:
-                        (m, n) = points[0]
-                        val = laplace1(m, n, u1, params.alpha,
-                                       params.alphahat).real
-                        err = 0.0
                     else:
-                        (m1, n1), (m2, n2) = points
-                        fn = laplace2_case_a if m2 >= n2 else laplace2_case_b
-                        val = fn(m1, n1, m2, n2, u1, u2, params.alpha,
-                                 params.alphahat, gamma).real
-                        err = 0.0
+                        val, err = _laplace_value(points, us, params).real, 0.0
                     writer.writerow([u1, u2 if u2 is not None else "",
                                      repr(val), repr(err),
                                      f"{time.time() - t0:.3f}", ""])

@@ -24,6 +24,14 @@ Conventions:
     (at most 2 axes) stays an explicit sum over its nodes.  The evaluators
     keep their dimension caps: beyond them the fixed line length and
     spacing, not the cost, limit the accuracy;
+  - every Sklyanin line group takes its per-axis weight u^{-z}
+    prod Gamma(z - p) prod Gamma(z + q), over its normalization, from
+    _axis_weights;
+  - bcr_fredholm and joint_series_term build the circle x line kernel
+    pi/sin(pi(v - w)) e^{Phi(w) - Phi(v)}/(w - v') with _circle_line_kernel.
+    The (k,0) series terms are the z^k coefficients of det(I + z K) for
+    bcr_fredholm's kernel at alpha' = gamma, alphahat' = 0, read by
+    _graded_det_coefficients (Bornemann, Math. Comp. 79 (2010) 871);
   - circles C_r are centred at 0 and traced counter-clockwise;
   - the Sklyanin density s_n(mu) = (2 pi i)^{-n}/n! prod_{i != j}
     Gamma(mu_i - mu_j)^{-1} is used with the plain complex line elements
@@ -34,12 +42,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .quadrature import QuadratureSpec, _graded_det_coefficients, gl_panels
-from .specfun import digamma, log_gamma, polygamma
+from .specfun import digamma, log_gamma
 
 TWO_PI_I = 2j * math.pi
 
@@ -122,40 +130,6 @@ def default_contours(gamma: float) -> ContourDefaults:
         delta1=0.2 * min(delta, 1.0 - delta) if delta < 1.0 else 0.1,
         delta_prime=delta + 0.1 * gamma,
     )
-
-
-# ---------------------------------------------------------------------------
-# the 4-axis contraction of the (1,1) series term
-# ---------------------------------------------------------------------------
-
-
-def _contract(vectors: List[np.ndarray], pairs: Dict[Tuple[int, int], np.ndarray]) -> complex:
-    """Sum over a 4-axis tensor-product grid of prod_k vectors[k][i_k] times
-    prod pairs[(k,l)][i_k, i_l], over a complete pair graph (one matrix per
-    unordered pair; a key (l,k) with l > k is used as its transpose).
-
-    With a and c the two shortest axes and b, d the other two, the sum runs
-    as a loop over a of one (c,b) @ (b,d) matmul each: X[c,b] = v_a P_ac
-    P_ab (v_c P_cb v_b), Y[c,d] = P_ad (P_cd v_d), total += sum((X @ P_bd) *
-    Y).  The loop keeps the temporaries at C x max(B, D); the full (A C) x B
-    tensor at once would not.
-    """
-    P = {}
-    for (k, l), mat in pairs.items():
-        P[(k, l)] = np.asarray(mat, dtype=complex)
-        P[(l, k)] = P[(k, l)].T
-    if len(vectors) != 4 or len(pairs) != 6 or len(P) != 12:
-        raise ValueError("needs four axes and a complete pair graph")
-    v = [np.asarray(x, dtype=complex) for x in vectors]
-    a, c, b, d = sorted(range(4), key=lambda k: len(v[k]))
-    W = v[c][:, None] * P[(c, b)] * v[b][None, :]
-    Z = P[(c, d)] * v[d][None, :]
-    Pbd = P[(b, d)]
-    total = 0j
-    for i in range(len(v[a])):
-        X = (v[a][i] * P[(a, c)][i][:, None]) * P[(a, b)][i][None, :] * W
-        total += np.sum((X @ Pbd) * (P[(a, d)][i][None, :] * Z))
-    return complex(total)
 
 
 def _checked_length(length: float) -> float:
@@ -248,6 +222,39 @@ def _lg(z):
     return log_gamma(np.asarray(z, dtype=complex))
 
 
+def _axis_weights(z, dz, k, poles, shifts, log_u, quad=0.0, norm=None):
+    """Per-axis weight of a Sklyanin-line group of k axes, line elements
+    included: exp(log f(z) - log C / k) dz, with f(z) = prod_p Gamma(z - p)
+    F(z), F(z) = u^{-z} e^{quad z^2/2} prod_q Gamma(z + q) over the shifts q,
+    and C = prod_{p in norm} F(p), norm defaulting to the poles.  The k axes
+    of the group together carry the normalization 1/C."""
+    poles = np.asarray(poles, dtype=float)
+    norm = poles if norm is None else np.asarray(norm, dtype=float)
+
+    def log_F(x):
+        return (-log_u * x + 0.5 * quad * x * x
+                + _lg(np.add.outer(x, np.asarray(shifts, dtype=float))).sum(-1))
+
+    log_f = _lg(np.subtract.outer(z, poles)).sum(-1) + log_F(z)
+    log_c = float(np.sum(log_F(norm).real))
+    return np.exp(log_f - log_c / k) * dz
+
+
+def _circle_line_kernel(v, dv, w, dw, log_ratio):
+    """The circle x line Fredholm kernel on the circle nodes v,
+    K[a, b] = (2 pi i)^{-2} sum_w pi/sin(pi (v_a - w)) e^{log_ratio[a, w]}
+    dw dv_b/(w - v_b): one factor 1/(2 pi i) from the w-integral, one from
+    the circle measure dv/(2 pi i).  This normalization is fixed by the
+    numeric match of the Fredholm form with the line-integral form."""
+    # sin_fac is kept as its own array: folding it into one expression lets
+    # numpy multiply in place, which rounds differently, and at u = 1e20
+    # (condition ~1e21) that moves which guard rejects bcr_fredholm
+    sin_fac = np.pi / _safe_sin_pi(v[:, None] - w[None, :])
+    core = sin_fac * np.exp(log_ratio)
+    K = (core * dw[None, :]) @ (1.0 / (w[:, None] - v[None, :])) / TWO_PI_I
+    return K * dv[None, :] / TWO_PI_I
+
+
 # ---------------------------------------------------------------------------
 # one-point Laplace transform
 # ---------------------------------------------------------------------------
@@ -293,19 +300,7 @@ def laplace1(
 
     nn = _line_nodes_for_dim(n, quad, length)
     mu, dmu = vertical_line(delta, length, nn).nodes()
-    logg = np.zeros(len(mu), dtype=complex)
-    for ah in alphahat:
-        logg += _lg(mu - ah)
-    for a in alpha:
-        logg += _lg(mu + a)
-    logg -= np.log(u) * mu
-    # constant normalization: prod_j u^{-alphahat_j} F_m^alpha(alphahat_j)
-    log_den = 0.0
-    for ah in alphahat:
-        log_den += -math.log(u) * ah
-        for a in alpha:
-            log_den += float(_lg(ah + a).real)
-    g = np.exp(logg - log_den / n) * dmu
+    g = _axis_weights(mu, dmu, n, alphahat, alpha, math.log(u))
     val, err = _two_group_integral(None, 0, g, n, None, dmu[0].imag)
     return _checked_transform(val, err)
 
@@ -455,41 +450,11 @@ def laplace2_case_a(
     lam, dlam = vertical_line(delta, length, nn).nodes()
     mu, dmu = vertical_line(delta + gamma, length, nn).nodes()
 
-    # per-axis lambda factor
-    log_l = np.zeros(len(lam), dtype=complex)
-    for a in alpha[:m1]:
-        log_l += _lg(lam - a)
-    for ah in alphahat[n2:n1]:
-        log_l += _lg(lam + ah)
-    log_l -= np.log(u1) * lam
-    log_dl = 0.0
-    for a in alpha[:m1]:
-        log_dl += -math.log(u1) * a
-        for ah in alphahat[n2:n1]:
-            log_dl += float(_lg(a + ah).real)
-
-    # per-axis mu factor
-    log_m = np.zeros(len(mu), dtype=complex)
-    for ah in alphahat[:n2]:
-        log_m += _lg(mu - ah)
-    for a in alpha[m1:m2]:
-        log_m += _lg(mu + a)
-    log_m -= np.log(u2) * mu
-    log_dm = 0.0
-    for ah in alphahat[:n2]:
-        log_dm += -math.log(u2) * ah
-        for a in alpha[m1:m2]:
-            log_dm += float(_lg(ah + a).real)
-
+    gl = _axis_weights(lam, dlam, m1, alpha[:m1], alphahat[n2:n1], math.log(u1))
+    gm = _axis_weights(mu, dmu, n2, alphahat[:n2], alpha[m1:m2], math.log(u2))
     # cross factor Gamma(lambda + mu) / Gamma(alpha_i + alphahat_j)
-    log_cross_den = 0.0
-    for a in alpha[:m1]:
-        for ah in alphahat[:n2]:
-            log_cross_den += float(_lg(a + ah).real)
+    log_cross_den = float(np.sum(_lg(np.add.outer(alpha[:m1], alphahat[:n2])).real))
     cross = _gamma_cross(lam, mu, True, log_cross_den / (m1 * n2))
-
-    gl = np.exp(log_l - log_dl / m1) * dlam
-    gm = np.exp(log_m - log_dm / n2) * dmu
     val, err = _two_group_integral(gl, m1, gm, n2, cross, dlam[0].imag)
     return _checked_transform(val, err)
 
@@ -539,36 +504,10 @@ def laplace2_case_b(
     nn = _line_nodes_for_dim(m1 + m2, quad, length)
     lam, dlam = vertical_line(delta, length, nn).nodes()
     mu, dmu = vertical_line(delta_prime, length, nn).nodes()
-    u12 = u1 / u2
-
-    log_l = np.zeros(len(lam), dtype=complex)
-    for a in alpha[:m1]:
-        log_l += _lg(lam - a)
-    for ah in alphahat[n2:n1]:
-        log_l += _lg(lam + ah)
-    log_l -= np.log(u12) * lam
-    log_dl = 0.0
-    for a in alpha[:m1]:
-        log_dl += -math.log(u12) * a
-        for ah in alphahat[n2:n1]:
-            log_dl += float(_lg(a + ah).real)
-
-    log_m = np.zeros(len(mu), dtype=complex)
-    for a in alpha[m1:m2]:
-        log_m += _lg(mu - a)
-    for ah in alphahat[:n2]:
-        log_m += _lg(mu + ah)
-    log_m -= np.log(u2) * mu
-    log_dm = 0.0
-    for a in alpha[:m2]:
-        log_dm += -math.log(u2) * a
-        for ah in alphahat[:n2]:
-            log_dm += float(_lg(a + ah).real)
-
+    gl = _axis_weights(lam, dlam, m1, alpha[:m1], alphahat[n2:n1], math.log(u1 / u2))
+    gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], alphahat[:n2], math.log(u2),
+                       norm=alpha[:m2])
     cross = _gamma_cross(lam, mu, False)
-
-    gl = np.exp(log_l - log_dl / m1) * dlam
-    gm = np.exp(log_m - log_dm / m2) * dmu
     val, err = _two_group_integral(gl, m1, gm, m2, cross, dlam[0].imag)
     return _checked_transform(val, err)
 
@@ -632,25 +571,11 @@ def oy_laplace2(
     lam, dlam = vertical_line(delta, 0.5 * nl * h, nl).nodes()
     mu, dmu = vertical_line(delta_prime, 0.5 * nm * h, nm).nodes()
 
-    log_l = np.zeros(len(lam), dtype=complex)
-    log_dl = 0.0
-    if m1 > 0:
-        u12 = u1 / u2
-        for a in alpha[:m1]:
-            log_l += _lg(lam - a)
-        log_l += -np.log(u12) * lam + 0.5 * (t1 - t2) * lam**2
-        log_dl = sum(-math.log(u12) * a + 0.5 * (t1 - t2) * a**2
-                     for a in alpha[:m1])
-
-    log_m = np.zeros(len(mu), dtype=complex)
-    for a in alpha[m1:m2]:
-        log_m += _lg(mu - a)
-    log_m += -np.log(u2) * mu + 0.5 * t2 * mu**2
-    log_dm = sum(-math.log(u2) * a + 0.5 * t2 * a**2 for a in alpha[:m2])
-
+    gl = (_axis_weights(lam, dlam, m1, alpha[:m1], [], math.log(u1 / u2), t1 - t2)
+          if m1 > 0 else None)
+    gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], [], math.log(u2), t2,
+                       norm=alpha[:m2])
     cross = _gamma_cross(lam, mu, False)
-    gl = np.exp(log_l - log_dl / m1) * dlam if m1 > 0 else dlam
-    gm = np.exp(log_m - log_dm / m2) * dmu
     val, err = _two_group_integral(gl, m1, gm, m2, cross, h)
     return _checked_transform(val, err)
 
@@ -732,17 +657,9 @@ def bcr_fredholm(
 
     lFw, lFv = log_F(w), log_F(v)
     lGw, lGv = log_G(w), log_G(v)
-    dvw = v[:, None] - w[None, :]
-    # pi/sin(pi z), overflow-safe via logs off the real axis
-    sin_fac = np.pi / _safe_sin_pi(dvw)
-    core = sin_fac * np.exp(
-        (lFw[None, :] - lFv[:, None]) + (lGv[:, None] - lGw[None, :])
+    Kt = _circle_line_kernel(
+        v, dv, w, dw, (lFw[None, :] - lFv[:, None]) + (lGv[:, None] - lGw[None, :])
     )
-    # K[a, b] = (1/2 pi i) sum_w dw/(w - v_b) core[a, w]
-    K = (core * dw[None, :]) @ (1.0 / (w[:, None] - v[None, :])) / TWO_PI_I
-    # L^2(C_{delta1}) carries the measure dv/(2 pi i): this normalization
-    # is fixed by the numeric match with the n-fold line-integral form
-    Kt = K * dv[None, :] / TWO_PI_I
     # det(I + z K) has degree <= n, the kernel's rank, so n + 1 roots of
     # unity give its coefficients exactly; the series is truncated at `order`
     c = _graded_det_coefficients(Kt, [len(Kt)], n + 1)
@@ -808,68 +725,39 @@ def joint_series_term(
     v, dv = circle(delta1, n_circle).nodes()
     w, dw = _gl_line(delta, length, nl)
 
-    def axis_factors(u, expo_gamma, expo_zero):
-        # w-axis: u^w Gamma(gamma-w)^expo_gamma / Gamma(w)^expo_zero
-        fw = np.exp(
-            np.log(u) * w + expo_gamma * _lg(gamma - w) - expo_zero * _lg(w)
-        )
-        fv = np.exp(
-            -np.log(u) * v - expo_gamma * _lg(gamma - v) + expo_zero * _lg(v)
-        )
-        return fv * dv, fw * dw
+    def phi(z, u, e_gamma, e_zero):
+        # the pair weight is e^{Phi(w) - Phi(v)}: u^w Gamma(gamma-w)^e_gamma
+        # / Gamma(w)^e_zero over the same at v
+        return np.log(u) * z + e_gamma * _lg(gamma - z) - e_zero * _lg(z)
 
-    sin_vw = np.pi / _safe_sin_pi(v[:, None] - w[None, :])
-    inv_wv = 1.0 / (w[None, :] - v[:, None])  # (v, w) orientation
+    second, first = (u2, m2, n2), (u1, n1, m1)
+    if n == 0 or m == 0:
+        # one group: the term is the z^k coefficient of det(I + z K).
+        # e^{-Phi(v)} has a pole of order e_zero at v = 0 inside the circle,
+        # so K has numerical rank e_zero; fewer roots of unity would alias
+        # the higher coefficients into this one
+        k, group = (m, second) if m else (n, first)
+        K = _circle_line_kernel(v, dv, w, dw,
+                                phi(w, *group)[None, :] - phi(v, *group)[:, None])
+        return complex(_graded_det_coefficients(K, [n_circle], max(k, group[2]) + 1)[k])
 
-    g2v, g2w = axis_factors(u2, m2, n2)  # second-point group
-    g1v, g1w = axis_factors(u1, n1, m1)  # first-point group
-
-    # each (v, w) pair carries (2 pi i)^{-2}: one factor from the
-    # kernel's w-integral and one from the circle measure dv/(2 pi i)
-    # (the same normalization that makes the Fredholm form match the
-    # line-integral form)
-    pref = 1.0 / (
-        math.factorial(m) * math.factorial(n) * TWO_PI_I ** (2 * (m + n))
-    )
-
-    if (m, n) in ((1, 0), (0, 1)):
-        gv, gw = (g2v, g2w) if m == 1 else (g1v, g1w)
-        val = complex(np.einsum("a,b,ab,ab->", gv, gw, sin_vw, inv_wv))
-        return pref * val
-
-    if (m, n) == (1, 1):
-        ct = _cross_term_pairs(v, w, gamma)
-        vecs = [g2v, g2w, g1v, g1w]
-        pairs = {
-            (0, 1): sin_vw * inv_wv,
-            (2, 3): sin_vw * inv_wv,
-            (1, 3): ct["ww"],
-            (0, 2): ct["vv"],
-            (0, 3): ct["vw"],
-            (2, 1): ct["vw"],
-        }
-        return pref * _contract(vecs, pairs)
-
-    # (2,0) / (0,2): one group with a 2x2 Cauchy determinant
-    gv, gw = (g2v, g2w) if m == 2 else (g1v, g1w)
-    sv = sin_vw
-    # det(1/(w_k - v_l)) = 1/(w1-v1)(w2-v2) - 1/(w1-v2)(w2-v1)
-    diag = np.einsum("a,b,ab,ab->", gv, gw, sv, inv_wv)
-    swap = np.einsum("a,b,c,d,ab,cd,ad,cb->", gv, gw, gv, gw, sv, sv,
-                     inv_wv, inv_wv, optimize=True)
-    val = complex(diag) ** 2 - complex(swap)
-    return pref * val
-
-
-def _cross_term_pairs(v: np.ndarray, w: np.ndarray,
-                      gamma: float) -> Dict[str, np.ndarray]:
-    """Cross-term pair matrices Gamma(gamma-a-b) between the two groups:
-    'ww' for (w, w'), 'vv' for (v, v'), 'vw' for mixed, with numerators on
-    the like pairs and denominators on the mixed ones."""
+    # (1,1): one pair (v, w) per group, each with its Cauchy factor P, and
+    # the cross term Gamma(gamma-a-b) between the groups, numerators on the
+    # like pairs and denominators on the mixed ones; one step per circle
+    # node a of the second group keeps the temporaries at n_circle x nl
+    (g2v, g2w), (g1v, g1w) = [(np.exp(-phi(v, *g)) * dv, np.exp(phi(w, *g)) * dw)
+                              for g in (second, first)]
+    P = np.pi / _safe_sin_pi(v[:, None] - w[None, :]) / (w[None, :] - v[:, None])
     ww = np.exp(_lg(gamma - w[:, None] - w[None, :]))
     vv = np.exp(_lg(gamma - v[:, None] - v[None, :]))
     vw = np.exp(-_lg(gamma - v[:, None] - w[None, :]))
-    return {"ww": ww, "vv": vv, "vw": vw}
+    Pg1w = P * g1w
+    total = 0j
+    for a in range(len(v)):
+        X = (g1v * vv[a])[:, None] * vw * (P[a] * g2w)
+        Y = (Pg1w * vw[a]) @ ww.T
+        total += g2v[a] * np.sum(X * Y)
+    return complex(total) / TWO_PI_I**4
 
 
 # ---------------------------------------------------------------------------

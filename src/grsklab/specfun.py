@@ -295,8 +295,8 @@ class WhittakerArg:
     def __post_init__(self):
         if len(self.alpha) != len(self.x):
             raise ValueError("rank mismatch between parameters and base point")
-        if len(self.alpha) > 3:
-            raise ValueError("rank capped at 3")
+        if len(self.alpha) > 2:
+            raise ValueError("rank capped at 2")
         if any(xi <= 0 for xi in self.x):
             raise ValueError("base point must be positive")
 
@@ -305,55 +305,25 @@ class WhittakerArg:
         return len(self.alpha)
 
 
-def whittaker_givental(arg: WhittakerArg, quad: QuadratureSpec | None = None,
-                       expensive: bool = False):
-    """Psi^{(n)}_alpha(x) by quadrature of the Givental integral, rank <= 3.
+def whittaker_givental(arg: WhittakerArg, quad: QuadratureSpec | None = None):
+    """Psi^{(n)}_alpha(x) by quadrature of the Givental integral, rank <= 2.
 
-    Integration variables z_ij (1 <= j <= i <= n-1) are substituted
-    z = e^y with y on [-L, L]; the pattern potential couples consecutive
-    rows, top row fixed to x.  Rank 3 is a 3-D tensor quadrature and must be
-    requested with expensive=True.
+    Rank 1 is the closed form x^{-alpha}.  At rank 2 the one integration
+    variable z_11 is substituted z = e^y with y on [-L, L]; the pattern
+    potential couples it to the top row, fixed to x.
     """
     if quad is None:
         quad = QuadratureSpec(nodes_per_unit=200.0 / 24.0, truncation=12.0)
-    n = arg.rank
-    if n == 3 and not expensive:
-        raise ValueError("rank 3 is behind the expensive flag")
-    if n == 1:
+    if arg.rank == 1:
         return complex(arg.x[0] ** (-np.asarray(arg.alpha[0], dtype=complex)))
     L = quad.truncation
     n_nodes = quad.n_nodes(2 * L)
     y, wy = gl_nodes(-L, L, n_nodes)
     z = np.exp(y)  # dz/z = dy
     a = np.asarray(arg.alpha, dtype=complex)
-    if n == 2:
-        x1, x2 = arg.x
-        z11 = z
-        vals = (
-            z11 ** (-a[0])
-            * (x1 * x2 / z11) ** (-a[1])
-            * np.exp(-(z11 / x1 + x2 / z11))
-        )
-        return complex(np.sum(vals * wy))
-    # rank 3: variables z11 (row 1), z21, z22 (row 2); top row = x
-    x1, x2, x3 = arg.x
-    z11 = z[:, None, None]
-    z21 = z[None, :, None]
-    z22 = z[None, None, :]
-    w3 = wy[:, None, None] * wy[None, :, None] * wy[None, None, :]
-    r1 = z11
-    r2 = z21 * z22
-    pref = r1 ** (-a[0]) * (r2 / r1) ** (-a[1]) * ((x1 * x2 * x3) / r2) ** (-a[2])
-    pot = (
-        z11 / z21
-        + z22 / z11
-        + z21 / x1
-        + x2 / z21
-        + z22 / x2
-        + x3 / z22
-    )
-    vals = pref * np.exp(-pot)
-    return complex(np.sum(vals * w3))
+    x1, x2 = arg.x
+    vals = z ** (-a[0]) * (x1 * x2 / z) ** (-a[1]) * np.exp(-(z / x1 + x2 / z))
+    return complex(np.sum(vals * wy))
 
 
 def stade_check(n: int, nu, lam, r: float,

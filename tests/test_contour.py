@@ -18,7 +18,6 @@ import pytest
 from grsklab import specfun
 from grsklab.contour import (
     ContourSpec,
-    _contract,
     _gamma_cross,
     _safe_sin_pi,
     _sklyanin_pair,
@@ -319,6 +318,17 @@ def test_joint_series_sums_to_case_a():
     assert abs(total - ref) / abs(ref) < 1e-3
 
 
+@pytest.mark.parametrize("m2, n2", [(3, 2), (4, 2)])
+@pytest.mark.parametrize("u2", [0.25, 1.0])
+def test_one_group_series_sums_to_laplace1(m2, n2, u2):
+    # the (k, 0) terms alone are the Fredholm expansion of the one-point
+    # transform at the second point; with n2 = 2 it ends at k = 2, whose
+    # term is nonzero only on a group of rank >= 2
+    terms = [joint_series_term(k, 0, 1, n2 + 1, m2, n2, 1.0, u2, 1.0) for k in (1, 2)]
+    ref = laplace1(m2, n2, u2, [0.0] * m2, [1.0] * n2)
+    assert abs(1.0 + sum(terms) - ref) <= 1e-6
+
+
 def test_joint_series_term_validation():
     with pytest.raises(ValueError):
         joint_series_term(-1, 0, 1, 2, 2, 1, 0.5, 0.5, 1.0)
@@ -558,24 +568,6 @@ def test_safe_sin_pi_matches_mpmath(z):
         cond = 1.0 + float(abs(x * mpmath.cot(x)))
     got = complex(_safe_sin_pi(np.array([z]))[0])
     assert abs(got - ref) <= 4 * np.finfo(float).eps * cond * abs(ref)
-
-
-def test_contract_four_axes_matches_einsum():
-    rng = np.random.default_rng(7)
-    sizes = [7, 11, 5, 13]
-
-    def crand(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    vecs = [crand(n) for n in sizes]
-    keys = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 1), (2, 3)]  # (3, 1) reversed
-    pairs = {(k, l): crand(sizes[k], sizes[l]) for k, l in keys}
-    labels = ",".join("abcd"[k] + "abcd"[l] for k, l in keys)
-    ref = np.einsum("a,b,c,d," + labels + "->", *vecs, *pairs.values())
-    assert abs(_contract(vecs, pairs) - ref) <= 1e-12 * abs(ref)
-    del pairs[(0, 3)]
-    with pytest.raises(ValueError):
-        _contract(vecs, pairs)
 
 
 def _brute_two_group(gl, k1, gm, k2, cross, h):
