@@ -249,10 +249,15 @@ def test_whittaker_rank2_symmetry():
     assert abs(a - b) <= 1e-6 * abs(a)
 
 
+def test_whittaker_rank3_needs_flag():
+    # No rank-3 evaluation path exists; the argument is rejected when built.
+    with pytest.raises(ValueError):
+        whittaker_givental(WhittakerArg((0.3 + 0j, 0.5 + 0j, 0.7 + 0j), (1.0, 1.0, 1.0)))
+
+
 def test_whittaker_rank_cap():
-    for rank in (3, 4):
-        with pytest.raises(ValueError):
-            WhittakerArg((0.1,) * rank, (1.0,) * rank)
+    with pytest.raises(ValueError):
+        WhittakerArg((0.1,) * 4, (1.0,) * 4)
 
 
 def test_stade_n1_exact():
