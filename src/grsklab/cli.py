@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import numpy as np
 from . import arrays, oracle
 from .airy import airy_two_point, airy_two_point_series, conjecture_rhs, limit_term
 from .contour import (
-    bcr_fredholm,
+    _bcr_fredholm,
     default_contours,
     laplace1,
     laplace2_case_a,
@@ -37,6 +38,15 @@ from .specfun import stade_check
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_INPUT = 2
+
+
+# options whose default is read from a GRSKLAB_ variable on every call:
+# dest -> (variable suffix, type, fallback)
+_ENV_DEFAULTS = {
+    "samples": ("SAMPLES", int, 10**5),
+    "L": ("LENGTH", float, 12.0),
+    "nodes": ("NODES", int, None),
+}
 
 
 def _env_default(name: str, cast, fallback):
@@ -276,19 +286,14 @@ def cmd_laplace(args) -> int:
 def cmd_fredholm(args) -> int:
     (m, n) = _parse_points(args.points)[0]
     params = _params_from_args(args, m, n)
-    kw = {}
-    if args.delta1 is not None:
-        kw["delta1"] = args.delta1
-    if args.delta2 is not None:
-        kw["delta2"] = args.delta2
-    if args.order is not None:
-        kw["order"] = args.order
-    val = bcr_fredholm(m, n, _parse_floats(args.u)[0], params.alpha,
-                       params.alphahat, length=args.L, **kw)
+    val, err = _bcr_fredholm(m, n, _parse_floats(args.u)[0], params.alpha,
+                             params.alphahat, delta1=args.delta1,
+                             delta2=args.delta2, order=args.order, length=args.L)
     _emit(
         {
             "value": val.real,
             "value_imag": val.imag,
+            "error_estimate": err,
             "point": [m, n],
             "order": args.order,
         },
@@ -484,7 +489,10 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Options listed in _ENV_DEFAULTS
+    default to None here; main fills them in from the environment."""
     ap = argparse.ArgumentParser(
         prog="grsklab",
         description="geometric RSK / log-gamma polymer workbench",
@@ -494,12 +502,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grsk", help="run geometric RSK on an array file")
     p.add_argument("input")
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_grsk)
 
     p = sub.add_parser("gpng", help="run geometric PNG on an array file")
     p.add_argument("input")
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_gpng)
 
     p = sub.add_parser("sample", help="Monte Carlo Laplace transform")
     p.add_argument("--points", required=True)
@@ -507,12 +513,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--alpha", default=None)
     p.add_argument("--alphahat", default=None)
-    p.add_argument("--samples", type=int,
-                   default=_env_default("SAMPLES", int, 10**5))
+    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--streams", type=int, default=1)
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("laplace", help="contour-integral Laplace transform")
     p.add_argument("--points", required=True,
@@ -522,16 +526,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     p.add_argument("--alphahat", default=None)
     p.add_argument("--delta", type=_finite_float, default=None)
-    p.add_argument("--L", type=_finite_float,
-                   default=_env_default("LENGTH", float, 12.0))
-    p.add_argument("--nodes", type=int,
-                   default=_env_default("NODES", int, None))
+    p.add_argument("--L", type=_finite_float, default=None)
+    p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--mc-check", action="store_true")
-    p.add_argument("--samples", type=int,
-                   default=_env_default("SAMPLES", int, 10**5))
+    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_laplace)
 
     p = sub.add_parser("fredholm", help="Fredholm-determinant transform")
     p.add_argument("--points", required=True, help="m,n")
@@ -542,10 +542,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta1", type=_finite_float, default=None)
     p.add_argument("--delta2", type=_finite_float, default=None)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--L", type=_finite_float,
-                   default=_env_default("LENGTH", float, 12.0))
+    p.add_argument("--L", type=_finite_float, default=None)
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_fredholm)
 
     p = sub.add_parser("airy2", help="two-time Airy process probability")
     p.add_argument("--t1", type=float, required=True)
@@ -561,7 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, default=0.0)
     p.add_argument("--r2", type=float, default=0.0)
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_airy2)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
@@ -570,20 +567,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="CSV sweep from a config file")
     p.add_argument("config")
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_sweep)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    for dest, (name, cast, fallback) in _ENV_DEFAULTS.items():
+        if getattr(args, dest, 0) is None:
+            setattr(args, dest, _env_default(name, cast, fallback))
+    # the handler cmd_<command> is looked up at call time, not bound into
+    # the cached parser, so that a handler replaced on the module runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -28,10 +28,16 @@ Conventions:
     prod Gamma(z - p) prod Gamma(z + q), over its normalization, from
     _axis_weights;
   - bcr_fredholm and joint_series_term build the circle x line kernel
-    pi/sin(pi(v - w)) e^{Phi(w) - Phi(v)}/(w - v') with _circle_line_kernel.
-    The (k,0) series terms are the z^k coefficients of det(I + z K) for
-    bcr_fredholm's kernel at alpha' = gamma, alphahat' = 0, read by
-    _graded_det_coefficients (Bornemann, Math. Comp. 79 (2010) 871);
+    pi/sin(pi(v - w)) e^{Phi(w) - Phi(v)}/(w - v') with _circle_line_kernel
+    from per-node values: e^{Phi(w) - Phi(v)} is a row factor times a
+    column factor, and pi/sin(pi(v - w)) a rational function of
+    e^{-+i pi v} e^{+-i pi w}, so no exponential or sine runs on the
+    circle x line matrix.  The (k,0) series terms are the z^k coefficients
+    of det(I + z K) for bcr_fredholm's kernel at alpha' = gamma,
+    alphahat' = 0, read by _graded_det_coefficients (Bornemann, Math. Comp.
+    79 (2010) 871).  det(I + z K) has degree <= n in bcr_fredholm, so its
+    coefficients n + 1 and n + 2 vanish but for rounding: their size is
+    the error bound its range guard checks;
   - circles C_r are centred at 0 and traced counter-clockwise;
   - the Sklyanin density s_n(mu) = (2 pi i)^{-n}/n! prod_{i != j}
     Gamma(mu_i - mu_j)^{-1} is used with the plain complex line elements
@@ -199,9 +205,10 @@ def _gamma_cross(lam: np.ndarray, mu: np.ndarray, hankel: bool,
 
 
 def _safe_sin_pi(z: np.ndarray) -> np.ndarray:
-    """sin(pi z), the one sine of the module.  For |Im z| >= 20 it keeps
-    only the dominant half of (e^{i pi z} - e^{-i pi z})/2i (the other is
-    below e^{-125} relative), so nothing overflows before the result does.
+    """sin(pi z) at the Sklyanin pair offsets; circle x line pairs take
+    _pi_csc_circle_line instead.  For |Im z| >= 20 it keeps only the
+    dominant half of (e^{i pi z} - e^{-i pi z})/2i (the other is below
+    e^{-125} relative), so nothing overflows before the result does.
     Written as exp(specfun._log_sin_pi(z)) it would lose digits where
     1 - e^{-2 pi i z} cancels: 3.9e-10 relative at z = 1e-8."""
     z = np.asarray(z, dtype=complex)
@@ -240,19 +247,39 @@ def _axis_weights(z, dz, k, poles, shifts, log_u, quad=0.0, norm=None):
     return np.exp(log_f - log_c / k) * dz
 
 
-def _circle_line_kernel(v, dv, w, dw, log_ratio):
+def _pi_csc_circle_line(v, w):
+    """pi/sin(pi (v_a - w_b)) for circle nodes v and line nodes w, from the
+    per-node exponentials e^{-+i pi v} and e^{+-i pi w}.  With s = +1 for
+    Im w >= 0, else -1, and E = e^{-i s pi (v - w)}, the value is
+    2 pi i s E/(1 - E^2); |E| <= e^{pi |Im v|}, so nothing overflows for any
+    line length.  Both callers have Re(v - w) in (-1, 0), which keeps
+    1 - E^2 away from 0."""
+    s = np.where(np.imag(w) >= 0, 1.0, -1.0)
+    ev = np.exp(-1j * np.pi * v)
+    # in-place steps: each fresh circle x line temporary costs page faults
+    E = np.where(s > 0, ev[:, None], 1.0 / ev[:, None])
+    E *= np.exp(1j * np.pi * s * w)
+    D = E * E
+    np.subtract(1.0, D, out=D)
+    E /= D
+    E *= TWO_PI_I * s
+    return E
+
+
+def _circle_line_kernel(v, dv, w, dw, log_v, log_w):
     """The circle x line Fredholm kernel on the circle nodes v,
-    K[a, b] = (2 pi i)^{-2} sum_w pi/sin(pi (v_a - w)) e^{log_ratio[a, w]}
+    K[a, b] = (2 pi i)^{-2} sum_w pi/sin(pi (v_a - w)) e^{log_w - log_v_a}
     dw dv_b/(w - v_b): one factor 1/(2 pi i) from the w-integral, one from
     the circle measure dv/(2 pi i).  This normalization is fixed by the
-    numeric match of the Fredholm form with the line-integral form."""
-    # sin_fac is kept as its own array: folding it into one expression lets
-    # numpy multiply in place, which rounds differently, and at u = 1e20
-    # (condition ~1e21) that moves which guard rejects bcr_fredholm
-    sin_fac = np.pi / _safe_sin_pi(v[:, None] - w[None, :])
-    core = sin_fac * np.exp(log_ratio)
-    K = (core * dw[None, :]) @ (1.0 / (w[:, None] - v[None, :])) / TWO_PI_I
-    return K * dv[None, :] / TWO_PI_I
+    numeric match of the Fredholm form with the line-integral form.
+    e^{log_w - log_v} is the row factor e^{c - log_v} times the column
+    factor e^{log_w - c}; with c = max Re log_w the row factor overflows
+    only where e^{log_w - log_v} itself would."""
+    c = np.max(log_w.real)
+    core = _pi_csc_circle_line(v, w)
+    core *= np.exp(log_w - c) * dw
+    K = core @ (1.0 / np.subtract.outer(w, v))
+    return np.exp(c - log_v)[:, None] * K * (dv / TWO_PI_I**2)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +404,7 @@ def _checked_transform(val: complex, err: float = 0.0) -> complex:
     if not err <= 1e-6:
         raise ArithmeticError(
             f"transform rounding error bound {err:.3g} exceeds 1e-6: the "
-            "node sum cancels below double precision for this input"
+            "quadrature sum cancels below double precision for this input"
         )
     if not -1e-6 <= val.real <= 1.0 + 1e-6:
         raise ArithmeticError(
@@ -566,16 +593,18 @@ def oy_laplace2(
     # would get fewer than 64 nodes), so the cross matrix is Toeplitz
     npu = 20.0 if quad is None else quad.nodes_per_unit
     h = min(2.0 / npu, len_l / 32.0, len_m / 32.0)
-    nl = round(2.0 * len_l / h)
     nm = round(2.0 * len_m / h)
-    lam, dlam = vertical_line(delta, 0.5 * nl * h, nl).nodes()
     mu, dmu = vertical_line(delta_prime, 0.5 * nm * h, nm).nodes()
-
-    gl = (_axis_weights(lam, dlam, m1, alpha[:m1], [], math.log(u1 / u2), t1 - t2)
-          if m1 > 0 else None)
     gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], [], math.log(u2), t2,
                        norm=alpha[:m2])
-    cross = _gamma_cross(lam, mu, False)
+    # with m1 = 0 the first group has no axes: its line and the cross
+    # matrix would go unread
+    gl = cross = None
+    if m1 > 0:
+        nl = round(2.0 * len_l / h)
+        lam, dlam = vertical_line(delta, 0.5 * nl * h, nl).nodes()
+        gl = _axis_weights(lam, dlam, m1, alpha[:m1], [], math.log(u1 / u2), t1 - t2)
+        cross = _gamma_cross(lam, mu, False)
     val, err = _two_group_integral(gl, m1, gm, m2, cross, h)
     return _checked_transform(val, err)
 
@@ -609,8 +638,21 @@ def bcr_fredholm(
     * pi/sin(pi(v-w)) * [u^w prod_i Gamma(alpha'_i - w)] /
     [u^v prod_i Gamma(alpha'_i - v)] * prod_j Gamma(v + alphahat'_j) /
     Gamma(w + alphahat'_j).  The determinant has rank <= n (its only poles
-    in v inside the circle are at -alphahat'_j), so the series truncates.
+    in v inside the circle are at -alphahat'_j), so the series truncates,
+    and its coefficients n + 1 and n + 2 vanish but for rounding: where
+    they exceed 1e-6 it raises ArithmeticError, as it does for a value
+    outside [0, 1] or off the real axis.
     """
+    return _bcr_fredholm(m, n, u, alpha, alphahat, delta1, delta2, quad, order,
+                         n_circle, length)[0]
+
+
+def _bcr_fredholm(m, n, u, alpha, alphahat, delta1=None, delta2=None, quad=None,
+                  order=None, n_circle=128, length=12.0) -> Tuple[complex, float]:
+    """bcr_fredholm's value and its error bound: the larger of the
+    coefficients n + 1 and n + 2 of det(I + z K), which vanish in exact
+    arithmetic, so their size is the rounding and aliasing noise that every
+    coefficient carries."""
     alpha = [float(a) for a in alpha][:m]
     alphahat = [float(a) for a in alphahat][:n]
     if len(alpha) != m or len(alphahat) != n:
@@ -618,7 +660,7 @@ def bcr_fredholm(
     if u < 0:
         raise ValueError("Laplace argument must be >= 0")
     if u == 0:
-        return 1.0 + 0j
+        return 1.0 + 0j, 0.0
     s = sum(alphahat) / n
     ap = [a + s for a in alpha]
     ahp = [a - s for a in alphahat]
@@ -643,27 +685,22 @@ def bcr_fredholm(
     v, dv = circle(delta1, n_circle).nodes()
     w, dw = _gl_line(delta2, length, nw)
 
-    def log_F(z):
+    def phi(z):
+        # log of u^z prod_i Gamma(alpha'_i - z) / prod_j Gamma(z + alphahat'_j)
         out = np.log(u) * z
         for a in ap:
             out = out + _lg(a - z)
-        return out
-
-    def log_G(z):
-        out = np.zeros_like(z, dtype=complex)
         for a in ahp:
-            out = out + _lg(z + a)
+            out = out - _lg(z + a)
         return out
 
-    lFw, lFv = log_F(w), log_F(v)
-    lGw, lGv = log_G(w), log_G(v)
-    Kt = _circle_line_kernel(
-        v, dv, w, dw, (lFw[None, :] - lFv[:, None]) + (lGv[:, None] - lGw[None, :])
-    )
-    # det(I + z K) has degree <= n, the kernel's rank, so n + 1 roots of
-    # unity give its coefficients exactly; the series is truncated at `order`
-    c = _graded_det_coefficients(Kt, [len(Kt)], n + 1)
-    return _checked_transform(complex(np.sum(c[: order + 1])))
+    Kt = _circle_line_kernel(v, dv, w, dw, phi(v), phi(w))
+    # det(I + z K) has degree <= n, the kernel's rank: of its coefficients on
+    # n + 3 roots of unity the last two vanish but for rounding, which sizes
+    # the error of the rest; the series is truncated at `order`
+    c = _graded_det_coefficients(Kt, [len(Kt)], n + 3)
+    err = float(np.max(np.abs(c[n + 1:])))
+    return _checked_transform(complex(np.sum(c[: min(order, n) + 1])), err), err
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +774,7 @@ def joint_series_term(
         # so K has numerical rank e_zero; fewer roots of unity would alias
         # the higher coefficients into this one
         k, group = (m, second) if m else (n, first)
-        K = _circle_line_kernel(v, dv, w, dw,
-                                phi(w, *group)[None, :] - phi(v, *group)[:, None])
+        K = _circle_line_kernel(v, dv, w, dw, phi(v, *group), phi(w, *group))
         return complex(_graded_det_coefficients(K, [n_circle], max(k, group[2]) + 1)[k])
 
     # (1,1): one pair (v, w) per group, each with its Cauchy factor P, and
@@ -747,7 +783,7 @@ def joint_series_term(
     # node a of the second group keeps the temporaries at n_circle x nl
     (g2v, g2w), (g1v, g1w) = [(np.exp(-phi(v, *g)) * dv, np.exp(phi(w, *g)) * dw)
                               for g in (second, first)]
-    P = np.pi / _safe_sin_pi(v[:, None] - w[None, :]) / (w[None, :] - v[:, None])
+    P = _pi_csc_circle_line(v, w) / (w[None, :] - v[:, None])
     ww = np.exp(_lg(gamma - w[:, None] - w[None, :]))
     vv = np.exp(_lg(gamma - v[:, None] - v[None, :]))
     vw = np.exp(-_lg(gamma - v[:, None] - w[None, :]))

@@ -242,6 +242,14 @@ def test_fredholm_matches_laplace(capsys):
     assert f["value"] == pytest.approx(l["value"], abs=1e-4)
 
 
+def test_fredholm_error_estimate_covers_rounding(capsys):
+    # the converged transform is 3.0566e-14; at (8,8) the determinant's
+    # rounding noise is larger, and the reported estimate must cover it
+    code, doc = run_json(capsys, "fredholm", "--points", "8,8", "--u", "1.0")
+    assert code == EXIT_OK
+    assert doc["error_estimate"] >= abs(doc["value"] - 3.0566e-14)
+
+
 def test_airy2_kernel_mode(capsys):
     code, doc = run_json(capsys, "airy2", "--t1", "0.0", "--t2", "1.0",
                          "--x1", "0.0", "--x2", "0.0")
@@ -425,10 +433,23 @@ def test_env_default_applies(monkeypatch, capsys):
     assert doc["n"] == 2000
 
 
+def test_env_default_read_on_every_call(monkeypatch, capsys):
+    # the parser is built once per process; the GRSKLAB_ defaults are not
+    argv = ("laplace", "--points", "1,1", "--u", "1.0")
+    monkeypatch.delenv("GRSKLAB_LENGTH", raising=False)
+    run_json(capsys, *argv)
+    monkeypatch.setenv("GRSKLAB_LENGTH", "6")
+    code, doc = run_json(capsys, *argv)
+    assert code == EXIT_OK and doc["contours"]["length"] == 6.0
+    monkeypatch.delenv("GRSKLAB_LENGTH")
+    code, doc = run_json(capsys, *argv)
+    assert code == EXIT_OK and doc["contours"]["length"] == 12.0
+
+
 @pytest.mark.parametrize("argv", [
     # the real part reads -8.71 and -82.5 at the two node densities
     ["laplace", "--points", "2,2", "--u", "1e-20"],
-    # the real part lies in [0, 1], the imaginary part reads 1.48
+    # the coefficients of det(I + z K) that must vanish read above 1
     ["fredholm", "--points", "2,2", "--u", "1e20"],
 ])
 def test_transform_outside_unit_interval_is_compute_error(argv):

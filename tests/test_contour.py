@@ -18,7 +18,9 @@ import pytest
 from grsklab import specfun
 from grsklab.contour import (
     ContourSpec,
+    _circle_line_kernel,
     _gamma_cross,
+    _pi_csc_circle_line,
     _safe_sin_pi,
     _sklyanin_pair,
     bcr_fredholm,
@@ -570,6 +572,45 @@ def test_safe_sin_pi_matches_mpmath(z):
     assert abs(got - ref) <= 4 * np.finfo(float).eps * cond * abs(ref)
 
 
+@pytest.mark.parametrize("im_w", [0.5, 19.0, 21.0, 100.0, 300.0])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_pi_csc_circle_line_matches_mpmath(im_w, side):
+    # circle nodes of radius delta1 = 0.15 against w on the delta2 = 0.5
+    # line, on both sides of |Im| = 20 and beyond |Im w| = 226, where
+    # cos(pi w) overflows; at 300 the value itself underflows to 0
+    v = circle(0.15, 8).nodes()[0]
+    w = np.array([0.5 + 1j * side * im_w])
+    got = _pi_csc_circle_line(v, w)[:, 0]
+    for a, z in enumerate(v - w[0]):
+        with mpmath.workdps(40):
+            x = mpmath.pi * (mpmath.mpf(v[a].real) - mpmath.mpf(w[0].real)
+                             + 1j * (mpmath.mpf(v[a].imag) - mpmath.mpf(w[0].imag)))
+            ref = complex(mpmath.pi / mpmath.sin(x))
+        # pi v and pi w round by eps |pi v|, eps |pi w| in the exponents
+        tol = 4 * np.finfo(float).eps * (1.0 + math.pi * (abs(v[a]) + abs(w[0])))
+        assert abs(got[a] - ref) <= tol * abs(ref)
+
+
+def test_circle_line_kernel_matches_direct_sum():
+    # the bcr_fredholm kernel at u = 4, alpha' = (1, 1), alphahat' = (0, 0)
+    # on a 16 x 40 grid, against its defining sum over the line nodes
+    v, dv = circle(0.3, 16).nodes()
+    y, wy = gl_nodes(-5.0, 5.0, 40)
+    w, dw = 0.5 + 1j * y, 1j * wy
+
+    def phi(z):
+        return math.log(4.0) * z + 2 * specfun.log_gamma(1.0 - z) - 2 * specfun.log_gamma(z)
+
+    direct = np.zeros((16, 16), dtype=complex)
+    for a in range(16):
+        for b in range(16):
+            terms = (np.pi / np.sin(np.pi * (v[a] - w)) * np.exp(phi(w) - phi(v[a]))
+                     * dw * dv[b] / (w - v[b]))
+            direct[a, b] = terms.sum() / (2j * np.pi) ** 2
+    got = _circle_line_kernel(v, dv, w, dw, phi(v), phi(w))
+    assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-13
+
+
 def _brute_two_group(gl, k1, gm, k2, cross, h):
     """The node sum of _two_group_integral term by term: every tuple of k1
     lam nodes and k2 mu nodes, its weights, Sklyanin pairs and cross
@@ -683,8 +724,9 @@ def test_transform_outside_unit_interval_raises(call):
 
 
 def test_complex_transform_raises():
-    # the real part, 0.0369, lies in [0, 1]; the imaginary part reads 1.48
-    with pytest.raises(ArithmeticError, match="imaginary part"):
+    # I + K has condition ~1e21 here: the coefficients n + 1 and n + 2 of
+    # det(I + z K), which vanish in exact arithmetic, read above 1
+    with pytest.raises(ArithmeticError, match="rounding error bound"):
         bcr_fredholm(2, 2, 1e20, [0.0, 0.0], [1.0, 1.0])
 
 
