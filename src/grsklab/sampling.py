@@ -5,12 +5,10 @@ a_ij = alpha_i + alphahat_j, on the cells of a staircase index set.  The
 Monte Carlo estimator evaluates E[exp(-sum_l u_l Z_{m_l,n_l})] with the
 partition function Z computed by the DP recursion per sample.
 
-Weights are drawn only for the c cells of the staircase, in chunks of
-samples, with one scalar-shape call when every cell shares its shape.  The
-DP runs in the numpy kernel grsklab._mc_numpy on cell-major blocks of
-_DP_BLOCK samples, small enough that a cell update stays in L2.  The
-streams run one after another; (seed, n_streams, chunk) fixes every bit
-of an estimate, and for shapes all >= 1 the chunk does not matter.
+Weights are drawn only for the c cells of the staircase, cell-major, one
+block of _DP_BLOCK samples at a time from a PCG64 stream into one reused
+buffer; the numpy kernel grsklab._mc_numpy reads each block as drawn.
+(seed, n_streams) fixes every bit of an estimate.
 """
 from __future__ import annotations
 
@@ -23,10 +21,14 @@ import numpy as np
 from . import _mc_numpy
 from .arrays import IndexSet, PolygonalArray
 
-# samples per block of the weight transpose and of the DP: the rows a cell
-# update touches stay in L2.  The draw chunk, not this, is part of the
+# samples per block of the draws and of the DP: the rows a cell update
+# touches stay in L2.  Blocks are drawn cell-major, so this is part of the
 # stream layout.
 _DP_BLOCK = 2 * 10**4
+
+# looked up by name when a stream is made: importing numpy.random with
+# this module would cost the commands that never sample about 5 MB of RSS
+_BIT_GENERATOR = "PCG64"
 
 
 @dataclass
@@ -67,6 +69,8 @@ class MCEstimate:
     stderr: float
     n_samples: int
     seed: int
+    n_streams: int = 1
+    generator: str = _BIT_GENERATOR
 
     def __post_init__(self):
         if self.n_samples < 2:
@@ -78,72 +82,63 @@ class MCEstimate:
             "stderr": self.stderr,
             "n": self.n_samples,
             "seed": self.seed,
+            "streams": self.n_streams,
+            "generator": self.generator,
         }
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
-    # Counter-based Philox generator; independent per-worker streams come
-    # from the same entropy with distinct spawn keys, so results are
-    # reproducible for any (seed, stream) pair.
+    # independent streams come from the same entropy with distinct spawn
+    # keys, so results are reproducible for any (seed, stream) pair
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(getattr(np.random, _BIT_GENERATOR)(ss))
 
 
 def _inverse_gamma_weights(
-    rng: np.random.Generator, shapes: np.ndarray, n: Optional[int] = None
+    rng: np.random.Generator,
+    shapes: np.ndarray,
+    n: Optional[int] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Draw w with 1/w ~ Gamma(shape, rate 1), any positive shape.
 
-    Returns an array of shape `shapes.shape`.  With `n` given, `shapes`
-    is one shape per cell and the result holds n independent draws of it
-    with the sample axis last, (c, n), the layout the DP kernel reads; the
-    shape checks run on the c shapes alone.
+    Returns an array of shape `shapes.shape`.  With `n` given, `shapes` is
+    one shape per cell and the result holds n independent draws of each,
+    cell-major (c, n), the layout the DP kernel reads; the stream is
+    consumed as by the draw of np.broadcast_to(shapes[:, None], (c, n)), so
+    the two agree to the last bit.  The block is written into the front of
+    the flat buffer `out` when one is given.
 
-    For shape >= 1 we use the generator's standard gamma directly.  For
-    shape < 1 we use the boost transformation: if G ~ Gamma(shape + 1) and
-    U ~ Uniform(0,1) independently, then G * U^{1/shape} ~ Gamma(shape).
-    This avoids the density blow-up at 0 for small shapes.
-
-    When every shape is the same value a, one scalar-shape call consumes
-    the stream in the same order as the per-element draw, so it returns the
-    same weights, faster.  At a = 1 that call is the standard exponential,
-    which is the draw numpy's standard gamma makes at shape 1.
+    Every shape takes one rule: G ~ Gamma(a + [a < 1]) for every cell in
+    one call, then the a < 1 cells are multiplied by U^{1/a} with
+    U ~ Uniform(0,1) drawn in cell order.  G * U^{1/a} ~ Gamma(a), and it
+    avoids the density blow-up at 0 for small shapes.  When every cell
+    shares the boosted shape the call takes a scalar shape, which consumes
+    the stream as the per-element call does, in half the time at shape 1.
     """
     shapes = np.asarray(shapes, dtype=float)
     if not np.all(shapes > 0):
         raise ValueError("all Gamma shapes alpha_i + alphahat_j must be > 0")
-    size = shapes.shape if n is None else (int(n),) + shapes.shape
-    if shapes.size and np.all(shapes == shapes.flat[0]):
-        a = shapes.flat[0]
-        if a == 1.0:
-            g = rng.standard_exponential(size)
-        elif a > 1.0:
-            g = rng.standard_gamma(a, size=size)
-        else:
-            g = rng.standard_gamma(a + 1.0, size=size)
-            # a full exponent array keeps numpy's elementwise power; a scalar
-            # exponent of 2 (a = 0.5) takes a squaring shortcut that differs
-            # in the last bit
-            g *= rng.random(size) ** np.full(size, 1.0 / a)
+    # one row per cell (or per element) of `cols` draws each
+    rows = shapes.reshape(-1)
+    cols = 1 if n is None else int(n)
+    size = rows.size * cols
+    g = (np.empty(size) if out is None else out[:size]).reshape(rows.size, cols)
+    small = rows < 1.0
+    boosted = rows + small
+    if size and np.all(boosted == boosted[0]):
+        rng.standard_gamma(boosted[0], out=g)
     else:
-        full = np.broadcast_to(shapes, size)
-        g = np.empty(size)
-        small = full < 1.0
-        if np.any(~small):
-            g[~small] = rng.standard_gamma(full[~small])
-        if np.any(small):
-            boost = rng.standard_gamma(full[small] + 1.0)
-            u = rng.random(int(np.count_nonzero(small)))
-            g[small] = boost * u ** (1.0 / full[small])
-    if n is None:
-        return np.reciprocal(g, out=g)
-    # the stream fills g sample by sample; reciprocal and transpose run as
-    # one pass per L2-sized block
-    g = g.reshape(size[0], -1)
-    w = np.empty((shapes.size, size[0]))
-    for b in range(0, size[0], _DP_BLOCK):
-        np.divide(1.0, g[b:b + _DP_BLOCK].T, out=w[:, b:b + _DP_BLOCK])
-    return w
+        rng.standard_gamma(boosted[:, None], out=g)
+    if np.any(small):
+        u = rng.random((np.count_nonzero(small), cols))
+        # a full exponent array keeps numpy's elementwise power in both
+        # layouts; a broadcast exponent of 2 (a = 0.5) would take a squaring
+        # shortcut that differs in the last bit
+        u **= np.repeat(1.0 / rows[small], cols).reshape(u.shape)
+        g[small] *= u
+    np.reciprocal(g, out=g)
+    return g.reshape(shapes.shape) if n is None else g
 
 
 def sample_array(index: IndexSet, params: ParameterSet, seed: int) -> PolygonalArray:
@@ -177,17 +172,12 @@ def mc_laplace(
     n_samples: int = 10**6,
     seed: int = 0,
     n_streams: int = 1,
-    chunk: int = 10**5,
 ) -> MCEstimate:
     """Monte Carlo estimate of E[exp(-sum_l u_l Z_{m_l, n_l})].
 
     The sample budget is split into n_streams equal shares, each drawn from
-    its own Philox stream; the streams run one after another.  Each stream
-    draws its weights in chunks of `chunk` samples.  When any shape is < 1
-    (a uniform shape below 1, or mixed shapes that include one), a chunk
-    draws all its gammas before its uniforms, so (seed, n_streams, chunk)
-    fixes the estimate to the last bit; with every shape >= 1,
-    (seed, n_streams) does.  The DP block size never changes a bit.
+    its own PCG64 stream, one block of _DP_BLOCK samples after another;
+    (seed, n_streams) fixes the estimate to the last bit for every shape.
     """
     points = [(int(m), int(n)) for m, n in points]
     _validate_staircase(points)
@@ -200,7 +190,11 @@ def mc_laplace(
     n_samples = int(n_samples)
     if n_samples < 10**3:
         raise ValueError("n_samples must be >= 1000")
-    n_streams = max(1, int(n_streams))
+    n_streams = int(n_streams)
+    # every stream draws at least one sample, so the stream count is
+    # bounded by the sample budget
+    if not 1 <= n_streams <= n_samples:
+        raise ValueError("n_streams must be between 1 and n_samples")
 
     cells = IndexSet(points).cells()
     shapes = np.array([params.shape_at(i, j) for (i, j) in cells])
@@ -209,17 +203,17 @@ def mc_laplace(
     for k in range(n_samples - sum(per_stream)):
         per_stream[k] += 1
 
+    # every block is drawn into this one buffer and read before the next
+    buf = np.empty(len(cells) * min(_DP_BLOCK, max(per_stream)))
     sample = np.empty(n_samples)
     done = 0
     for stream, budget in enumerate(per_stream):
         rng = _stream_rng(int(seed), stream)
-        for start in range(0, budget, chunk):
-            w = _inverse_gamma_weights(rng, shapes, min(chunk, budget - start))
-            for b in range(0, w.shape[1], _DP_BLOCK):
-                block = w[:, b:b + _DP_BLOCK]
-                sample[done:done + block.shape[1]] = _mc_numpy.mc_chunk(
-                    block, points, us)
-                done += block.shape[1]
+        for start in range(0, budget, _DP_BLOCK):
+            w = _inverse_gamma_weights(rng, shapes,
+                                       min(_DP_BLOCK, budget - start), out=buf)
+            sample[done:done + w.shape[1]] = _mc_numpy.mc_chunk(w, points, us)
+            done += w.shape[1]
     mean = float(np.mean(sample))
     std = float(np.std(sample, ddof=1))
     return MCEstimate(
@@ -227,4 +221,5 @@ def mc_laplace(
         stderr=std / math.sqrt(n_samples),
         n_samples=n_samples,
         seed=int(seed),
+        n_streams=n_streams,
     )

@@ -177,6 +177,34 @@ def test_non_finite_contour_geometry_is_usage_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("streams", ["0", "-3", "1001"])
+def test_sample_stream_count_out_of_range_is_usage_error(streams):
+    proc = run_process("sample", "--points", "2,2", "--u", "1.0",
+                       "--samples", "1000", "--streams", streams)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_sample_reports_stream_layout(capsys):
+    code, doc = run_json(capsys, "sample", "--points", "2,2", "--u", "1.0",
+                         "--samples", "2000", "--streams", "2")
+    assert code == EXIT_OK
+    assert doc["streams"] == 2 and doc["generator"] == "PCG64"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the commands that never sample do not pay for importing numpy.random
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grsklab.__file__)))
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import grsklab.cli; print(before, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    before, after = proc.stdout.split()
+    assert after == before
+
+
 def test_threads_flag_is_gone():
     proc = run_process("--threads", "2", "sample", "--points", "2,2",
                        "--u", "1.0", "--samples", "1000")

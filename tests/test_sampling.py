@@ -156,17 +156,24 @@ def test_kernel_cells_outside_shape_are_never_drawn_or_read(monkeypatch):
 
 
 @pytest.mark.parametrize("shapes", [
-    [0.6] * 5, [1.0] * 5, [2.5] * 5, [0.6, 1.0, 1.4, 0.3, 2.0]])
+    [0.6] * 5, [1.0] * 5, [2.5] * 5, [0.6, 1.0, 1.4, 0.3, 2.0],
+    # U^2: the power numpy would square for a broadcast exponent
+    [0.5, 1.5, 0.5]])
 def test_cell_major_draw_matches_sample_major_draw(shapes):
-    # n draws of c shapes come back (c, n) with the stream consumed as by
-    # one draw of the (n, c) broadcast shapes
+    # n draws of c shapes come back cell-major, (c, n), with the stream
+    # consumed as by the element-by-element draw of the (c, n) broadcast
+    # shapes, with or without a buffer to draw into
     shapes = np.array(shapes)
     n = 2 * sampling._DP_BLOCK + 7
-    got = _inverse_gamma_weights(_stream_rng(4, 1), shapes, n)
     want = _inverse_gamma_weights(
-        _stream_rng(4, 1), np.broadcast_to(shapes, (n, shapes.size)))
+        _stream_rng(4, 1), np.broadcast_to(shapes[:, None], (shapes.size, n)))
+    got = _inverse_gamma_weights(_stream_rng(4, 1), shapes, n)
     assert got.shape == (shapes.size, n)
-    assert np.array_equal(got, want.T)
+    assert np.array_equal(got, want)
+    buf = np.full(shapes.size * n + 5, np.nan)
+    into = _inverse_gamma_weights(_stream_rng(4, 1), shapes, n, out=buf)
+    assert np.shares_memory(into, buf)
+    assert np.array_equal(into, want)
 
 
 # ---------------------------------------------------------------------------
@@ -174,35 +181,113 @@ def test_cell_major_draw_matches_sample_major_draw(shapes):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("points, us, params, n, seed, streams, mean, stderr", [
+# (points, us, params, n, seed, streams)
+_MC_CASES = [
     ([(2, 6), (4, 4), (6, 2)], [0.02] * 3, ParameterSet.flat(1.0, 6, 6),
-     200000, 3, 1, 0.0066246520553701, 0.00011266318467685942),
-    ([(1, 3), (3, 1)], [0.4, 0.4], ParameterSet.flat(0.6, 3, 3),
-     200000, 4, 1, 0.01629845318636107, 0.0001750188779781458),
+     200000, 3, 1),
+    ([(1, 3), (3, 1)], [0.4, 0.4], ParameterSet.flat(0.6, 3, 3), 200000, 4, 1),
     ([(1, 2), (2, 1)], [1.0, 2.0],
-     ParameterSet(alpha=[0.2, -0.1], alphahat=[0.9, 1.4]),
-     200000, 5, 1, 0.06118767918837826, 0.00029535205626126954),
+     ParameterSet(alpha=[0.2, -0.1], alphahat=[0.9, 1.4]), 200000, 5, 1),
     ([(2, 2)], [1.0], ParameterSet(alpha=[0.1, 0.4], alphahat=[0.7, 1.1]),
-     200007, 6, 3, 0.1086595604856258, 0.00045298818442641845),
+     200007, 6, 3),
     # uniform shape 1 from non-flat parameters: the exponential draw
     ([(1, 2), (2, 1)], [0.7, 1.3],
-     ParameterSet(alpha=[0.5, 0.5], alphahat=[0.5, 0.5]),
-     200000, 8, 1, 0.083043955544766, 0.0003549959662021406),
+     ParameterSet(alpha=[0.5, 0.5], alphahat=[0.5, 0.5]), 200000, 8, 1),
     ([(1, 3), (2, 2), (3, 1)], [0.3, 0.2, 0.5], ParameterSet.flat(1.5, 3, 3),
-     200000, 9, 1, 0.30471706478788074, 0.0006494699253154991),
-    # a sample count that is no multiple of the DP block or the draw chunk,
-    # on a non-rectangular staircase with mixed shapes below and above 1
+     200000, 9, 1),
+    # a sample count that is no multiple of the DP block, on a
+    # non-rectangular staircase with mixed shapes below and above 1
     ([(1, 4), (3, 2)], [0.3, 0.4],
      ParameterSet(alpha=[0.1, 0.3, 0.0], alphahat=[0.9, 0.5, 1.2, 0.8]),
-     130001, 10, 2, 0.013214410448386905, 0.00019493779707614134),
-])
-def test_mc_laplace_pinned_values(points, us, params, n, seed, streams,
-                                  mean, stderr):
+     130001, 10, 2),
+]
+_MC_IDS = ["flat1-staircase", "flat0.6-two-corners", "mixed-two-corners",
+           "mixed-one-corner-3-streams", "uniform1-two-corners",
+           "flat1.5-three-corners", "mixed-below-above-1-2-streams"]
+# (mean, stderr) of each case: PCG64 streams, cell-major blocks
+_MC_PINS = [
+    (0.006759191224932149, 0.00011334539470849265),
+    (0.01622143477042909, 0.00017520098369645695),
+    (0.06109779767090531, 0.0002955817960293295),
+    (0.10950941397392808, 0.00045504865020976016),
+    (0.08266796978920316, 0.00035329363097141896),
+    (0.30446487170169856, 0.0006491487627723334),
+    (0.013223440440834462, 0.0001949172507513022),
+]
+# the same cases from the earlier layout (Philox streams, sample-major
+# chunks of 1e5 samples): an independent sample of the same estimators
+_MC_PHILOX_PINS = [
+    (0.0066246520553701, 0.00011266318467685942),
+    (0.01629845318636107, 0.0001750188779781458),
+    (0.06118767918837826, 0.00029535205626126954),
+    (0.1086595604856258, 0.00045298818442641845),
+    (0.083043955544766, 0.0003549959662021406),
+    (0.30471706478788074, 0.0006494699253154991),
+    (0.013214410448386905, 0.00019493779707614134),
+]
+
+
+def _run_case(case):
+    points, us, params, n, seed, streams = case
+    return mc_laplace(points, us, params, n, seed=seed, n_streams=streams)
+
+
+@pytest.mark.parametrize("case, pin", zip(_MC_CASES, _MC_PINS), ids=_MC_IDS)
+def test_mc_laplace_pinned_values(case, pin):
     # the stream layout and the DP are fixed: the estimates are reproducible
     # to the last bit for flat shapes >= 1 and < 1 and for mixed shapes
-    est = mc_laplace(points, us, params, n, seed=seed, n_streams=streams)
-    assert est.mean == pytest.approx(mean, rel=1e-12)
-    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+    est = _run_case(case)
+    assert est.mean == pytest.approx(pin[0], rel=1e-12)
+    assert est.stderr == pytest.approx(pin[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("case, pin", zip(_MC_CASES, _MC_PHILOX_PINS),
+                         ids=_MC_IDS)
+def test_mc_laplace_agrees_with_philox_pins(case, pin):
+    # a change of stream layout moves the estimates by noise only
+    est = _run_case(case)
+    assert abs(est.mean - pin[0]) <= 4 * math.hypot(est.stderr, pin[1])
+    assert est.stderr == pytest.approx(pin[1], rel=0.02)
+
+
+def test_mc_laplace_reproduces_across_calls_and_partial_blocks():
+    # the reused draw buffer must hold no state between blocks or calls:
+    # two calls agree to the last bit, and so does a sum over blocks drawn
+    # into fresh arrays, with a short last block in each stream
+    points, us = [(1, 3), (2, 2), (3, 1)], [0.3, 0.2, 0.5]
+    p = ParameterSet(alpha=[0.0, 0.2, 0.1], alphahat=[0.6, 1.0, 1.3])
+    n = 2 * sampling._DP_BLOCK + 2 * 1234 + 1
+    a = mc_laplace(points, us, p, n, seed=12, n_streams=2)
+    b = mc_laplace(points, us, p, n, seed=12, n_streams=2)
+    assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+    shapes = np.array([p.shape_at(i, j) for (i, j) in IndexSet(points).cells()])
+    parts = []
+    for stream, budget in enumerate([n // 2 + 1, n // 2]):
+        rng = _stream_rng(12, stream)
+        for start in range(0, budget, sampling._DP_BLOCK):
+            w = _inverse_gamma_weights(
+                rng, shapes, min(sampling._DP_BLOCK, budget - start))
+            parts.append(_mc_numpy.mc_chunk(w, points, us))
+    sample = np.concatenate(parts)
+    assert a.mean == float(np.mean(sample))
+    assert a.stderr == float(np.std(sample, ddof=1)) / math.sqrt(n)
+
+
+def test_mc_laplace_reports_stream_layout():
+    est = mc_laplace([(2, 2)], [1.0], ParameterSet.flat(1.0, 2, 2), 10**3,
+                     seed=1, n_streams=3)
+    assert (est.n_streams, est.generator) == (3, "PCG64")
+    doc = est.to_json_dict()
+    assert doc["streams"] == 3 and doc["generator"] == "PCG64"
+    assert type(_stream_rng(1, 0).bit_generator).__name__ == est.generator
+
+
+@pytest.mark.parametrize("streams", [0, -3, 1001])
+def test_mc_laplace_rejects_stream_count_out_of_range(streams):
+    with pytest.raises(ValueError, match="n_streams"):
+        mc_laplace([(2, 2)], [1.0], ParameterSet.flat(1.0, 2, 2), 10**3,
+                   n_streams=streams)
 
 
 def test_mc_laplace_u_zero_is_one():
