@@ -4,15 +4,17 @@ limiting terms of the double series expansion.
 The two-time distribution is the Fredholm determinant det(I - f Ai f) of
 the extended Airy kernel on L^2({t1,t2} x R), computed in full as the
 determinant of its weighted Nystrom matrix K (Bornemann, Math. Comp. 79
-(2010) 871).  The series terms are coefficients of the graded determinant
-det(I - z1 P1 K - z2 P2 K), where P_l keeps the rows of time l, read off
-by an FFT over roots of unity: the limit terms I_{m,n} are its z2^m z1^n
-coefficients at the scaled times and thresholds, and the block Fredholm
-expansion, kept as a partial-sum diagnostic, sums the coefficients of
-det(I - z K) by total order.  The pre-limit counterparts of I_{m,n},
-grsklab.contour.prelimit_term, are the double-series terms of the polymer
-at the N^{2/3}-scaled points; the orthant form of those terms is the
-identity they rest on.
+(2010) 871).  One routine, _kernel_block, integrates the kernel over its
+lambda grids: it gives every block of that matrix and, on one-point
+arrays, extended_airy_kernel.  The series terms are coefficients of the
+graded determinant det(I - z1 P1 K - z2 P2 K), where P_l keeps the rows
+of time l, read off by an FFT over roots of unity: the limit terms
+I_{m,n} are its z2^m z1^n coefficients at the scaled times and
+thresholds, and the block Fredholm expansion, kept as a partial-sum
+diagnostic, sums the coefficients of det(I - z K) by total order.  The
+pre-limit counterparts of I_{m,n}, grsklab.contour.prelimit_term, are the
+double-series terms of the polymer at the N^{2/3}-scaled points; the
+orthant form of those terms is the identity they rest on.
 """
 from __future__ import annotations
 
@@ -80,59 +82,46 @@ def _ai(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def extended_airy_kernel(
-    t: float,
-    xi: float,
-    tp: float,
-    xip: float,
-    lam_max: float = _LAMBDA_MAX,
-    n_nodes: int = 200,
-) -> float:
-    """The extended Airy kernel Ai(t, xi; t', xi').
+def _kernel_block(ta, x, tb, y, lam_max=_LAMBDA_MAX, n_lam=200):
+    """The extended Airy kernel K(ta, x_i; tb, y_j) as a matrix:
+    int e^{-lambda(ta-tb)} Ai(x_i+lambda) Ai(y_j+lambda) over lambda > 0
+    for ta >= tb, and minus that integral over lambda < 0 for ta < tb.
 
-    For t >= t': int_0^inf e^{-lambda(t-t')} Ai(xi+lambda) Ai(xi'+lambda).
-    For t < t': -int_{-inf}^0 of the same integrand; the truncated tail is
-    bounded by the decaying exponential and an error is raised when the
-    truncation at lam_max cannot represent the branch."""
-    val, _ = _kernel_with_tail(t, xi, tp, xip, lam_max, n_nodes)
-    # refinement check: a longer, denser rule must agree
-    ref, tail = _kernel_with_tail(t, xi, tp, xip, lam_max + 4.0, int(1.5 * n_nodes))
+    The negative branch runs on lambda = -x with negated weights.  Ai(. - x)
+    only decays polynomially there, so the exponential must do the work:
+    the window stretches to 40/rate (capped at 400), its node density
+    tracks the Airy oscillation, and an error is raised when the dropped
+    tail is not negligible."""
+    s = ta - tb
+    if s >= 0:
+        lam, w = gl_panels(0.0, lam_max, n_lam, 4)
+    else:
+        rate = max(-s, 1e-300)
+        x_max = min(max(lam_max, 40.0 / rate), 400.0)
+        tail = 0.3 * math.exp(-x_max * rate) / rate
+        if tail > 1e-8:
+            raise ArithmeticError(
+                "negative-time branch needs |t - t'| large enough for the "
+                f"truncation window (dropped tail ~ {tail:.2e})"
+            )
+        xg, wx = gl_panels(0.0, x_max, max(n_lam, int(10.0 * x_max)), 16)
+        lam, w = -xg, -wx
+    fa = _ai(x[None, :] + lam[:, None])
+    fb = fa if y is x else _ai(y[None, :] + lam[:, None])
+    return (fa * (np.exp(-lam * s) * w)[:, None]).T @ fb
+
+
+def extended_airy_kernel(t: float, xi: float, tp: float, xip: float) -> float:
+    """The extended Airy kernel Ai(t, xi; t', xi'), checked against a
+    longer, denser rule."""
+    x, y = np.array([float(xi)]), np.array([float(xip)])
+    val = _kernel_block(t, x, tp, y)[0, 0]
+    ref = _kernel_block(t, x, tp, y, _LAMBDA_MAX + 4.0, 300)[0, 0]
     if abs(val - ref) > 1e-8 + 1e-8 * abs(ref):
         raise ArithmeticError(
             "extended Airy kernel did not converge under refinement"
         )
-    return ref
-
-
-def _kernel_with_tail(t, xi, tp, xip, lam_max, n_nodes):
-    if t >= tp:
-        lam, w = gl_panels(0.0, lam_max, n_nodes, 4)
-        vals = np.exp(-lam * (t - tp)) * _ai(xi + lam) * _ai(xip + lam)
-        return float(np.sum(vals * w)), 0.0
-    # t < t': lambda = -x, x > 0; integrand decays like e^{-x(t'-t)} but
-    # Ai(xi - x) only decays polynomially, so the exponential must do the
-    # work: extend the truncation to where the tail is negligible and
-    # reject only when that would require an unreasonable window
-    rate = tp - t
-    x_max, n, tail = _negative_branch_window(rate, lam_max)
-    x, w = gl_panels(0.0, x_max, max(n, n_nodes), 16)
-    vals = np.exp(-x * rate) * _ai(xi - x) * _ai(xip - x)
-    return -float(np.sum(vals * w)), tail
-
-
-def _negative_branch_window(rate: float, lam_max: float = _LAMBDA_MAX):
-    """Truncation window and node count for integrals of
-    e^{-rate x} Ai(. - x) Ai(. - x): the window stretches to 40/rate
-    (capped at 400) and the node density tracks the Airy oscillation."""
-    x_max = min(max(lam_max, 40.0 / max(rate, 1e-300)), 400.0)
-    tail = 0.3 * math.exp(-x_max * rate) / max(rate, 1e-300)
-    if tail > 1e-8:
-        raise ArithmeticError(
-            "negative-time branch needs |t - t'| large enough for the "
-            f"truncation window (dropped tail ~ {tail:.2e})"
-        )
-    n = max(200, int(10.0 * x_max))
-    return x_max, n, tail
+    return float(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -175,32 +164,17 @@ def _operator(q: AiryQuery):
 
 def _nystrom_matrix(times, thresholds, n_tau):
     """Weighted Nystrom matrix of f Ai f on the union of the per-time
-    half-lines [xi_l, inf), truncated at xi_l + TAU_MAX.  The Ai table of
-    each time on the positive lambda grid is evaluated once and shared by
-    every block with t_a >= t_b."""
+    half-lines [xi_l, inf), truncated at xi_l + TAU_MAX.  The node arrays
+    are keyed by threshold, so blocks whose thresholds agree share one Ai
+    table per lambda grid."""
     tau, wt = gl_panels(0.0, _TAU_MAX, n_tau, 4)
-    k = len(times)
-    ys = [thresholds[l] + tau for l in range(k)]
-    lam_pos, wl_pos = gl_panels(0.0, _LAMBDA_MAX, 200, 4)
-    ai_pos = [_ai(y[None, :] + lam_pos[:, None]) for y in ys]
-    blocks = [[None] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            ta, tb = times[a], times[b]
-            if ta >= tb:
-                ew = np.exp(-lam_pos * (ta - tb)) * wl_pos
-                blocks[a][b] = np.einsum("l,li,lj->ij", ew, ai_pos[a], ai_pos[b])
-            else:
-                rate = tb - ta
-                x_max, nx, _ = _negative_branch_window(rate)
-                xg, wx = gl_panels(0.0, x_max, nx, 16)
-                fa = _ai(ys[a][None, :] - xg[:, None])
-                fb = _ai(ys[b][None, :] - xg[:, None])
-                ew = np.exp(-xg * rate) * wx
-                blocks[a][b] = -np.einsum("l,li,lj->ij", ew, fa, fb)
-    M = np.block(blocks)
-    w_full = np.concatenate([wt] * k)
-    return M * w_full[None, :]
+    nodes = {xi: xi + tau for xi in thresholds}
+    ys = [nodes[xi] for xi in thresholds]
+    M = np.block([
+        [_kernel_block(ta, ya, tb, yb) for tb, yb in zip(times, ys)]
+        for ta, ya in zip(times, ys)
+    ])
+    return M * np.tile(wt, len(times))[None, :]
 
 
 def airy_two_point_series(

@@ -284,11 +284,14 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_fredholm(args) -> int:
-    (m, n) = _parse_points(args.points)[0]
+    points, us = _parse_points(args.points), _parse_floats(args.u)
+    if len(points) != 1 or len(us) != 1:
+        raise ValueError("fredholm takes one corner point and one --u value")
+    (m, n), u = points[0], us[0]
     params = _params_from_args(args, m, n)
-    val, err = _bcr_fredholm(m, n, _parse_floats(args.u)[0], params.alpha,
-                             params.alphahat, delta1=args.delta1,
-                             delta2=args.delta2, order=args.order, length=args.L)
+    val, err = _bcr_fredholm(m, n, u, params.alpha, params.alphahat,
+                             delta1=args.delta1, delta2=args.delta2,
+                             order=args.order, length=args.L)
     _emit(
         {
             "value": val.real,

@@ -659,6 +659,10 @@ def _bcr_fredholm(m, n, u, alpha, alphahat, delta1=None, delta2=None, quad=None,
         raise ValueError("need m alpha values and n alphahat values")
     if u < 0:
         raise ValueError("Laplace argument must be >= 0")
+    if order is None:
+        order = n
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if u == 0:
         return 1.0 + 0j, 0.0
     s = sum(alphahat) / n
@@ -676,8 +680,6 @@ def _bcr_fredholm(m, n, u, alpha, alphahat, delta1=None, delta2=None, quad=None,
         delta1 = 0.5 * (cap + ahp_max)
     if not (ahp_max < delta1 < cap):
         raise ValueError("requires max|alphahat'| < delta1 < min(delta2, 1-delta2)")
-    if order is None:
-        order = n
 
     # u^w oscillates along the w-line at large u and the integrand decays
     # slowly at small u: the line takes twice the 1-d node count

@@ -33,27 +33,19 @@ _BIT_GENERATOR = "PCG64"
 
 @dataclass
 class ParameterSet:
-    """Model parameters: per-row alpha_i, per-column alphahat_j, plus the
-    symbols used by the flat (0, gamma) specialization and the N -> infinity
-    scaling (N, t1, t2, r1, r2)."""
+    """Model parameters: per-row alpha_i, per-column alphahat_j, and the
+    gamma of the flat (0, gamma) specialization."""
 
     alpha: List[float] = field(default_factory=list)
     alphahat: List[float] = field(default_factory=list)
     gamma: float = 1.0
-    u1: float = 1.0
-    u2: float = 1.0
-    N: int = 1
-    t1: float = 0.0
-    t2: float = 0.0
-    r1: float = 0.0
-    r2: float = 0.0
 
     @classmethod
-    def flat(cls, gamma: float, m: int, n: int, **kw) -> "ParameterSet":
+    def flat(cls, gamma: float, m: int, n: int) -> "ParameterSet":
         """The (0, gamma) specialization: alpha_i = 0, alphahat_j = gamma."""
         if not (math.isfinite(gamma) and gamma > 0):
             raise ValueError("gamma must be positive and finite")
-        return cls(alpha=[0.0] * m, alphahat=[gamma] * n, gamma=gamma, **kw)
+        return cls(alpha=[0.0] * m, alphahat=[gamma] * n, gamma=gamma)
 
     def shape_at(self, i: int, j: int) -> float:
         if i > len(self.alpha) or j > len(self.alphahat):

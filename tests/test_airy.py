@@ -83,14 +83,17 @@ def test_forward_time_kernel_vs_scipy_quadrature():
     assert val == pytest.approx(ref, abs=1e-8)
 
 
-def test_backward_time_kernel_vs_scipy_quadrature():
-    # t < t': negative branch probes Ai on the oscillatory side
-    rate = 1.1
+@pytest.mark.parametrize("rate, upper", [(1.1, 120.0), (0.25, 200.0), (0.1, 450.0)],
+                         ids=["rate1.1", "rate0.25", "rate0.1"])
+def test_backward_time_kernel_vs_scipy_quadrature(rate, upper):
+    # t < t': negative branch probes Ai on the oscillatory side; rates 0.25
+    # and 0.1 run the 160- and 400-unit windows, and the oracle's upper
+    # limit covers 40/rate
     ref, _ = scipy.integrate.quad(
         lambda u: math.exp(-rate * u) * scipy_ai(0.3 - u) * scipy_ai(0.1 - u),
-        0.0, 120.0, limit=400,
+        0.0, upper, limit=4000,
     )
-    val = extended_airy_kernel(0.2, 0.3, 1.3, 0.1)
+    val = extended_airy_kernel(0.0, 0.3, rate, 0.1)
     assert val == pytest.approx(-ref, abs=1e-7)
 
 

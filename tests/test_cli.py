@@ -177,6 +177,18 @@ def test_non_finite_contour_geometry_is_usage_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["fredholm", "--points", "2,2,3,1", "--u", "1"],
+    ["fredholm", "--points", "2,2", "--u", "1,2"],
+    ["fredholm", "--points", "2,2", "--u", "1", "--order", "-1"],
+])
+def test_fredholm_extra_input_or_negative_order_is_usage_error(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("streams", ["0", "-3", "1001"])
 def test_sample_stream_count_out_of_range_is_usage_error(streams):
     proc = run_process("sample", "--points", "2,2", "--u", "1.0",

@@ -228,6 +228,14 @@ def test_bcr_u_zero_and_validation():
         bcr_fredholm(2, 2, 1.0, [-2.0, 0.0], [1.0, 1.0])
 
 
+def test_bcr_order_zero_is_constant_term_and_negative_order_raises():
+    a, ah = [0.0, 0.0], [1.0, 1.0]
+    assert bcr_fredholm(2, 2, 1.0, a, ah, order=0) == pytest.approx(1.0, abs=1e-12)
+    for u in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            bcr_fredholm(2, 2, u, a, ah, order=-1)
+
+
 # ---------------------------------------------------------------------------
 # two-point transforms
 # ---------------------------------------------------------------------------
