@@ -2,9 +2,10 @@
 Airy evaluations, verification suites, and CSV sweeps.
 
 Exit codes: 0 success, 1 computational failure (non-convergence), 2 input
-validation.  Defaults for quadrature settings can be overridden with
-GRSKLAB_-prefixed environment variables (GRSKLAB_NODES, GRSKLAB_LENGTH,
-GRSKLAB_SAMPLES).
+validation; a reader that closes stdout early (grsklab ... | head) gets
+exit 0 and no message.  Defaults for quadrature settings can be
+overridden with GRSKLAB_-prefixed environment variables (GRSKLAB_NODES,
+GRSKLAB_LENGTH, GRSKLAB_SAMPLES).
 """
 from __future__ import annotations
 
@@ -586,7 +587,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # the cached parser, so that a handler replaced on the module runs
     handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(args)
+        code = handler(args)
+        # a closed pipe shows up here, not at the flush at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (grsklab ... | head): exit 0 without a
+        # traceback, and point stdout at devnull so that the flush at
+        # interpreter exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

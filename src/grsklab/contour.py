@@ -8,12 +8,17 @@ two-point formula, a numeric check of the block Cauchy identity, and the
 pre-limit terms of the two-point Airy asymptotics.
 
 Conventions:
-  - vertical lines ell_delta = delta + i R are traced upwards and, for the
-    Sklyanin-density integrals, truncated to [-L, L] and discretized by the
-    trapezoid rule (Trefethen & Weideman, SIAM Rev. 56 (2014) 385): uniform
-    nodes at a fixed spacing h, so a longer line gets more nodes, not
-    coarser ones.  On uniform lines the pair factor of a group is Toeplitz
-    and the cross factor between groups is Hankel (Gamma(lambda + mu)) or
+  - vertical lines ell_delta = delta + i R are traced upwards, truncated to
+    [-L, L] and discretized by one rule, the trapezoid nodes of
+    vertical_line(delta, L, n).nodes(): uniform nodes at a fixed spacing h,
+    so a longer line gets more nodes, not coarser ones.  The rule converges
+    geometrically in the distance from the line to the nearest pole of the
+    integrand (Trefethen & Weideman, SIAM Rev. 56 (2014) 385), so each
+    default line sits off the poles it faces: the second line of the
+    Gamma(mu - lambda) integrals half a unit right of the first, and the
+    (1,1) series line at 0.35 gamma, 0.3 gamma from the Gamma(gamma - w - w')
+    pole.  On uniform lines the pair factor of a group is Toeplitz and the
+    cross factor between groups is Hankel (Gamma(lambda + mu)) or
     Toeplitz (Gamma(mu - lambda)): each matrix is gathered from its 2n-1
     generating values instead of n^2 special-function evaluations;
   - on such a line the Sklyanin pair product of k axes is a product of two
@@ -110,7 +115,8 @@ class ContourSpec:
 
 def vertical_line(delta: float, length: float = 12.0, n_nodes: int = 240) -> ContourSpec:
     """The line delta + i[-length, length] with n_nodes trapezoid nodes at
-    spacing h = 2 length / n_nodes (0.1 at the defaults)."""
+    spacing h = 2 length / n_nodes (0.1 at the defaults), the one rule of
+    every vertical line in this module."""
     return ContourSpec(kind="line", delta=delta, length=length, n_nodes=n_nodes)
 
 
@@ -124,7 +130,6 @@ class ContourDefaults:
 
     delta: float
     delta1: float
-    delta_prime: float
 
 
 def default_contours(gamma: float) -> ContourDefaults:
@@ -134,7 +139,6 @@ def default_contours(gamma: float) -> ContourDefaults:
     return ContourDefaults(
         delta=delta,
         delta1=0.2 * min(delta, 1.0 - delta) if delta < 1.0 else 0.1,
-        delta_prime=delta + 0.1 * gamma,
     )
 
 
@@ -149,23 +153,12 @@ def _line_nodes_for_dim(dim: int, quad: Optional[QuadratureSpec],
     """Nodes on a line of half-length `length`: the base count belongs to
     L = 12 and scales with the length, so the spacing stays fixed."""
     # the 4-d joint terms carry a slowly-decaying cross term along the
-    # lines, so they need denser panels than the lower-dimensional cases
+    # lines, so they need denser nodes than the lower-dimensional cases
     length = _checked_length(length)
     base = {1: 240, 2: 240, 3: 200}.get(dim, 320)
     if quad is not None:
         base = max(32, int(base * quad.nodes_per_unit / 20.0))
     return max(32, round(base * length / 12.0))
-
-
-def _gl_line(delta: float, length: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and line elements on delta + i[-L, L],
-    panels of about 48 nodes: the w-lines of bcr_fredholm and
-    joint_series_term.  Their matrices pair the line with a circle, so
-    uniform nodes give no Toeplitz structure, and the Gamma(gamma - w - w')
-    pole of the (1,1) series term, 0.1-0.2 from the line, costs the
-    trapezoid rule accuracy there."""
-    y, wy = gl_panels(-_checked_length(length), length, n, max(1, n // 48))
-    return delta + 1j * y, 1j * wy
 
 
 def _toeplitz_index(rows: int, cols: int) -> np.ndarray:
@@ -503,7 +496,9 @@ def laplace2_case_b(
 ) -> complex:
     """Joint Laplace transform in the case m2 < n2 (with m1 <= n1): lambda
     over (ell_delta)^{m1}, mu over (ell_{delta'})^{m2} with delta' > delta,
-    and the cross factor prod Gamma(-lambda_i + mu_{i'})."""
+    and the cross factor prod Gamma(-lambda_i + mu_{i'}).  delta' defaults
+    to delta + 0.5, half a unit off the poles of Gamma(mu - lambda) at the
+    integers mu - lambda <= 0."""
     _check_two_points(m1, n1, m2, n2)
     if not (m1 <= n1 and m2 < n2):
         raise ValueError("case b requires m1 <= n1 and m2 < n2 "
@@ -514,11 +509,10 @@ def laplace2_case_b(
     alphahat = [float(a) for a in alphahat][:n1]
     if len(alpha) != m2 or len(alphahat) != n1:
         raise ValueError("need m2 alpha values and n1 alphahat values")
-    dflt = default_contours(gamma)
     if delta is None:
-        delta = dflt.delta
+        delta = default_contours(gamma).delta
     if delta_prime is None:
-        delta_prime = delta + 0.1 * gamma
+        delta_prime = delta + 0.5
     if not (0 < delta < delta_prime):
         raise ValueError("requires 0 < delta < delta'")
     if max(abs(a) for a in alpha) >= delta:
@@ -548,7 +542,7 @@ def oy_laplace2(
     u2: float,
     alpha: Sequence[float],
     delta: float = 0.4,
-    delta_prime: float = 0.5,
+    delta_prime: Optional[float] = None,
     quad: Optional[QuadratureSpec] = None,
     length: Optional[float] = None,
 ) -> complex:
@@ -556,7 +550,7 @@ def oy_laplace2(
     same contour structure as the m2 < n2 log-gamma case, with the gamma
     ratios replaced by Gaussian factors exp(((t1-t2)/2)(lambda^2-alpha^2))
     and exp((t2/2)(mu^2-alpha^2)); the Gaussians make the integrals
-    absolutely convergent.
+    absolutely convergent.  As there, delta' defaults to delta + 0.5.
 
     Contour truncation: the reciprocal-gamma pair factors of the Sklyanin
     density *grow* like exp(pi |y_i - y_j|), so the Gaussian only wins far
@@ -575,6 +569,8 @@ def oy_laplace2(
     alpha = [float(a) for a in alpha][:m2]
     if len(alpha) != m2:
         raise ValueError("need m2 alpha (drift) values")
+    if delta_prime is None:
+        delta_prime = delta + 0.5
     if max(abs(a) for a in alpha) >= delta or delta >= delta_prime:
         raise ValueError("requires |alpha| < delta < delta'")
     if u2 == 0:
@@ -685,7 +681,7 @@ def _bcr_fredholm(m, n, u, alpha, alphahat, delta1=None, delta2=None, quad=None,
     # slowly at small u: the line takes twice the 1-d node count
     nw = 2 * _line_nodes_for_dim(1, quad, length)
     v, dv = circle(delta1, n_circle).nodes()
-    w, dw = _gl_line(delta2, length, nw)
+    w, dw = vertical_line(delta2, length, nw).nodes()
 
     def phi(z):
         # log of u^z prod_i Gamma(alpha'_i - z) / prod_j Gamma(z + alphahat'_j)
@@ -734,7 +730,10 @@ def joint_series_term(
 
     Each pair contributes a circle C_{delta1} and a line ell_delta
     integral; pairs interact through Cauchy determinants within a group
-    and through the gamma-function cross term across groups.
+    and through the gamma-function cross term across groups.  delta
+    defaults to 0.4 gamma for the one-group terms and to 0.35 gamma for
+    the (1,1) term, whose cross factor Gamma(gamma - w - w') has a pole
+    gamma - 2 delta from the line.
 
     The line half-length defaults to min(12, max(2, 80/decay)), where
     decay = (pi/2) min(m_i + n_i) over the points whose group the term
@@ -750,7 +749,7 @@ def joint_series_term(
         return 1.0 + 0j
     dflt = default_contours(gamma)
     if delta is None:
-        delta = dflt.delta
+        delta = 0.35 * gamma if m and n else dflt.delta
     if delta1 is None:
         delta1 = dflt.delta1
     if not (0 < delta1 < min(delta, 1.0 - delta) and delta < gamma / 2):
@@ -762,7 +761,7 @@ def joint_series_term(
         length = min(12.0, max(2.0, 80.0 / decay))
     nl = _line_nodes_for_dim(2 * (m + n), quad)
     v, dv = circle(delta1, n_circle).nodes()
-    w, dw = _gl_line(delta, length, nl)
+    w, dw = vertical_line(delta, length, nl).nodes()
 
     def phi(z, u, e_gamma, e_zero):
         # the pair weight is e^{Phi(w) - Phi(v)}: u^w Gamma(gamma-w)^e_gamma
@@ -922,7 +921,7 @@ def prelimit_term(
 
     This is joint_series_term at (m1,n1,m2,n2) = scaled_points(N, t1, t2)
     and u_i = scaled_u(N, gamma, r_i), on the pre-limit offsets
-    delta = 0.45 gamma, delta1 = 0.2 gamma.  The paper writes the term as
+    delta = 0.4 gamma, delta1 = 0.2 gamma.  The paper writes the term as
     tau and x orthant integrals of a block determinant; the two forms agree
     exactly.  int_0^inf e^{x s} dx = -1/s (Re s < 0) collapses the tau and
     x integrals of a pair to its Cauchy factor, and at (1,1) the identity
@@ -943,7 +942,7 @@ def prelimit_term(
     if m > n2 or n > m1:
         raise ValueError("term indices exceed the series range (n2, m1)")
     if delta is None:
-        delta = 0.45 * gamma
+        delta = 0.4 * gamma
     if delta1 is None:
         delta1 = 0.2 * gamma
     if not (0 < delta1 < delta < gamma / 2):

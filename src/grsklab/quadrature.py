@@ -11,22 +11,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node density and truncation bookkeeping.
-
-    nodes_per_unit: target nodes per unit contour length, Gauss-Legendre or
-        trapezoid
-    truncation: half-length L for unbounded directions
-    """
+    """Node density: nodes_per_unit is the target number of nodes per unit
+    contour length."""
 
     nodes_per_unit: float = 20.0
-    truncation: float = 12.0
 
     def __post_init__(self):
-        if self.nodes_per_unit <= 0 or self.truncation <= 0:
-            raise ValueError("quadrature parameters must be positive")
-
-    def n_nodes(self, length: float) -> int:
-        return max(8, int(round(self.nodes_per_unit * length)))
+        if self.nodes_per_unit <= 0:
+            raise ValueError("nodes_per_unit must be positive")
 
 
 @lru_cache(maxsize=256)

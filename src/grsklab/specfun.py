@@ -305,6 +305,15 @@ class WhittakerArg:
         return len(self.alpha)
 
 
+# half-length of the log-variable window y in [-L, L] of the Givental and
+# Stade integrals
+_GIVENTAL_HALF_LENGTH = 12.0
+
+
+def _givental_nodes(quad: QuadratureSpec) -> int:
+    return max(8, int(round(quad.nodes_per_unit * 2 * _GIVENTAL_HALF_LENGTH)))
+
+
 def whittaker_givental(arg: WhittakerArg, quad: QuadratureSpec | None = None):
     """Psi^{(n)}_alpha(x) by quadrature of the Givental integral, rank <= 2.
 
@@ -313,12 +322,11 @@ def whittaker_givental(arg: WhittakerArg, quad: QuadratureSpec | None = None):
     potential couples it to the top row, fixed to x.
     """
     if quad is None:
-        quad = QuadratureSpec(nodes_per_unit=200.0 / 24.0, truncation=12.0)
+        quad = QuadratureSpec(nodes_per_unit=200.0 / 24.0)
     if arg.rank == 1:
         return complex(arg.x[0] ** (-np.asarray(arg.alpha[0], dtype=complex)))
-    L = quad.truncation
-    n_nodes = quad.n_nodes(2 * L)
-    y, wy = gl_nodes(-L, L, n_nodes)
+    L = _GIVENTAL_HALF_LENGTH
+    y, wy = gl_nodes(-L, L, _givental_nodes(quad))
     z = np.exp(y)  # dz/z = dy
     a = np.asarray(arg.alpha, dtype=complex)
     x1, x2 = arg.x
@@ -346,12 +354,12 @@ def stade_check(n: int, nu, lam, r: float,
             if (ni + lj).real <= 0:
                 raise ValueError("need Re(nu_i + lam_j) > 0")
     if quad is None:
-        quad = QuadratureSpec(nodes_per_unit=120.0 / 24.0, truncation=12.0)
+        quad = QuadratureSpec(nodes_per_unit=120.0 / 24.0)
     rhs = r ** (-float(np.sum(nu + lam).real)) * np.prod(
         [gamma(ni + lj) for ni in nu for lj in lam]
     )
-    L = quad.truncation
-    m = quad.n_nodes(2 * L)
+    L = _GIVENTAL_HALF_LENGTH
+    m = _givental_nodes(quad)
     y, wy = gl_nodes(-L, L, m)
     x = np.exp(y)
     if n == 1:

@@ -25,16 +25,21 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_process(*argv, python_flags=()):
-    """Run the CLI in a fresh interpreter, so that exit codes, tracebacks
-    and interpreter warnings are seen as a shell user would see them."""
+def _process_env():
+    """The environment with this checkout's grsklab first on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(grsklab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_process(*argv, python_flags=()):
+    """Run the CLI in a fresh interpreter, so that exit codes, tracebacks
+    and interpreter warnings are seen as a shell user would see them."""
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "grsklab.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_process_env(), timeout=120)
 
 
 @pytest.fixture
@@ -198,6 +203,20 @@ def test_sample_stream_count_out_of_range_is_usage_error(streams):
     assert "Traceback" not in proc.stderr
 
 
+def test_closed_stdout_exits_without_traceback(ones2x2):
+    # the reader closes the pipe before the child writes, as
+    # `grsklab ... | head` can: the write fails with EPIPE, which must end
+    # in exit 0 and an empty stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grsklab.cli", "grsk", ones2x2],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_process_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert err == b""
+
+
 def test_sample_reports_stream_layout(capsys):
     code, doc = run_json(capsys, "sample", "--points", "2,2", "--u", "1.0",
                          "--samples", "2000", "--streams", "2")
@@ -251,12 +270,12 @@ def test_laplace_two_point_routes_and_custom_nodes(capsys):
 
 
 @pytest.mark.parametrize("u, ref", [
-    # laplace2_case_b at 60 and 80 nodes per unit agree to <= 6e-9
-    (0.25, 0.0726486985), (1.0, 0.0152742697), (4.0, 0.0015835009),
+    # laplace2_case_b with delta' in {0.9, 1.2} at 40 to 80 nodes per unit
+    # agree to 3e-15
+    (0.25, 0.072648692465633), (1.0, 0.0152742691419596),
+    (4.0, 0.00158350099849129),
 ])
 def test_laplace_case_b_within_its_error_estimate(capsys, u, ref):
-    # Gauss-Legendre lines were 1.4e-3 to 5.7e-3 off here, and at
-    # u = 0.25 beyond the reported error estimate
     code, doc = run_json(capsys, "laplace", "--points", "1,4,2,3",
                          "--u", f"{u},{u}")
     assert code == EXIT_OK

@@ -108,7 +108,6 @@ def test_line_integral_gaussian():
 def test_default_contours_ordering():
     d = default_contours(1.0)
     assert 0 < d.delta1 < d.delta < 0.5
-    assert d.delta_prime > d.delta
     with pytest.raises(ValueError):
         default_contours(-1.0)
 
@@ -469,14 +468,16 @@ def test_prelimit_sum_matches_case_a_anchor():
 
 
 def test_prelimit_term_matches_orthant_values():
-    # the paper's tau/x orthant form, integrated by 1024-node
-    # Gauss-Legendre per orthant axis; the joint-series term is the same
-    # integral with those axes done in closed form
+    # the (1,0) values are the paper's tau/x orthant form, integrated by
+    # 1024-node Gauss-Legendre per orthant axis; the joint-series term is
+    # the same integral with those axes done in closed form.  The (1,1)
+    # value at N = 2 is the case-a anchor: 1 + 2 I_10 + I_11 equals
+    # laplace2_case_a(1, 3, 3, 1, u, u) at 60 nodes per unit to 1.8e-15
     g, t = 1.0, 0.5
     pins = {(1, 0, 2): -0.027293398234508583,
             (1, 0, 8): -0.026053436460265735,
             (1, 0, 16): -0.025443787747939657,
-            (1, 1, 2): 0.002998209025934317}
+            (1, 1, 2): 0.0029981499940916}
     for (m, n, N), want in pins.items():
         got = prelimit_term(m, n, N, g, t, t)
         assert got.real == pytest.approx(want, rel=1e-6)
@@ -674,21 +675,48 @@ def test_two_group_integral_matches_brute_force(k1, k2, n_lam, n_mu):
 
 @pytest.mark.parametrize("call, value", [
     (lambda: joint_series_term(1, 1, 1, 2, 2, 1, 1.0, 1.0, 1.0),
-     0.6336050442706933),
-    (lambda: prelimit_term(1, 1, 8, 1.0, 0.5, 0.5), 0.004652294966855276),
+     0.6336049719987555),
+    (lambda: prelimit_term(1, 1, 8, 1.0, 0.5, 0.5), 0.004652294966762942),
     # the two line integrals are pinned on trapezoid lines at 5 nodes per
     # unit, far from converged (case b tends to 0.000948662): they pin the
-    # structured matrices and the 4-axis contraction, not the transform
+    # structured matrices and the 4-axis contraction, not the transform,
+    # so case b keeps the second line at delta' = 0.5 rather than its default
     (lambda: laplace2_case_a(2, 4, 4, 2, 0.25, 0.25, [0.0] * 4, [1.0] * 4, 1.0,
                              quad=QuadratureSpec(nodes_per_unit=5)),
      0.011698547113378125),
     (lambda: laplace2_case_b(1, 5, 3, 4, 1.0, 1.0, [0.0] * 3, [1.0] * 5, 1.0,
+                             delta_prime=0.5,
                              quad=QuadratureSpec(nodes_per_unit=5)),
      0.0011110090157402121),
 ])
 def test_four_axis_values_are_pinned(call, value):
     # values of the pair and cross matrices and the 4-D contraction
     assert call().real == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("call, ref, rel", [
+    # case b: delta' in {0.9, 1.2} at 40 to 80 nodes per unit agree to 3e-15
+    (lambda: laplace2_case_b(1, 4, 2, 3, 0.25, 0.25, [0.0] * 2, [1.0] * 4, 1.0),
+     0.072648692465633, 1e-8),
+    (lambda: laplace2_case_b(1, 4, 2, 3, 1.0, 1.0, [0.0] * 2, [1.0] * 4, 1.0),
+     0.0152742691419596, 1e-8),
+    (lambda: laplace2_case_b(1, 4, 2, 3, 4.0, 4.0, [0.0] * 2, [1.0] * 4, 1.0),
+     0.00158350099849129, 1e-8),
+    # oy_laplace2 at delta' = 0.9 and 60 nodes per unit
+    (lambda: oy_laplace2(1, 1.0, 2, 0.5, 1.0, 1.0, [0.0, 0.0]),
+     0.2334077802311763, 1e-9),
+    (lambda: oy_laplace2(1, 2.0, 2, 1.0, 0.5, 2.0, [0.0, 0.0]),
+     0.11068031886275963, 1e-9),
+    # series terms: trapezoid lines at 80 nodes per unit with delta from
+    # 0.36 to 0.42 agree to 6e-15
+    (lambda: prelimit_term(1, 0, 2, 1.0, 0.5, 0.5), -0.02729340172771272, 1e-8),
+    (lambda: joint_series_term(1, 1, 1, 2, 2, 1, 1.0, 1.0, 1.0),
+     0.6336049719590332, 1e-9),
+])
+def test_default_lines_resolve_converged_values(call, ref, rel):
+    # each default line sits off the poles it faces, so the trapezoid rule
+    # resolves the value at its default density
+    assert call().real == pytest.approx(ref, rel=rel, abs=0)
 
 
 @pytest.mark.parametrize("d_lam, d_mu, n_lam, n_mu, hankel", [
@@ -722,9 +750,9 @@ def test_oy_laplace2_four_axes_rejected():
 
 @pytest.mark.parametrize("call", [
     lambda: laplace1(2, 2, 1e-20, [0.0, 0.0], [1.0, 1.0]),      # reads -8.71
-    # the 240-node w-line the default used to take: 613.4
-    lambda: bcr_fredholm(2, 2, 1e8, [0.0, 0.0], [1.0, 1.0],
-                         quad=QuadratureSpec(nodes_per_unit=10.0)),
+    # a 144-node w-line, 0.3 of the default density: 75.6
+    lambda: bcr_fredholm(2, 2, 1e7, [0.0, 0.0], [1.0, 1.0],
+                         quad=QuadratureSpec(nodes_per_unit=6.0)),
 ])
 def test_transform_outside_unit_interval_raises(call):
     with pytest.raises(ArithmeticError):
