@@ -6,8 +6,8 @@ Implements the geometric RSK and geometric PNG maps as compositions of the
     (a b)        ( bc/(a(b+c))  b )
     (c d)  |-->  ( c            d(b+c) )
 
-with multiplicative border rules, on matrix, polygonal (staircase) and
-triangular arrays, together with the energy and type functionals.
+with multiplicative border rules, on staircase arrays (a matrix and a
+triangle are staircases), together with the energy and type functionals.
 
 All arithmetic is plain Python (+, *, /) on the entry values, so arrays work
 equally with float, fractions.Fraction or mpmath.mpf entries; no numerics
@@ -81,13 +81,6 @@ class IndexSet:
                 out.append((i, j))
         return out
 
-    def block_of_row(self, i: int) -> int:
-        """Index l (1-based) of the corner block containing row i."""
-        for l, (m, _n) in enumerate(self.corners, start=1):
-            if i <= m:
-                return l
-        raise IndexError(f"row {i} outside index set")
-
 
 @dataclass
 class PolygonalArray:
@@ -131,60 +124,8 @@ class PolygonalArray:
     def copy(self) -> "PolygonalArray":
         return PolygonalArray(self.index, dict(self.entries))
 
-    def is_rectangular(self) -> bool:
-        return len(self.index.corners) == 1
-
     def __getitem__(self, cell: Cell):
         return self.entries[cell]
-
-
-@dataclass
-class TriangularArray:
-    """Entries on the anti-diagonal triangle 1 <= i+j-1 <= n."""
-
-    order: int
-    entries: Dict[Cell, object]
-
-    def __post_init__(self):
-        cells = {
-            (i, j)
-            for i in range(1, self.order + 1)
-            for j in range(1, self.order - i + 2)
-        }
-        if set(self.entries) != cells:
-            raise ValueError("entries do not exactly cover the triangle")
-        for cell, v in self.entries.items():
-            if not v > 0:
-                raise ValueError(f"non-positive entry at {cell}")
-
-    @classmethod
-    def from_rows(cls, rows) -> "TriangularArray":
-        n = len(rows)
-        entries = {}
-        for i, row in enumerate(rows, start=1):
-            if len(row) != n - i + 1:
-                raise ValueError("triangle rows must shrink by one")
-            for j, v in enumerate(row, start=1):
-                entries[(i, j)] = v
-        return cls(n, entries)
-
-    def rows(self) -> List[List[object]]:
-        return [
-            [self.entries[(i, j)] for j in range(1, self.order - i + 2)]
-            for i in range(1, self.order + 1)
-        ]
-
-    def copy(self) -> "TriangularArray":
-        return TriangularArray(self.order, dict(self.entries))
-
-    def __getitem__(self, cell: Cell):
-        return self.entries[cell]
-
-    def as_polygonal(self) -> PolygonalArray:
-        """View as a polygonal array (staircase with unit steps)."""
-        n = self.order
-        corners = [(i, n - i + 1) for i in range(1, n + 1)]
-        return PolygonalArray(IndexSet(corners), dict(self.entries))
 
 
 @dataclass
@@ -215,19 +156,13 @@ def _local_move_inplace(entries: Dict[Cell, object], i: int, j: int) -> None:
     entries[(i, j)] = d * (b + c)
 
 
-def local_move(X, i: int, j: int):
+def local_move(X: PolygonalArray, i: int, j: int) -> PolygonalArray:
     """Apply the local move l_ij; returns a new array, input untouched."""
-    if (i, j) not in _cellset(X):
+    if (i, j) not in X.index:
         raise IndexError(f"({i},{j}) outside the index set")
     out = X.copy()
     _local_move_inplace(out.entries, i, j)
     return out
-
-
-def _cellset(X):
-    if isinstance(X, TriangularArray):
-        return set(X.entries)
-    return set(X.index.cells())
 
 
 def _rho_inplace(entries: Dict[Cell, object], i: int, j: int) -> None:
@@ -243,9 +178,9 @@ def _rho_inplace(entries: Dict[Cell, object], i: int, j: int) -> None:
         j -= 1
 
 
-def rho(X, i: int, j: int):
+def rho(X: PolygonalArray, i: int, j: int) -> PolygonalArray:
     """The diagonal composition rho^i_j of local moves."""
-    if (i, j) not in _cellset(X):
+    if (i, j) not in X.index:
         raise IndexError(f"({i},{j}) outside the index set")
     out = X.copy()
     _rho_inplace(out.entries, i, j)
@@ -253,8 +188,20 @@ def rho(X, i: int, j: int):
 
 
 # ---------------------------------------------------------------------------
-# gRSK
+# gRSK and gPNG
 # ---------------------------------------------------------------------------
+
+
+def _chains(W: PolygonalArray, order) -> PolygonalArray:
+    """Apply the chains rho^i_j over every cell of W, in the given order.
+
+    Two chains from incomparable cells lie on diagonals at least 2 apart,
+    so neither reads a cell the other writes: every order in which (i,j)
+    comes after each (i',j') <= (i,j) gives the same array."""
+    out = W.copy()
+    for i, j in order:
+        _rho_inplace(out.entries, i, j)
+    return out
 
 
 def grsk(W: PolygonalArray) -> PolygonalArray:
@@ -266,53 +213,18 @@ def grsk(W: PolygonalArray) -> PolygonalArray:
     (a, j*(a)), which is exactly the restricted action required for
     polygonal inputs; for rectangular W this is the usual matrix gRSK.
     """
-    out = W.copy()
-    index = W.index
-    for a in range(1, index.n_rows + 1):
-        for j in range(1, index.row_length(a) + 1):
-            _rho_inplace(out.entries, a, j)
-    return out
+    return _chains(W, W.index.cells())
 
 
-# ---------------------------------------------------------------------------
-# gPNG
-# ---------------------------------------------------------------------------
+def gpng(W: PolygonalArray) -> PolygonalArray:
+    """Geometric PNG of a polygonal array: the same chains as grsk, in
+    time-ordered (anti-diagonal) sweeps, i+j ascending, then i ascending.
 
-
-def gpng_matrix(W: PolygonalArray) -> PolygonalArray:
-    """Geometric PNG on a square matrix: local moves in time-ordered
-    (anti-diagonal) sweeps.  Numerically identical to grsk on squares; the
-    identity is asserted by the test suite, it is not used here.
+    The result equals grsk(W); the identity is asserted by the test suite,
+    it is not used here.  On the order-n triangle the anti-diagonal entries
+    h_{ij}, i+j = n+1, are the point-to-point partition functions Z_{ij}.
     """
-    if not W.is_rectangular():
-        raise ValueError("matrix gPNG needs a rectangular array")
-    n = W.index.n_rows
-    if W.index.n_cols != n:
-        raise ValueError("matrix gPNG is defined for square arrays")
-    out = W.copy()
-    for t in range(1, 2 * n):
-        # all rho^i_j with i + j - 1 = t inside the square; they act on
-        # disjoint NW diagonals, so the order within a sweep is immaterial
-        for i in range(1, n + 1):
-            j = t + 1 - i
-            if 1 <= j <= n:
-                _rho_inplace(out.entries, i, j)
-    return out
-
-
-def gpng_triangular(W: TriangularArray) -> TriangularArray:
-    """Geometric PNG on a triangular array of order n.
-
-    After the full sweep the anti-diagonal entries h_{ij}, i+j = n+1, are
-    the point-to-point polymer partition functions Z_{ij}.
-    """
-    out = W.copy()
-    n = W.order
-    for t in range(1, n + 1):
-        for i in range(1, t + 1):
-            j = t + 1 - i
-            _rho_inplace(out.entries, i, j)
-    return out
+    return _chains(W, sorted(W.index.cells(), key=lambda c: (c[0] + c[1], c[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +286,12 @@ def _antidiag_product(T, p: int, q: int):
     return prod
 
 
-def gpng_antidiagonal_products(H: TriangularArray, p: int, q: int):
-    """prod_{r=0}^{(p^q)-1} h_{p-r,q-r} for p+q in {n, n+1}; equals the
-    product of all input weights in the [1,p] x [1,q] rectangle when H is a
-    gPNG output."""
-    n = H.order
-    if p + q not in (n, n + 1) or p < 1 or q < 1:
-        raise ValueError(f"(p,q)=({p},{q}) must satisfy p+q in {{{n},{n+1}}}")
+def gpng_antidiagonal_products(H: PolygonalArray, p: int, q: int):
+    """prod_{r=0}^{(p^q)-1} h_{p-r,q-r} for a boundary cell (p,q): inside
+    the index set, with (p+1,q+1) outside it (on the order-n triangle,
+    p+q in {n, n+1}).  Equals the product of all input weights in the
+    [1,p] x [1,q] rectangle when H is a gPNG output."""
+    if (p, q) not in H.index or (p + 1, q + 1) in H.index:
+        raise ValueError(f"(p,q)=({p},{q}) must lie in the index set "
+                         f"with ({p + 1},{q + 1}) outside it")
     return _antidiag_product(H, p, q)

@@ -77,7 +77,9 @@ def _emit(obj: dict, out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_array(path: str):
+def _load_array(path: str) -> Tuple[arrays.PolygonalArray, bool]:
+    """The array in an array JSON file, and whether the file gives it in
+    the triangular format {"triangular": n, "rows": [...]}."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -108,16 +110,20 @@ def _load_array(path: str):
             raise ValueError(
                 f"{path}: field 'triangular'={n} but {len(rows)} rows given"
             )
-        return arrays.TriangularArray.from_rows(rows)
+        # the order-n triangle is the staircase with corners (i, n-i+1)
+        corners = [(i, n - i + 1) for i in range(1, n + 1)]
     try:
-        return arrays.PolygonalArray.from_rows(rows, corners=corners)
+        return (arrays.PolygonalArray.from_rows(rows, corners=corners),
+                n is not None)
     except ValueError as exc:
-        raise ValueError(f"{path}: field 'corners': {exc}")
+        field = "triangular" if n is not None else "corners"
+        raise ValueError(f"{path}: field '{field}': {exc}")
 
 
-def _array_doc(arr) -> dict:
-    if isinstance(arr, arrays.TriangularArray):
-        return {"triangular": arr.order, "rows": arr.rows()}
+def _array_doc(arr: arrays.PolygonalArray, triangular: bool) -> dict:
+    """arr in the format of the file it was read from."""
+    if triangular:
+        return {"triangular": arr.index.n_rows, "rows": arr.rows()}
     return {
         "corners": [list(c) for c in arr.index.corners],
         "rows": arr.rows(),
@@ -125,10 +131,7 @@ def _array_doc(arr) -> dict:
 
 
 def cmd_grsk(args) -> int:
-    W = _load_array(args.input)
-    if isinstance(W, arrays.TriangularArray):
-        raise ValueError("grsk expects a matrix/polygonal array "
-                         "(use gpng for triangular input)")
+    W, triangular = _load_array(args.input)
     T = arrays.grsk(W)
     tv = arrays.type_vectors(T)
     corners = {
@@ -136,7 +139,7 @@ def cmd_grsk(args) -> int:
     }
     _emit(
         {
-            "array": _array_doc(T),
+            "array": _array_doc(T, triangular),
             "energy": arrays.energy(T),
             "corner_values": corners,
             "type_vectors": {
@@ -150,12 +153,10 @@ def cmd_grsk(args) -> int:
 
 
 def cmd_gpng(args) -> int:
-    W = _load_array(args.input)
-    if isinstance(W, arrays.TriangularArray):
-        H = arrays.gpng_triangular(W)
-    else:
-        H = arrays.gpng_matrix(W)
-    _emit({"array": _array_doc(H), "energy": arrays.energy(H)}, args.output)
+    W, triangular = _load_array(args.input)
+    H = arrays.gpng(W)
+    _emit({"array": _array_doc(H, triangular), "energy": arrays.energy(H)},
+          args.output)
     return EXIT_OK
 
 
@@ -356,14 +357,16 @@ def _suite_combinatorial(max_size: int, seed: int, tol: float) -> List[dict]:
                 "observed": worst, "tolerance": tol})
     worst = 0.0
     for trial in range(5):
-        n = int(rng.integers(2, max_size + 1))
+        # a random staircase: row lengths in non-increasing order
+        m = int(rng.integers(1, max_size + 1))
+        lengths = sorted(rng.integers(1, max_size + 1, size=m), reverse=True)
         W = arrays.PolygonalArray.from_rows(
-            [list(rng.uniform(0.3, 3.0, n)) for _ in range(n)]
+            [list(rng.uniform(0.3, 3.0, int(n))) for n in lengths]
         )
-        T, H = arrays.grsk(W), arrays.gpng_matrix(W)
+        T, H = arrays.grsk(W), arrays.gpng(W)
         for c in T.index.cells():
             worst = max(worst, abs(T[c] - H[c]) / abs(T[c]))
-    out.append({"name": "gpng_matches_grsk_on_matrices",
+    out.append({"name": "gpng_matches_grsk_on_staircases",
                 "observed": worst, "tolerance": tol})
     worst = 0.0
     for trial in range(5):

@@ -169,14 +169,14 @@ def _toeplitz_index(rows: int, cols: int) -> np.ndarray:
 
 def _sklyanin_pair(n: int, h: float) -> np.ndarray:
     """Pairwise factor of the Sklyanin density on n trapezoid nodes of
-    spacing h, 1/(Gamma(d) Gamma(-d)) with d = mu_i - mu_j = i h (i - j).
-    By the reflection formula Gamma(d) Gamma(-d) = -pi/(d sin(pi d)) this is
-    -d sin(pi d)/pi, exactly zero on the diagonal (the density vanishes at
-    coincident points).  The matrix is Toeplitz: it is gathered from the
-    2n-1 offsets.  The sine is the overflow-safe one: long lines reach
-    |Im d| near 100."""
-    d = 1j * h * np.arange(1 - n, n)
-    return (-d * _safe_sin_pi(d) / math.pi)[_toeplitz_index(n, n).T]
+    spacing h, 1/(Gamma(d) Gamma(-d)) with d = mu_i - mu_j = i t, t = h (i - j).
+    By the reflection formula Gamma(d) Gamma(-d) = -pi/(d sin(pi d)) and
+    sin(pi i t) = i sinh(pi t) this is the real t sinh(pi t)/pi, exactly
+    zero on the diagonal (the density vanishes at coincident points).  The
+    matrix is Toeplitz: it is gathered from the 2n-1 offsets.  sinh
+    overflows only beyond |t| = 226, where the product already has."""
+    t = h * np.arange(1 - n, n)
+    return (t * np.sinh(np.pi * t) / math.pi)[_toeplitz_index(n, n).T]
 
 
 def _gamma_cross(lam: np.ndarray, mu: np.ndarray, hankel: bool,
@@ -195,27 +195,6 @@ def _gamma_cross(lam: np.ndarray, mu: np.ndarray, hankel: bool,
         z = np.concatenate([mu[0] - lam[::-1], mu[1:] - lam[0]])
         index = _toeplitz_index(nl, nm)
     return np.exp(_lg(z) - log_scale)[index]
-
-
-def _safe_sin_pi(z: np.ndarray) -> np.ndarray:
-    """sin(pi z) at the Sklyanin pair offsets; circle x line pairs take
-    _pi_csc_circle_line instead.  For |Im z| >= 20 it keeps only the
-    dominant half of (e^{i pi z} - e^{-i pi z})/2i (the other is below
-    e^{-125} relative), so nothing overflows before the result does.
-    Written as exp(specfun._log_sin_pi(z)) it would lose digits where
-    1 - e^{-2 pi i z} cancels: 3.9e-10 relative at z = 1e-8."""
-    z = np.asarray(z, dtype=complex)
-    im = np.imag(z)
-    small = np.abs(im) < 20
-    out = np.empty_like(z)
-    out[small] = np.sin(np.pi * z[small])
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        s = np.sign(np.imag(zb))
-        # sin(pi z) = (e^{i pi z} - e^{-i pi z}) / 2i; keep dominant term
-        out[big] = np.exp(-1j * np.pi * zb * s) * (-s) / 2j
-    return out
 
 
 def _lg(z):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Sequence, Tuple
 
-from .arrays import PolygonalArray, TriangularArray
+from .arrays import PolygonalArray
 
 Cell = Tuple[int, int]
 
@@ -151,20 +151,14 @@ def numeric_jacobian_logdet(
         up, dn = dict(base), dict(base)
         up[cell] = base[cell] * math.exp(h)
         dn[cell] = base[cell] * math.exp(-h)
-        Tu = mapping(_rebuild(W, up)).entries
-        Td = mapping(_rebuild(W, dn)).entries
+        Tu = mapping(PolygonalArray(W.index, up)).entries
+        Td = mapping(PolygonalArray(W.index, dn)).entries
         cols.append([(math.log(Tu[c]) - math.log(Td[c])) / (2 * h) for c in cells])
     # cols[j][i] = d log t_i / d log w_j
     det = _det(list(zip(*cols)))
     if det == 0.0:
         raise ArithmeticError("singular finite-difference Jacobian (bad step h?)")
     return abs(det)
-
-
-def _rebuild(W, entries):
-    if isinstance(W, TriangularArray):
-        return TriangularArray(W.order, entries)
-    return PolygonalArray(W.index, entries)
 
 
 def _det(M: Sequence[Sequence[float]]) -> float:

@@ -109,53 +109,31 @@ _BERN = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 /
 
 def digamma(z):
     """Psi(z) = (log Gamma)'(z); real or complex, poles at 0, -1, -2, ..."""
-    z = complex(z)
-    if z.imag == 0 and z.real <= 0 and z.real == round(z.real):
-        raise ValueError("digamma pole at non-positive integer")
-    acc = 0.0 + 0.0j
-    while abs(z) < 15 or z.real < 15:
-        acc -= 1.0 / z
-        z += 1.0
-    zi = 1.0 / z
-    zi2 = zi * zi
-    val = np.log(z) - 0.5 * zi
-    p = zi2
-    for n, b in enumerate(_BERN, start=1):
-        val -= b / (2 * n) * p
-        p *= zi2
-    val += acc
-    return val.real if abs(val.imag) < 1e-14 else val
+    return polygamma(0, z)
 
 
 def polygamma(k: int, z):
-    """Psi^(k)(z) for k in {0, 1, 2}."""
-    if k == 0:
-        return digamma(z)
-    if k not in (1, 2):
+    """Psi^(k)(z) for k in {0, 1, 2}; real or complex, poles at 0, -1, -2, ...
+
+    The recurrence Psi^(k)(z) = Psi^(k)(z+1) - (-1)^k k!/z^{k+1} moves z to
+    |z| >= 15 and Re z >= 15, where the k-th derivative of the Stirling
+    series Psi(z) ~ log z - 1/(2z) - sum_n B_2n/(2n z^{2n}) is summed."""
+    if k not in (0, 1, 2):
         raise ValueError("polygamma implemented for k <= 2 only")
     z = complex(z)
     if z.imag == 0 and z.real <= 0 and z.real == round(z.real):
         raise ValueError("polygamma pole at non-positive integer")
+    sign = (-1) ** (k + 1)
     acc = 0.0 + 0.0j
     while abs(z) < 15 or z.real < 15:
-        acc += (1.0 / z**2) if k == 1 else (-2.0 / z**3)
+        acc += sign * math.factorial(k) / z ** (k + 1)
         z += 1.0
-    zi = 1.0 / z
-    zi2 = zi * zi
-    if k == 1:
-        # 1/z + 1/(2 z^2) + sum B_2n / z^{2n+1}
-        val = zi + 0.5 * zi2
-        p = zi * zi2
-        for b in _BERN:
-            val += b * p
-            p *= zi2
-    else:
-        # -1/z^2 - 1/z^3 - sum (2n+1) B_2n / z^{2n+2}
-        val = -zi2 - zi * zi2
-        p = zi2 * zi2
-        for n, b in enumerate(_BERN, start=1):
-            val -= (2 * n + 1) * b * p
-            p *= zi2
+    # the k-th derivatives of log z, -1/(2z) and -B_2n/(2n z^{2n})
+    val = np.log(z) if k == 0 else sign * math.factorial(k - 1) / z**k
+    val += sign * math.factorial(k) / (2 * z ** (k + 1))
+    for n, b in enumerate(_BERN, start=1):
+        coef = math.factorial(2 * n + k - 1) / math.factorial(2 * n)
+        val += sign * coef * b / z ** (2 * n + k)
     val += acc
     return val.real if abs(val.imag) < 1e-14 else val
 

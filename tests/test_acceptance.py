@@ -28,7 +28,7 @@ import scipy.special
 
 from grsklab import arrays, oracle
 from grsklab.airy import airy_two_point, airy_two_point_series, limit_term
-from grsklab.arrays import PolygonalArray, TriangularArray
+from grsklab.arrays import PolygonalArray
 from grsklab.contour import (
     bcr_fredholm,
     block_cauchy_check,
@@ -111,10 +111,9 @@ def test_criterion_1_combinatorial_suite():
         W = PolygonalArray.from_rows(rows)
         T = arrays.grsk(W)
         worst = max(worst, check_array_identities(W, T))
-        if m == n:
-            H = arrays.gpng_matrix(W)
-            for c in T.index.cells():
-                worst = max(worst, rel(H[c], T[c]))
+        H = arrays.gpng(W)
+        for c in T.index.cells():
+            worst = max(worst, rel(H[c], T[c]))
         n_inputs += 1
 
     # polygonal shapes, k <= 3 corners, <= 16 cells
@@ -124,6 +123,9 @@ def test_criterion_1_combinatorial_suite():
         W = PolygonalArray.from_rows(rows)
         T = arrays.grsk(W)
         worst = max(worst, check_array_identities(W, T))
+        H = arrays.gpng(W)
+        for c in T.index.cells():
+            worst = max(worst, rel(H[c], T[c]))
         n_inputs += 1
 
     # triangles up to n = 6: anti-diagonal gPNG outputs are point-to-point
@@ -132,14 +134,13 @@ def test_criterion_1_combinatorial_suite():
         n = rng.randint(2, 6)
         rows = [[rng.uniform(0.2, 3.0) for _ in range(n - i)]
                 for i in range(n)]
-        W = TriangularArray.from_rows(rows)
-        H = arrays.gpng_triangular(W)
-        Wp = W.as_polygonal()
+        W = PolygonalArray.from_rows(rows)
+        H = arrays.gpng(W)
         for i in range(1, n + 1):
             j = n + 1 - i
             worst = max(
                 worst, rel(H.entries[(i, j)],
-                           oracle.partition_function(Wp, i, j))
+                           oracle.partition_function(W, i, j))
             )
         want_energy = sum(1.0 / v for v in W.entries.values())
         worst = max(worst, rel(arrays.energy(H), want_energy))
@@ -166,8 +167,8 @@ def test_criterion_2_volume_preservation():
         (arrays.grsk, PolygonalArray.from_rows(rand([3, 3, 3]))),
         (arrays.grsk, PolygonalArray.from_rows(rand([4, 4, 4, 4]))),
         (arrays.grsk, PolygonalArray.from_rows(rand([4, 4, 2]))),
-        (arrays.gpng_triangular, TriangularArray.from_rows(rand([3, 2, 1]))),
-        (arrays.gpng_triangular, TriangularArray.from_rows(rand([4, 3, 2, 1]))),
+        (arrays.gpng, PolygonalArray.from_rows(rand([3, 2, 1]))),
+        (arrays.gpng, PolygonalArray.from_rows(rand([4, 3, 2, 1]))),
     ]
     for fn, W in cases:
         det = oracle.numeric_jacobian_logdet(fn, W, h=1e-5)

@@ -14,11 +14,9 @@ from grsklab import arrays, oracle
 from grsklab.arrays import (
     IndexSet,
     PolygonalArray,
-    TriangularArray,
     energy,
+    gpng,
     gpng_antidiagonal_products,
-    gpng_matrix,
-    gpng_triangular,
     grsk,
     local_move,
     rho,
@@ -176,26 +174,48 @@ def test_grsk_nonintersecting_tuples():
 # ---------------------------------------------------------------------------
 
 
+def random_staircase_rows(rng, max_corners=3, max_side=5):
+    """Row lengths of a random staircase shape with <= max_corners corners."""
+    while True:
+        lengths = sorted((rng.randint(1, max_side)
+                          for _ in range(rng.randint(1, max_side))), reverse=True)
+        if len(set(lengths)) <= max_corners:
+            return lengths
+
+
 def test_gpng_matrix_equals_grsk():
     rng = random.Random(23)
     for n in range(1, 5):
         W = frac_array(rand_rows([n] * n, rng))
-        assert gpng_matrix(W).entries == grsk(W).entries
+        assert gpng(W).entries == grsk(W).entries
 
 
-def test_gpng_matrix_rejects_non_square():
-    with pytest.raises(ValueError):
-        gpng_matrix(frac_array([[1, 1, 1], [1, 1, 1]]))
+def test_gpng_equals_grsk_on_staircases():
+    # exact equality: the anti-diagonal sweep and the row-major insertion
+    # apply the same chains in two orders that both respect the cell order
+    rng = random.Random(24)
+    # non-square rectangles, triangles, then random shapes of <= 3 corners
+    shapes = [[3, 3], [2, 2, 2, 2], [5], [1, 1, 1], [3, 2, 1], [4, 3, 2, 1],
+              [5, 5, 3, 3, 2], [4, 2, 1], [3, 3, 3]]
+    shapes += [random_staircase_rows(rng) for _ in range(30)]
+    for shape in shapes:
+        W = frac_array(rand_rows(shape, rng))
+        assert gpng(W).entries == grsk(W).entries
+
+
+def test_triangle_rows_infer_unit_step_corners():
+    W = PolygonalArray.from_rows([[1, 1, 1], [1, 1], [1]])
+    assert W.index.corners == ((1, 3), (2, 2), (3, 1))
 
 
 def test_gpng_triangular_n1_identity():
-    W = TriangularArray.from_rows([[Fraction(3, 2)]])
-    assert gpng_triangular(W).entries == W.entries
+    W = PolygonalArray.from_rows([[Fraction(3, 2)]])
+    assert gpng(W).entries == W.entries
 
 
 def test_gpng_triangular_n2_all_ones():
-    W = TriangularArray.from_rows([[1, 1], [1]])
-    H = gpng_triangular(W)
+    W = PolygonalArray.from_rows([[1, 1], [1]])
+    H = gpng(W)
     assert H.entries[(1, 2)] == 1
     assert H.entries[(2, 1)] == 1
 
@@ -203,32 +223,47 @@ def test_gpng_triangular_n2_all_ones():
 def test_gpng_triangular_antidiagonal_partition_functions():
     rng = random.Random(29)
     for n in [3, 4, 5]:
-        rows = rand_rows(list(range(n, 0, -1)), rng)
-        W = TriangularArray.from_rows(rows)
-        H = gpng_triangular(W)
-        Wp = W.as_polygonal()
+        W = PolygonalArray.from_rows(rand_rows(list(range(n, 0, -1)), rng))
+        H = gpng(W)
         for i in range(1, n + 1):
             j = n + 1 - i
-            assert H.entries[(i, j)] == oracle.partition_function(Wp, i, j)
+            assert H.entries[(i, j)] == oracle.partition_function(W, i, j)
+
+
+def rectangle_product(W, p, q):
+    want = Fraction(1)
+    for i in range(1, p + 1):
+        for j in range(1, q + 1):
+            want *= W.entries[(i, j)]
+    return want
 
 
 def test_gpng_antidiagonal_products():
     rng = random.Random(31)
     for n, pq_list in [(2, [(1, 1)]), (3, [(2, 2), (1, 2), (2, 1)]), (5, [(3, 2), (2, 3), (3, 3)])]:
-        rows = rand_rows(list(range(n, 0, -1)), rng)
-        W = TriangularArray.from_rows(rows)
-        H = gpng_triangular(W)
+        W = PolygonalArray.from_rows(rand_rows(list(range(n, 0, -1)), rng))
+        H = gpng(W)
         for p, q in pq_list:
-            want = Fraction(1)
-            for i in range(1, p + 1):
-                for j in range(1, q + 1):
-                    want *= W.entries[(i, j)]
-            assert gpng_antidiagonal_products(H, p, q) == want
+            assert gpng_antidiagonal_products(H, p, q) == rectangle_product(W, p, q)
+
+
+def test_gpng_antidiagonal_products_on_staircase():
+    # every boundary cell of a non-triangular staircase: (p,q) inside,
+    # (p+1,q+1) outside
+    rng = random.Random(32)
+    for shape in [[5, 5, 3, 3, 2], [4, 4, 4], [3, 1]]:
+        W = frac_array(rand_rows(shape, rng))
+        H = gpng(W)
+        for p, q in W.index.cells():
+            if (p + 1, q + 1) not in W.index:
+                assert gpng_antidiagonal_products(H, p, q) == rectangle_product(W, p, q)
+            else:
+                with pytest.raises(ValueError):
+                    gpng_antidiagonal_products(H, p, q)
 
 
 def test_gpng_antidiagonal_products_rejects_bad_pq():
-    W = TriangularArray.from_rows([[1, 1], [1]])
-    H = gpng_triangular(W)
+    H = gpng(PolygonalArray.from_rows([[1, 1], [1]]))
     with pytest.raises(ValueError):
         gpng_antidiagonal_products(H, 2, 2)  # p+q=4 not in {2,3}
 
@@ -260,9 +295,9 @@ def test_energy_identity_random_shapes():
 def test_energy_identity_gpng():
     rng = random.Random(41)
     for n in [2, 3, 4]:
-        W = TriangularArray.from_rows(rand_rows(list(range(n, 0, -1)), rng))
+        W = PolygonalArray.from_rows(rand_rows(list(range(n, 0, -1)), rng))
         want = sum(1 / v for v in W.entries.values())
-        assert energy(gpng_triangular(W)) == want
+        assert energy(gpng(W)) == want
 
 
 def test_type_vectors_1x1():
@@ -328,8 +363,8 @@ def test_jacobian_grsk_3x3():
 
 def test_jacobian_gpng_triangular():
     rng = random.Random(59)
-    W = TriangularArray.from_rows(rand_rows([4, 3, 2, 1], rng, rational=False))
-    det = oracle.numeric_jacobian_logdet(gpng_triangular, W, h=1e-5)
+    W = PolygonalArray.from_rows(rand_rows([4, 3, 2, 1], rng, rational=False))
+    det = oracle.numeric_jacobian_logdet(gpng, W, h=1e-5)
     assert abs(det - 1.0) <= 1e-6
 
 

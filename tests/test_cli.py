@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import grsklab
-from grsklab.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, main
+from grsklab.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, _array_doc,
+                         _load_array, main)
 from grsklab.contour import default_contours
 
 
@@ -108,13 +109,6 @@ def test_grsk_overflow_is_compute_error_not_nan(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_grsk_rejects_triangular(capsys, tmp_path):
-    p = tmp_path / "tri.json"
-    p.write_text(json.dumps({"triangular": 2, "rows": [[1.0, 1.0], [1.0]]}))
-    code, _ = run(capsys, "grsk", str(p))
-    assert code == EXIT_INPUT
-
-
 def test_gpng_triangular(capsys, tmp_path):
     p = tmp_path / "tri.json"
     p.write_text(json.dumps({"triangular": 2, "rows": [[1.0, 1.0], [1.0]]}))
@@ -122,6 +116,59 @@ def test_gpng_triangular(capsys, tmp_path):
     assert code == EXIT_OK
     assert doc["array"]["triangular"] == 2
     assert doc["energy"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("doc, array_format", [
+    ({"triangular": 3, "rows": [[1.5, 0.5, 2.0], [1.0, 3.0], [0.25]]},
+     {"triangular": 3}),
+    ({"rows": [[1.5, 0.5, 2.0, 1.25], [1.0, 3.0, 0.5], [0.25, 2.5, 0.75],
+               [1.75]]},
+     {"corners": [[1, 4], [3, 3], [4, 1]]}),
+])
+def test_grsk_matches_gpng_in_the_input_format(capsys, tmp_path, doc,
+                                               array_format):
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(doc))
+    code, grsk_doc = run_json(capsys, "grsk", str(p))
+    assert code == EXIT_OK
+    code, gpng_doc = run_json(capsys, "gpng", str(p))
+    assert code == EXIT_OK
+    assert grsk_doc["array"] == gpng_doc["array"]
+    for key, value in array_format.items():
+        assert grsk_doc["array"][key] == value
+
+
+@pytest.mark.parametrize("doc", [
+    {"triangular": 2, "rows": [[1.0, 1.0], [1.0, 1.0]]},   # no shrink
+    {"triangular": 3, "rows": [[1.0, 1.0, 1.0], [1.0], [1.0]]},
+    {"triangular": 3, "rows": [[1.0, 1.0], [1.0]]},        # row count
+    {"triangular": 0, "rows": []},
+])
+@pytest.mark.parametrize("command", ["grsk", "gpng"])
+def test_bad_triangular_file_is_input_error(capsys, tmp_path, doc, command):
+    p = tmp_path / "tri.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, command, str(p))
+    assert code == EXIT_INPUT
+    assert out == ""
+
+
+@pytest.mark.parametrize("doc", [
+    {"triangular": 3, "rows": [[1.5, 0.5, 2.0], [1.0, 3.0], [0.25]]},
+    {"corners": [[2, 3], [3, 1]],
+     "rows": [[1.5, 0.5, 2.0], [1.0, 3.0, 0.5], [0.25]]},
+])
+def test_gpng_output_reads_back(capsys, tmp_path, doc):
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "gpng", str(p))
+    assert code == EXIT_OK
+    back = tmp_path / "back.json"
+    back.write_text(json.dumps(out["array"]))
+    H, triangular = _load_array(str(back))
+    assert triangular == ("triangular" in doc)
+    assert H.rows() == out["array"]["rows"]
+    assert _array_doc(H, triangular) == out["array"]
 
 
 def test_output_file(tmp_path, capsys, ones2x2):

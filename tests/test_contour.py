@@ -21,7 +21,6 @@ from grsklab.contour import (
     _circle_line_kernel,
     _gamma_cross,
     _pi_csc_circle_line,
-    _safe_sin_pi,
     _sklyanin_pair,
     bcr_fredholm,
     block_cauchy_check,
@@ -562,23 +561,6 @@ def test_sklyanin_pair_matches_log_gamma_route(delta, half_length, n_nodes):
                               * mpmath.gamma(-mpmath.mpc(z.real, z.imag))))
                  for z in d[far]]
     assert np.allclose(P[i[far], j[far]], exact, rtol=1e-13, atol=0)
-
-
-@pytest.mark.parametrize("z", [
-    0.5 + 0.5j, 1e-8, 1e-8j, 1 + 1e-6j, 3 - 1e-9, 2 + 1e-7j,          # |Im z| < 20
-    7 + 19.9j, 0.5 + 20j, 1 - 20j, 1e-8 + 25j, -3 + 1e-7 + 40j, 2.25 - 95.5j,
-])
-def test_safe_sin_pi_matches_mpmath(z):
-    z = complex(z)
-    with mpmath.workdps(40):
-        x = mpmath.pi * mpmath.mpc(z.real, z.imag)
-        ref = complex(mpmath.sin(x))
-        # pi z rounds by about eps |pi z|, which sin(pi z) amplifies by its
-        # condition number |pi z cot(pi z)|: near a nonzero integer no
-        # double-precision sin(pi z) does better, near 0 it must be exact
-        cond = 1.0 + float(abs(x * mpmath.cot(x)))
-    got = complex(_safe_sin_pi(np.array([z]))[0])
-    assert abs(got - ref) <= 4 * np.finfo(float).eps * cond * abs(ref)
 
 
 @pytest.mark.parametrize("im_w", [0.5, 19.0, 21.0, 100.0, 300.0])
