@@ -26,7 +26,6 @@ from . import arrays, oracle
 from .airy import airy_two_point, airy_two_point_series, conjecture_rhs, limit_term
 from .contour import (
     _bcr_fredholm,
-    default_contours,
     laplace1,
     laplace2_case_a,
     laplace2_case_b,
@@ -261,7 +260,6 @@ def cmd_laplace(args) -> int:
     val_fine = _laplace_value(points, us, params, fine, args.delta, args.L)
     err = abs(val - val_fine)
 
-    dflt = default_contours(params.gamma)
     doc = {
         "value": val_fine.real,
         "value_imag": val_fine.imag,
@@ -269,11 +267,12 @@ def cmd_laplace(args) -> int:
         "points": [list(p) for p in points],
         "u": us,
         "gamma": params.gamma,
+        # what the command passed: delta is null where the evaluator chose
+        # it, and the density is that of the printed (fine) value
         "contours": {
-            "delta": args.delta if args.delta is not None else dflt.delta,
-            "delta1": dflt.delta1,
+            "delta": args.delta,
             "length": args.L,
-            "nodes_per_unit": base,
+            "nodes_per_unit": fine.nodes_per_unit,
         },
     }
     if args.mc_check:
@@ -308,6 +307,18 @@ def cmd_fredholm(args) -> int:
 
 
 def cmd_airy2(args) -> int:
+    # each mode reads one pair of thresholds; the other pair would do nothing
+    if args.gamma is not None:
+        mode, used, unused = "scaling", ("r1", "r2"), ("x1", "x2")
+    else:
+        mode, used, unused = "kernel", ("x1", "x2"), ("r1", "r2")
+    for name in unused:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} does nothing in {mode} mode, which "
+                             f"reads --{used[0]}/--{used[1]}")
+    for name in used:
+        if getattr(args, name) is None:
+            setattr(args, name, 0.0)
     if args.gamma is not None:
         if args.order is not None:
             raise ValueError("--order sets the partial sums of kernel mode; "
@@ -555,16 +566,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("airy2", help="two-time Airy process probability")
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--t2", type=float, required=True)
-    p.add_argument("--x1", type=float, default=0.0)
-    p.add_argument("--x2", type=float, default=0.0)
+    p.add_argument("--x1", type=float, default=None,
+                   help="threshold at t1 in kernel mode (default 0)")
+    p.add_argument("--x2", type=float, default=None,
+                   help="threshold at t2 in kernel mode (default 0)")
     p.add_argument("--order", type=int, default=None,
                    help="order of the partial sums reported in kernel mode "
                         "(default 3)")
     p.add_argument("--gamma", type=_finite_float, default=None,
                    help="route through the polymer scaling map "
                         "(uses --r1/--r2 instead of --x1/--x2)")
-    p.add_argument("--r1", type=float, default=0.0)
-    p.add_argument("--r2", type=float, default=0.0)
+    p.add_argument("--r1", type=float, default=None,
+                   help="rescaled level at t1 in scaling mode (default 0)")
+    p.add_argument("--r2", type=float, default=None,
+                   help="rescaled level at t2 in scaling mode (default 0)")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -10,7 +10,7 @@ pre-limit terms of the two-point Airy asymptotics.
 Conventions:
   - vertical lines ell_delta = delta + i R are traced upwards, truncated to
     [-L, L] and discretized by one rule, the trapezoid nodes of
-    vertical_line(delta, L, n).nodes(): uniform nodes at a fixed spacing h,
+    vertical_line(delta, L, n): uniform nodes at a fixed spacing h,
     so a longer line gets more nodes, not coarser ones.  The rule converges
     geometrically in the distance from the line to the nearest pole of the
     integrand (Trefethen & Weideman, SIAM Rev. 56 (2014) 385), so each
@@ -50,9 +50,7 @@ Conventions:
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,84 +66,56 @@ TWO_PI_I = 2j * math.pi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """A quadrature-ready contour: vertical line or circle.
-
-    kind "line": z = delta + i y, y in [-L, L], traced upwards, by the
-        trapezoid rule: y_k = h (k - (n-1)/2), k < n, with h = 2L/n and
-        dz = i h.  Node differences are multiples of i h, which makes the
-        pair and cross matrices on such lines Toeplitz or Hankel.
-    kind "circle": z = center + radius e^{i theta}, counter-clockwise.
-    """
-
-    kind: str
-    delta: float = 0.0
-    length: float = 12.0
-    center: complex = 0.0
-    radius: float = 0.0
-    n_nodes: int = 240
-
-    def __post_init__(self):
-        if self.kind not in ("line", "circle"):
-            raise ValueError(f"unknown contour kind {self.kind!r}")
-        geometry = (self.delta, self.length, self.center, self.radius)
-        if not all(cmath.isfinite(x) for x in geometry):
-            raise ValueError("contour geometry must be finite")
-        if self.kind == "circle" and self.radius <= 0:
-            raise ValueError("circle radius must be positive")
-        if self.kind == "line" and self.length <= 0:
-            raise ValueError("line half-length must be positive")
-        if self.n_nodes < 4:
-            raise ValueError("need at least 4 nodes")
-
-    def nodes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (z, dz): node locations and complex line elements."""
-        n = self.n_nodes
-        if self.kind == "line":
-            h = 2.0 * self.length / n
-            y = h * (np.arange(n) - (n - 1) / 2.0)
-            return self.delta + 1j * y, np.full(n, 1j * h)
-        # trapezoid rule: spectrally accurate for periodic integrands
-        theta = 2.0 * math.pi * np.arange(n) / n
-        z = self.center + self.radius * np.exp(1j * theta)
-        dz = 1j * self.radius * np.exp(1j * theta) * (2.0 * math.pi / n)
-        return z, dz
+def vertical_line(delta: float, length: float = 12.0,
+                  n_nodes: int = 240) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes z and line elements dz of the line delta + i[-length, length],
+    traced upwards, by the trapezoid rule: y_k = h (k - (n-1)/2), k < n,
+    with h = 2 length/n (0.1 at the defaults) and dz = i h, the one rule of
+    every vertical line in this module.  Node differences are multiples of
+    i h, which makes the pair and cross matrices on such lines Toeplitz or
+    Hankel."""
+    if not math.isfinite(delta):
+        raise ValueError("line offset must be finite")
+    length = _checked_length(length)
+    if n_nodes < 4:
+        raise ValueError("need at least 4 nodes")
+    h = 2.0 * length / n_nodes
+    y = h * (np.arange(n_nodes) - (n_nodes - 1) / 2.0)
+    return delta + 1j * y, np.full(n_nodes, 1j * h)
 
 
-def vertical_line(delta: float, length: float = 12.0, n_nodes: int = 240) -> ContourSpec:
-    """The line delta + i[-length, length] with n_nodes trapezoid nodes at
-    spacing h = 2 length / n_nodes (0.1 at the defaults), the one rule of
-    every vertical line in this module."""
-    return ContourSpec(kind="line", delta=delta, length=length, n_nodes=n_nodes)
-
-
-def circle(radius: float, n_nodes: int = 128, center: complex = 0.0) -> ContourSpec:
-    return ContourSpec(kind="circle", radius=radius, center=center, n_nodes=n_nodes)
-
-
-@dataclass(frozen=True)
-class ContourDefaults:
-    """Default contour offsets for the two-point formulas at a given gamma."""
-
-    delta: float
-    delta1: float
-
-
-def default_contours(gamma: float) -> ContourDefaults:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    delta = 0.4 * gamma
-    return ContourDefaults(
-        delta=delta,
-        delta1=0.2 * min(delta, 1.0 - delta) if delta < 1.0 else 0.1,
-    )
+def circle(radius: float, n_nodes: int = 128) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes z and line elements dz of the circle |z| = radius, traced
+    counter-clockwise, by the trapezoid rule: spectrally accurate for
+    periodic integrands."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("circle radius must be finite and positive")
+    if n_nodes < 4:
+        raise ValueError("need at least 4 nodes")
+    theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+    e = np.exp(1j * theta)
+    return radius * e, 1j * radius * e * (2.0 * math.pi / n_nodes)
 
 
 def _checked_length(length: float) -> float:
     if not (math.isfinite(length) and length > 0):
         raise ValueError("line half-length must be finite and positive")
     return float(length)
+
+
+def _leading(values: Sequence[float], k: int, name: str) -> list:
+    """The first k of values (alpha or alphahat) as finite floats."""
+    out = [float(a) for a in values][:k]
+    if len(out) != k:
+        raise ValueError(f"need {k} {name} values")
+    if not all(math.isfinite(a) for a in out):
+        raise ValueError(f"{name} values must be finite")
+    return out
+
+
+def _check_laplace_args(*us: float) -> None:
+    if not all(math.isfinite(u) and u >= 0 for u in us):
+        raise ValueError("Laplace arguments must be finite and >= 0")
 
 
 def _line_nodes_for_dim(dim: int, quad: Optional[QuadratureSpec],
@@ -278,16 +248,12 @@ def laplace1(
     F_m^alpha(mu) = prod_i Gamma(mu + alpha_i).  The line must lie to the
     right of every alphahat_j and every -alpha_i.
     """
-    alpha = [float(a) for a in alpha][:m]
-    alphahat = [float(a) for a in alphahat][:n]
-    if len(alpha) != m or len(alphahat) != n:
-        raise ValueError("need m alpha values and n alphahat values")
     if not (m >= n >= 1):
         raise ValueError("requires m >= n >= 1")
     if n > 3:
         raise ValueError("dimension cap: n <= 3")
-    if u < 0:
-        raise ValueError("Laplace argument must be >= 0")
+    alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
+    _check_laplace_args(u)
     if u == 0:
         return 1.0 + 0j
     lower = max(max(alphahat), -min(alpha))
@@ -298,7 +264,7 @@ def laplace1(
                          f"{lower}")
 
     nn = _line_nodes_for_dim(n, quad, length)
-    mu, dmu = vertical_line(delta, length, nn).nodes()
+    mu, dmu = vertical_line(delta, length, nn)
     g = _axis_weights(mu, dmu, n, alphahat, alpha, math.log(u))
     val, err = _two_group_integral(None, 0, g, n, None, dmu[0].imag)
     return _checked_transform(val, err)
@@ -414,28 +380,25 @@ def laplace2_case_a(
     the case m2 >= n2 (with m1 <= n1): an (m1 + n2)-fold contour integral,
     lambda over (ell_delta)^{m1} and mu over (ell_{delta+gamma})^{n2}, with
     the cross factor prod Gamma(lambda_i + mu_j) / Gamma(alpha_i + alphahat_j).
-    Requires gamma/2 > delta > 0, |alpha| < delta, |alphahat - gamma| < delta.
+    Requires gamma/2 > delta > 0, |alpha| < delta, |alphahat - gamma| < delta;
+    delta defaults to 0.4 gamma.
     """
     _check_two_points(m1, n1, m2, n2)
     if not (m1 <= n1 and m2 >= n2):
         raise ValueError("case a requires m1 <= n1 and m2 >= n2")
     if m1 + n2 > 4:
         raise ValueError("dimension cap: m1 + n2 <= 4")
-    alpha = [float(a) for a in alpha][:m2]
-    alphahat = [float(a) for a in alphahat][:n1]
-    if len(alpha) != m2 or len(alphahat) != n1:
-        raise ValueError("need m2 alpha values and n1 alphahat values")
+    alpha, alphahat = _leading(alpha, m2, "alpha"), _leading(alphahat, n1, "alphahat")
+    _check_laplace_args(u1, u2)
     given = delta
     if delta is None:
-        delta = default_contours(gamma).delta
+        delta = 0.4 * gamma
     if not (0 < delta < gamma / 2):
         raise ValueError("requires 0 < delta < gamma/2")
-    if max(abs(a) for a in alpha) >= delta:
+    if not all(abs(a) < delta for a in alpha):
         raise ValueError("requires |alpha_i| < delta")
-    if max(abs(a - gamma) for a in alphahat) >= delta:
+    if not all(abs(a - gamma) < delta for a in alphahat):
         raise ValueError("requires |alphahat_j - gamma| < delta")
-    if min(u1, u2) < 0:
-        raise ValueError("Laplace arguments must be >= 0")
     # a zero u leaves the one-point transform at the other point on its own
     # line: mu on ell_{delta+gamma}; lam on ell_delta, which is a line of
     # the transposed (n1, m1) form only
@@ -446,8 +409,8 @@ def laplace2_case_a(
                         None if given is None else given + gamma, quad, length)
 
     nn = _line_nodes_for_dim(m1 + n2, quad, length)
-    lam, dlam = vertical_line(delta, length, nn).nodes()
-    mu, dmu = vertical_line(delta + gamma, length, nn).nodes()
+    lam, dlam = vertical_line(delta, length, nn)
+    mu, dmu = vertical_line(delta + gamma, length, nn)
 
     gl = _axis_weights(lam, dlam, m1, alpha[:m1], alphahat[n2:n1], math.log(u1))
     gm = _axis_weights(mu, dmu, n2, alphahat[:n2], alpha[m1:m2], math.log(u2))
@@ -475,35 +438,34 @@ def laplace2_case_b(
 ) -> complex:
     """Joint Laplace transform in the case m2 < n2 (with m1 <= n1): lambda
     over (ell_delta)^{m1}, mu over (ell_{delta'})^{m2} with delta' > delta,
-    and the cross factor prod Gamma(-lambda_i + mu_{i'}).  delta' defaults
-    to delta + 0.5, half a unit off the poles of Gamma(mu - lambda) at the
-    integers mu - lambda <= 0."""
+    and the cross factor prod Gamma(-lambda_i + mu_{i'}), for u1, u2 > 0.
+    delta defaults to 0.4 gamma and delta' to delta + 0.5, half a unit off
+    the poles of Gamma(mu - lambda) at the integers mu - lambda <= 0."""
     _check_two_points(m1, n1, m2, n2)
     if not (m1 <= n1 and m2 < n2):
         raise ValueError("case b requires m1 <= n1 and m2 < n2 "
                          "(m2 >= n2 routes to case a)")
     if m1 + m2 > 4:
         raise ValueError("dimension cap: m1 + m2 <= 4")
-    alpha = [float(a) for a in alpha][:m2]
-    alphahat = [float(a) for a in alphahat][:n1]
-    if len(alpha) != m2 or len(alphahat) != n1:
-        raise ValueError("need m2 alpha values and n1 alphahat values")
+    alpha, alphahat = _leading(alpha, m2, "alpha"), _leading(alphahat, n1, "alphahat")
+    _check_laplace_args(u1, u2)
+    if min(u1, u2) == 0:
+        raise ValueError("requires u1, u2 > 0")
     if delta is None:
-        delta = default_contours(gamma).delta
+        delta = 0.4 * gamma
     if delta_prime is None:
         delta_prime = delta + 0.5
     if not (0 < delta < delta_prime):
         raise ValueError("requires 0 < delta < delta'")
-    if max(abs(a) for a in alpha) >= delta:
+    # phrased so that a NaN gamma fails the check
+    if not all(abs(a) < delta for a in alpha):
         raise ValueError("requires |alpha_i| < delta")
-    if max(abs(a - gamma) for a in alphahat) >= delta:
+    if not all(abs(a - gamma) < delta for a in alphahat):
         raise ValueError("requires |alphahat_j - gamma| < delta")
-    if min(u1, u2) <= 0:
-        raise ValueError("requires u1, u2 > 0")
 
     nn = _line_nodes_for_dim(m1 + m2, quad, length)
-    lam, dlam = vertical_line(delta, length, nn).nodes()
-    mu, dmu = vertical_line(delta_prime, length, nn).nodes()
+    lam, dlam = vertical_line(delta, length, nn)
+    mu, dmu = vertical_line(delta_prime, length, nn)
     gl = _axis_weights(lam, dlam, m1, alpha[:m1], alphahat[n2:n1], math.log(u1 / u2))
     gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], alphahat[:n2], math.log(u2),
                        norm=alpha[:m2])
@@ -541,13 +503,10 @@ def oy_laplace2(
     if m1 + m2 > 3:
         # four axes do not converge within reach of the node counts
         raise ValueError("dimension cap: m1 + m2 <= 3")
-    if min(u1, u2) < 0:
-        raise ValueError("Laplace arguments must be >= 0")
+    alpha = _leading(alpha, m2, "alpha (drift)")
+    _check_laplace_args(u1, u2)
     if u1 == 0 and u2 == 0:
         return 1.0 + 0j
-    alpha = [float(a) for a in alpha][:m2]
-    if len(alpha) != m2:
-        raise ValueError("need m2 alpha (drift) values")
     if delta_prime is None:
         delta_prime = delta + 0.5
     if max(abs(a) for a in alpha) >= delta or delta >= delta_prime:
@@ -569,7 +528,7 @@ def oy_laplace2(
     npu = 20.0 if quad is None else quad.nodes_per_unit
     h = min(2.0 / npu, len_l / 32.0, len_m / 32.0)
     nm = round(2.0 * len_m / h)
-    mu, dmu = vertical_line(delta_prime, 0.5 * nm * h, nm).nodes()
+    mu, dmu = vertical_line(delta_prime, 0.5 * nm * h, nm)
     gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], [], math.log(u2), t2,
                        norm=alpha[:m2])
     # with m1 = 0 the first group has no axes: its line and the cross
@@ -577,7 +536,7 @@ def oy_laplace2(
     gl = cross = None
     if m1 > 0:
         nl = round(2.0 * len_l / h)
-        lam, dlam = vertical_line(delta, 0.5 * nl * h, nl).nodes()
+        lam, dlam = vertical_line(delta, 0.5 * nl * h, nl)
         gl = _axis_weights(lam, dlam, m1, alpha[:m1], [], math.log(u1 / u2), t1 - t2)
         cross = _gamma_cross(lam, mu, False)
     val, err = _two_group_integral(gl, m1, gm, m2, cross, h)
@@ -628,12 +587,8 @@ def _bcr_fredholm(m, n, u, alpha, alphahat, delta1=None, delta2=None, quad=None,
     coefficients n + 1 and n + 2 of det(I + z K), which vanish in exact
     arithmetic, so their size is the rounding and aliasing noise that every
     coefficient carries."""
-    alpha = [float(a) for a in alpha][:m]
-    alphahat = [float(a) for a in alphahat][:n]
-    if len(alpha) != m or len(alphahat) != n:
-        raise ValueError("need m alpha values and n alphahat values")
-    if u < 0:
-        raise ValueError("Laplace argument must be >= 0")
+    alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
+    _check_laplace_args(u)
     if order is None:
         order = n
     if order < 0:
@@ -659,8 +614,8 @@ def _bcr_fredholm(m, n, u, alpha, alphahat, delta1=None, delta2=None, quad=None,
     # u^w oscillates along the w-line at large u and the integrand decays
     # slowly at small u: the line takes twice the 1-d node count
     nw = 2 * _line_nodes_for_dim(1, quad, length)
-    v, dv = circle(delta1, n_circle).nodes()
-    w, dw = vertical_line(delta2, length, nw).nodes()
+    v, dv = circle(delta1, n_circle)
+    w, dw = vertical_line(delta2, length, nw)
 
     def phi(z):
         # log of u^z prod_i Gamma(alpha'_i - z) / prod_j Gamma(z + alphahat'_j)
@@ -712,7 +667,9 @@ def joint_series_term(
     and through the gamma-function cross term across groups.  delta
     defaults to 0.4 gamma for the one-group terms and to 0.35 gamma for
     the (1,1) term, whose cross factor Gamma(gamma - w - w') has a pole
-    gamma - 2 delta from the line.
+    gamma - 2 delta from the line.  delta1 defaults to 0.2 min(d, 1 - d)
+    with d = 0.4 gamma at every term, or to 0.1 when d >= 1.  u1 and u2
+    must be positive.
 
     The line half-length defaults to min(12, max(2, 80/decay)), where
     decay = (pi/2) min(m_i + n_i) over the points whose group the term
@@ -724,13 +681,16 @@ def joint_series_term(
         raise ValueError("term indices must be >= 0")
     if m + n > 2:
         raise ValueError("dimension cap: m + n <= 2")
+    _check_laplace_args(u1, u2)
+    if min(u1, u2) == 0:
+        raise ValueError("requires u1, u2 > 0")
     if m == 0 and n == 0:
         return 1.0 + 0j
-    dflt = default_contours(gamma)
     if delta is None:
-        delta = 0.35 * gamma if m and n else dflt.delta
+        delta = 0.35 * gamma if m and n else 0.4 * gamma
     if delta1 is None:
-        delta1 = dflt.delta1
+        d = 0.4 * gamma
+        delta1 = 0.2 * min(d, 1.0 - d) if d < 1.0 else 0.1
     if not (0 < delta1 < min(delta, 1.0 - delta) and delta < gamma / 2):
         raise ValueError("requires 0 < delta1 < min(delta, 1-delta), delta < gamma/2")
 
@@ -739,8 +699,8 @@ def joint_series_term(
         decay = min(sizes) * math.pi / 2.0
         length = min(12.0, max(2.0, 80.0 / decay))
     nl = _line_nodes_for_dim(2 * (m + n), quad)
-    v, dv = circle(delta1, n_circle).nodes()
-    w, dw = vertical_line(delta, length, nl).nodes()
+    v, dv = circle(delta1, n_circle)
+    w, dw = vertical_line(delta, length, nl)
 
     def phi(z, u, e_gamma, e_zero):
         # the pair weight is e^{Phi(w) - Phi(v)}: u^w Gamma(gamma-w)^e_gamma
@@ -913,8 +873,6 @@ def prelimit_term(
     """
     if m < 0 or n < 0 or m + n > 2:
         raise ValueError("dimension cap: m + n <= 2")
-    if m == 0 and n == 0:
-        return 1.0 + 0j
     if N > 24:
         raise ValueError("N cap: N <= 24")
     m1, n1, m2, n2 = scaled_points(N, t1, t2)

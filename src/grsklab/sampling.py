@@ -144,19 +144,6 @@ def sample_array(index: IndexSet, params: ParameterSet, seed: int) -> PolygonalA
     )
 
 
-def _validate_staircase(points: Sequence[Tuple[int, int]]) -> None:
-    if not points:
-        raise ValueError("need at least one corner point")
-    for (m1, n1), (m2, n2) in zip(points, points[1:]):
-        if not (m1 < m2 and n1 > n2):
-            raise ValueError(
-                "corner points must have strictly increasing rows and "
-                "strictly decreasing columns"
-            )
-    if any(m < 1 or n < 1 for m, n in points):
-        raise ValueError("corner points must be >= (1,1)")
-
-
 def mc_laplace(
     points: Sequence[Tuple[int, int]],
     us: Sequence[float],
@@ -171,9 +158,8 @@ def mc_laplace(
     its own PCG64 stream, one block of _DP_BLOCK samples after another;
     (seed, n_streams) fixes the estimate to the last bit for every shape.
     """
-    points = [(int(m), int(n)) for m, n in points]
-    _validate_staircase(points)
-    if len(us) != len(points):
+    index = IndexSet(points)
+    if len(us) != len(index.corners):
         raise ValueError("need one Laplace argument per corner point")
     if not all(math.isfinite(u) for u in us):
         raise ValueError("Laplace arguments must be finite")
@@ -188,7 +174,7 @@ def mc_laplace(
     if not 1 <= n_streams <= n_samples:
         raise ValueError("n_streams must be between 1 and n_samples")
 
-    cells = IndexSet(points).cells()
+    cells = index.cells()
     shapes = np.array([params.shape_at(i, j) for (i, j) in cells])
 
     per_stream = [n_samples // n_streams] * n_streams
@@ -204,7 +190,7 @@ def mc_laplace(
         for start in range(0, budget, _DP_BLOCK):
             w = _inverse_gamma_weights(rng, shapes,
                                        min(_DP_BLOCK, budget - start), out=buf)
-            sample[done:done + w.shape[1]] = _mc_numpy.mc_chunk(w, points, us)
+            sample[done:done + w.shape[1]] = _mc_numpy.mc_chunk(w, index.corners, us)
             done += w.shape[1]
     mean = float(np.mean(sample))
     std = float(np.std(sample, ddof=1))

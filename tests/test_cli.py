@@ -12,7 +12,6 @@ import pytest
 import grsklab
 from grsklab.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, _array_doc,
                          _load_array, main)
-from grsklab.contour import default_contours
 
 
 def run(capsys, *argv):
@@ -391,6 +390,19 @@ def test_airy2_order_rejected_in_scaling_mode(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "1.0", "--x1", "0.5"],
+    ["--gamma", "1.0", "--x2", "0.0"],
+    ["--r1", "0.5"],
+    ["--r2", "0.0"],
+])
+def test_airy2_rejects_thresholds_its_mode_ignores(capsys, argv):
+    # scaling mode reads --r1/--r2 and kernel mode --x1/--x2: the other
+    # pair would do nothing, even at its default value
+    assert main(["airy2", "--t1", "0.2", "--t2", "0.4", *argv]) == EXIT_INPUT
+    assert "does nothing" in capsys.readouterr().err
+
+
 def test_airy2_threshold_window_error(capsys):
     code, _ = run(capsys, "airy2", "--t1", "0.0", "--t2", "1.0",
                   "--x1", "-9.0")
@@ -413,10 +425,19 @@ def test_laplace_rejects_delta1_without_traceback():
     assert "--delta1" in proc.stderr
 
 
-def test_laplace_reports_default_delta1(capsys):
+def test_laplace_reports_its_contours(capsys):
+    # delta is the --delta passed on (null where the evaluator chose it),
+    # and the density is that of the printed value, the 4/3 pass
     code, doc = run_json(capsys, "laplace", "--points", "1,1", "--u", "1.0")
     assert code == EXIT_OK
-    assert doc["contours"]["delta1"] == default_contours(1.0).delta1
+    assert doc["contours"] == {"delta": None, "length": 12.0,
+                               "nodes_per_unit": 20.0 * 4.0 / 3.0}
+    code, doc = run_json(capsys, "laplace", "--points", "1,3,3,1",
+                         "--u", "1,1", "--delta", "0.3", "--L", "10",
+                         "--nodes", "250")
+    assert code == EXIT_OK
+    assert doc["contours"] == {"delta": 0.3, "length": 10.0,
+                               "nodes_per_unit": 25.0 * 4.0 / 3.0}
 
 
 # ---------------------------------------------------------------------------

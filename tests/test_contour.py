@@ -10,6 +10,7 @@ of these cross-checks live in the acceptance suite.
 """
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,7 +18,6 @@ import pytest
 
 from grsklab import specfun
 from grsklab.contour import (
-    ContourSpec,
     _circle_line_kernel,
     _gamma_cross,
     _pi_csc_circle_line,
@@ -25,7 +25,6 @@ from grsklab.contour import (
     bcr_fredholm,
     block_cauchy_check,
     circle,
-    default_contours,
     _two_group_integral,
     fub_bound_margin,
     joint_series_term,
@@ -50,27 +49,29 @@ from grsklab.sampling import ParameterSet, mc_laplace
 
 def test_contour_validation():
     with pytest.raises(ValueError):
-        ContourSpec(kind="banana")
+        circle(0.0)
     with pytest.raises(ValueError):
-        ContourSpec(kind="circle", radius=0.0)
+        vertical_line(0.0, length=-1.0)
     with pytest.raises(ValueError):
-        ContourSpec(kind="line", length=-1.0)
+        vertical_line(0.0, n_nodes=2)
     with pytest.raises(ValueError):
-        ContourSpec(kind="line", n_nodes=2)
+        circle(1.0, n_nodes=3)
 
 
 @pytest.mark.parametrize("kw", [
-    {"kind": "line", "length": math.nan},
-    {"kind": "line", "length": math.inf},
+    {"kind": "line", "delta": 0.0, "length": math.nan},
+    {"kind": "line", "delta": 0.0, "length": math.inf},
     {"kind": "line", "delta": math.nan},
     {"kind": "line", "delta": -math.inf},
     {"kind": "circle", "radius": math.nan},
     {"kind": "circle", "radius": math.inf},
-    {"kind": "circle", "radius": 1.0, "center": complex(0.0, math.nan)},
+    {"kind": "circle", "radius": -math.inf},
 ])
 def test_contour_rejects_non_finite_geometry(kw):
+    geometry = dict(kw)
+    make = vertical_line if geometry.pop("kind") == "line" else circle
     with pytest.raises(ValueError, match="finite"):
-        ContourSpec(**kw)
+        make(**geometry)
 
 
 def test_evaluators_reject_non_finite_geometry():
@@ -89,9 +90,64 @@ def test_evaluators_reject_non_finite_geometry():
         oy_laplace2(1, 1.0, 2, 0.5, 1.0, 1.0, [0.0, 0.0], length=math.nan)
 
 
+# each evaluator at a valid input, by keyword
+VALID_INPUTS = {
+    laplace1: dict(m=2, n=2, u=1.0, alpha=[0.0] * 2, alphahat=[1.0] * 2),
+    laplace2_case_a: dict(m1=1, n1=3, m2=3, n2=1, u1=1.0, u2=1.0,
+                          alpha=[0.0] * 3, alphahat=[1.0] * 3, gamma=1.0),
+    laplace2_case_b: dict(m1=1, n1=4, m2=2, n2=3, u1=1.0, u2=1.0,
+                          alpha=[0.0] * 2, alphahat=[1.0] * 4, gamma=1.0,
+                          delta=0.4),
+    oy_laplace2: dict(m1=1, t1=1.0, m2=2, t2=0.5, u1=1.0, u2=1.0,
+                      alpha=[0.0] * 2),
+    bcr_fredholm: dict(m=2, n=2, u=1.0, alpha=[0.0] * 2, alphahat=[1.0] * 2),
+    joint_series_term: dict(m=1, n=0, m1=1, n1=2, m2=2, n2=1, u1=1.0,
+                            u2=1.0, gamma=1.0),
+    prelimit_term: dict(m=1, n=0, N=8, gamma=1.0, t1=0.5, t2=0.5,
+                        r1=0.0, r2=0.0),
+}
+
+
+def _bad_inputs():
+    """Each evaluator's valid input with one Laplace argument non-finite or
+    negative (zero too where u must be positive; prelimit_term's r = +-inf
+    gives u = 0 or inf), a non-finite gamma, or a NaN among the alpha or
+    alphahat it reads."""
+    for f, kw in VALID_INPUTS.items():
+        for key, value in kw.items():
+            if key in ("u", "u1", "u2"):
+                bads = [math.nan, math.inf, -math.inf, -1.0]
+                if f in (laplace2_case_b, joint_series_term):
+                    bads.append(0.0)
+            elif key in ("r1", "r2"):
+                bads = [math.nan, math.inf, -math.inf]
+            elif key in ("alpha", "alphahat"):
+                bads = [[math.nan] + value[1:]]
+            elif key == "gamma":
+                bads = [math.nan, math.inf]
+            else:
+                continue
+            for bad in bads:
+                yield pytest.param(f, {**kw, key: bad},
+                                   id=f"{f.__name__}-{key}={bad}")
+
+
+def test_valid_inputs_evaluate():
+    for f, kw in VALID_INPUTS.items():
+        assert math.isfinite(abs(f(**kw))), f.__name__
+
+
+@pytest.mark.parametrize("f, kw", list(_bad_inputs()))
+def test_evaluators_reject_bad_arguments_without_warnings(f, kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            f(**kw)
+
+
 def test_circle_residue():
     # (1/2 pi i) int dz/z = winding number
-    z, dz = circle(0.7).nodes()
+    z, dz = circle(0.7)
     assert np.sum(dz / z) == pytest.approx(2j * math.pi, abs=1e-12)
 
 
@@ -99,16 +155,9 @@ def test_line_integral_gaussian():
     # int_{ell_delta} e^{z^2} dz = i sqrt(pi): e^{z^2} decays like
     # e^{-y^2} on vertical lines, and the value is delta-independent
     for delta in (0.0, 0.4, 1.3):
-        z, dz = vertical_line(delta, length=8.0, n_nodes=160).nodes()
+        z, dz = vertical_line(delta, length=8.0, n_nodes=160)
         val = np.sum(np.exp(z**2) * dz)
         assert val == pytest.approx(1j * math.sqrt(math.pi), abs=1e-10)
-
-
-def test_default_contours_ordering():
-    d = default_contours(1.0)
-    assert 0 < d.delta1 < d.delta < 0.5
-    with pytest.raises(ValueError):
-        default_contours(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +556,11 @@ def test_prelimit_term_validation():
     with pytest.raises(ValueError):
         prelimit_term(1, 0, 8, 1.0, 0.5, 0.5, delta=0.1, delta1=0.2)
     assert prelimit_term(0, 0, 8, 1.0, 0.5, 0.5) == 1.0
+    # the (0,0) term is checked like every other term
+    with pytest.raises(ValueError):
+        prelimit_term(0, 0, 30, 1.0, 0.5, 0.5)
+    with pytest.raises(ValueError):
+        prelimit_term(0, 0, 8, 1.0, 0.5, 0.5, r1=math.nan)
 
 
 def test_fub_bound_margin_stays_bounded():
@@ -537,7 +591,7 @@ def test_fub_bound_margin_stays_bounded():
     (0.5, 47.75, 955),   # the mu line of oy_laplace2(1, 1.0, 2, 0.5, ...)
 ])
 def test_sklyanin_pair_matches_log_gamma_route(delta, half_length, n_nodes):
-    mu, dmu = vertical_line(delta, half_length, n_nodes).nodes()
+    mu, dmu = vertical_line(delta, half_length, n_nodes)
     h = dmu[0].imag
     P = _sklyanin_pair(n_nodes, h)
     assert np.all(np.diag(P) == 0)
@@ -569,7 +623,7 @@ def test_pi_csc_circle_line_matches_mpmath(im_w, side):
     # circle nodes of radius delta1 = 0.15 against w on the delta2 = 0.5
     # line, on both sides of |Im| = 20 and beyond |Im w| = 226, where
     # cos(pi w) overflows; at 300 the value itself underflows to 0
-    v = circle(0.15, 8).nodes()[0]
+    v = circle(0.15, 8)[0]
     w = np.array([0.5 + 1j * side * im_w])
     got = _pi_csc_circle_line(v, w)[:, 0]
     for a, z in enumerate(v - w[0]):
@@ -585,7 +639,7 @@ def test_pi_csc_circle_line_matches_mpmath(im_w, side):
 def test_circle_line_kernel_matches_direct_sum():
     # the bcr_fredholm kernel at u = 4, alpha' = (1, 1), alphahat' = (0, 0)
     # on a 16 x 40 grid, against its defining sum over the line nodes
-    v, dv = circle(0.3, 16).nodes()
+    v, dv = circle(0.3, 16)
     y, wy = gl_nodes(-5.0, 5.0, 40)
     w, dw = 0.5 + 1j * y, 1j * wy
 
@@ -708,8 +762,8 @@ def test_default_lines_resolve_converged_values(call, ref, rel):
 ])
 def test_structured_matrices_match_dense(d_lam, d_mu, n_lam, n_mu, hankel):
     h = 0.1
-    lam = vertical_line(d_lam, 0.5 * n_lam * h, n_lam).nodes()[0]
-    mu = vertical_line(d_mu, 0.5 * n_mu * h, n_mu).nodes()[0]
+    lam = vertical_line(d_lam, 0.5 * n_lam * h, n_lam)[0]
+    mu = vertical_line(d_mu, 0.5 * n_mu * h, n_mu)[0]
     z = lam[:, None] + mu[None, :] if hankel else mu[None, :] - lam[:, None]
     dense = np.exp(specfun.log_gamma(z))
     got = _gamma_cross(lam, mu, hankel)

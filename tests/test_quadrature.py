@@ -20,7 +20,10 @@ def minor_sum(M, sizes, ks):
     total = 0.0
     for parts in product(*picks):
         S = [i for part in parts for i in part]
-        total += np.linalg.det(M[np.ix_(S, S)]) if S else 1.0
+        # a subnormal pivot raises floating-point flags in the LU, which
+        # numpy reports as RuntimeWarnings; the draws admit subnormals
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            total += np.linalg.det(M[np.ix_(S, S)]) if S else 1.0
     return total
 
 
