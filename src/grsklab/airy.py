@@ -4,9 +4,9 @@ limiting terms of the double series expansion.
 The two-time distribution is the Fredholm determinant det(I - f Ai f) of
 the extended Airy kernel on L^2({t1,t2} x R), computed in full as the
 determinant of its weighted Nystrom matrix K (Bornemann, Math. Comp. 79
-(2010) 871).  One routine, _kernel_block, integrates the kernel over its
-lambda grids: it gives every block of that matrix and, on one-point
-arrays, extended_airy_kernel.  The series terms are coefficients of the
+(2010) 871).  One lambda rule, _lambda_rule, integrates the kernel: each
+block of that matrix is a weighted product of two Ai tables, evaluated once
+per threshold and grid.  The series terms are coefficients of the
 graded determinant det(I - z1 P1 K - z2 P2 K), where P_l keeps the rows
 of time l, read off by an FFT over roots of unity: the limit terms
 I_{m,n} are its z2^m z1^n coefficients at the scaled times and
@@ -68,12 +68,9 @@ def _ai(x) -> np.ndarray:
     asymptotic expansion below -10, and zero above +10 (|Ai(10)| ~ 1e-10)."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(xv)
-    mid = (xv >= -10.0) & (xv <= 10.0)
-    neg = xv < -10.0
-    if np.any(mid):
-        out[mid] = airy_ai(xv[mid])
-    if np.any(neg):
-        out[neg] = _ai_negative_asymptotic(xv[neg])
+    mid, neg = np.abs(xv) <= 10.0, xv < -10.0
+    out[mid] = airy_ai(xv[mid])
+    out[neg] = _ai_negative_asymptotic(xv[neg])
     return out
 
 
@@ -82,17 +79,16 @@ def _ai(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_block(ta, x, tb, y, lam_max=_LAMBDA_MAX, n_lam=200):
-    """The extended Airy kernel K(ta, x_i; tb, y_j) as a matrix:
-    int e^{-lambda(ta-tb)} Ai(x_i+lambda) Ai(y_j+lambda) over lambda > 0
-    for ta >= tb, and minus that integral over lambda < 0 for ta < tb.
+def _lambda_rule(s, lam_max=_LAMBDA_MAX, n_lam=200):
+    """Nodes and weights of the extended Airy kernel's lambda integral at
+    s = t - t', with e^{-lambda s} folded into the weights: over lambda > 0
+    for s >= 0, and minus the integral over lambda < 0 for s < 0.
 
     The negative branch runs on lambda = -x with negated weights.  Ai(. - x)
     only decays polynomially there, so the exponential must do the work:
     the window stretches to 40/rate (capped at 400), its node density
     tracks the Airy oscillation, and an error is raised when the dropped
     tail is not negligible."""
-    s = ta - tb
     if s >= 0:
         lam, w = gl_panels(0.0, lam_max, n_lam, 4)
     else:
@@ -106,22 +102,19 @@ def _kernel_block(ta, x, tb, y, lam_max=_LAMBDA_MAX, n_lam=200):
             )
         xg, wx = gl_panels(0.0, x_max, max(n_lam, int(10.0 * x_max)), 16)
         lam, w = -xg, -wx
-    fa = _ai(x[None, :] + lam[:, None])
-    fb = fa if y is x else _ai(y[None, :] + lam[:, None])
-    return (fa * (np.exp(-lam * s) * w)[:, None]).T @ fb
+    return lam, np.exp(-lam * s) * w
 
 
 def extended_airy_kernel(t: float, xi: float, tp: float, xip: float) -> float:
     """The extended Airy kernel Ai(t, xi; t', xi'), checked against a
     longer, denser rule."""
-    x, y = np.array([float(xi)]), np.array([float(xip)])
-    val = _kernel_block(t, x, tp, y)[0, 0]
-    ref = _kernel_block(t, x, tp, y, _LAMBDA_MAX + 4.0, 300)[0, 0]
+    if not all(math.isfinite(v) for v in (t, xi, tp, xip)):
+        raise ValueError("times and arguments must be finite")
+    rules = _lambda_rule(t - tp), _lambda_rule(t - tp, _LAMBDA_MAX + 4.0, 300)
+    val, ref = (float(w @ (_ai(xi + lam) * _ai(xip + lam))) for lam, w in rules)
     if abs(val - ref) > 1e-8 + 1e-8 * abs(ref):
-        raise ArithmeticError(
-            "extended Airy kernel did not converge under refinement"
-        )
-    return float(ref)
+        raise ArithmeticError("extended Airy kernel did not converge under refinement")
+    return ref
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +157,25 @@ def _operator(q: AiryQuery):
 
 def _nystrom_matrix(times, thresholds, n_tau):
     """Weighted Nystrom matrix of f Ai f on the union of the per-time
-    half-lines [xi_l, inf), truncated at xi_l + TAU_MAX.  The node arrays
-    are keyed by threshold, so blocks whose thresholds agree share one Ai
-    table per lambda grid."""
+    half-lines [xi_l, inf), truncated at xi_l + TAU_MAX.  Block (a, b) is
+    (A_a * w)^T A_b on the lambda rule of t_a - t_b, with one Ai table A
+    per threshold and grid: the blocks with t_a >= t_b share the positive
+    grid, and each negative window is keyed by its rate."""
     tau, wt = gl_panels(0.0, _TAU_MAX, n_tau, 4)
-    nodes = {xi: xi + tau for xi in thresholds}
-    ys = [nodes[xi] for xi in thresholds]
-    M = np.block([
-        [_kernel_block(ta, ya, tb, yb) for tb, yb in zip(times, ys)]
-        for ta, ya in zip(times, ys)
-    ])
-    return M * np.tile(wt, len(times))[None, :]
+    tables = {}
+
+    def block(ta, xa, tb, xb):
+        lam, w = _lambda_rule(ta - tb)
+        rate = max(tb - ta, 0.0)
+        for xi in (xa, xb):
+            if (xi, rate) not in tables:
+                tables[xi, rate] = _ai((xi + tau)[None, :] + lam[:, None])
+        return (tables[xa, rate] * w[:, None]).T @ tables[xb, rate]
+
+    return np.block([
+        [block(ta, xa, tb, xb) for tb, xb in zip(times, thresholds)]
+        for ta, xa in zip(times, thresholds)
+    ]) * np.tile(wt, len(times))[None, :]
 
 
 def airy_two_point_series(
@@ -193,10 +194,9 @@ def airy_two_point_series(
     off by the FFT on 8 roots of unity per time (the operator's numerical
     degree is <= 6 per time at thresholds >= -5).  Equal times reduce to
     one time at the lower threshold, as in airy_two_point."""
-    q = AiryQuery([t1, t2], [xi1, xi2], order)
     if order > 3:
         raise ValueError("order cap: order <= 3")
-    times, thresholds = _operator(q)
+    times, thresholds = _operator(AiryQuery([t1, t2], [xi1, xi2], order))
     Mw = _nystrom_matrix(times, thresholds, n_tau)
     c = _graded_det_coefficients(-Mw, [len(Mw)], 8 * len(times))
     return [float(p) for p in np.cumsum(c[: order + 1].real)]
@@ -223,6 +223,17 @@ def airy_two_point(
 # ---------------------------------------------------------------------------
 
 
+def _limit_query(t1, t2, r1, r2, gamma) -> AiryQuery:
+    """The scaling map of the two-point limit: the Airy query at times
+    (-c3 t1, c3 t2) and thresholds c1 r_l + c2 t_l^2 for the scaling
+    constants of gamma, checked by AiryQuery."""
+    sc = scaling_constants(gamma)
+    return AiryQuery(
+        [-sc.c3 * t1, sc.c3 * t2],
+        [sc.c1 * r1 + sc.c2 * t1**2, sc.c1 * r2 + sc.c2 * t2**2],
+    )
+
+
 def limit_term(
     m: int,
     n: int,
@@ -239,32 +250,24 @@ def limit_term(
     prelimit_term convention.
 
     I_{m,n} = (-1)^{m+n}/(m! n!) times the orthant integral of the
-    (m+n)-point block determinant of the extended Airy kernel at times
-    (-c3 t1, c3 t2) and thresholds (theta1, theta2).  That is the
+    (m+n)-point block determinant of the extended Airy kernel at the
+    times and thresholds of _limit_query.  That is the
     z2^m z1^n coefficient of the graded Fredholm determinant
     det(I - z1 P1 K - z2 P2 K) of the weighted Nystrom matrix K, read off
     by an FFT on 8 roots of unity per variable; summed over (m, n) the
     terms give conjecture_rhs."""
     if m < 0 or n < 0:
         raise ValueError("term indices must be >= 0")
+    q = _limit_query(t1, t2, r1, r2, gamma)
     if m + n == 0:
         return 1.0
     if m + n > 3:
         raise ValueError("cost cap: m + n <= 3")
-    sc = scaling_constants(gamma)
-    theta1 = sc.c1 * r1 + sc.c2 * t1**2
-    theta2 = sc.c1 * r2 + sc.c2 * t2**2
-    if min(theta1, theta2) < _MIN_THRESHOLD:
-        raise ValueError("mapped threshold below the supported window")
-    if m > 0 and n > 0 and sc.c3 * (t1 + t2) <= 0.05:
-        raise ValueError(
-            "mixed blocks need c3 * (t1 + t2) bounded away from zero"
-        )
+    if m > 0 and n > 0 and q.times[1] - q.times[0] <= 0.05:
+        raise ValueError("mixed blocks need Airy times more than 0.05 apart")
 
     # the groups the term uses: (multiplicity, time, threshold)
-    ks, times, thetas = zip(*[
-        g for g in ((n, -sc.c3 * t1, theta1), (m, sc.c3 * t2, theta2)) if g[0] > 0
-    ])
+    ks, times, thetas = zip(*[g for g in zip((n, m), q.times, q.thresholds) if g[0]])
     Mw = _nystrom_matrix(times, thetas, n_tau)
     c = _graded_det_coefficients(-Mw, [len(Mw) // len(ks)] * len(ks), 8)
     return float(c[ks].real)
@@ -280,10 +283,5 @@ def conjecture_rhs(
     """Right-hand side of the two-point limit conjecture:
     P(Ai(-c3 t1) <= c1 r1 + c2 t1^2, Ai(c3 t2) <= c1 r2 + c2 t2^2)
     with the scaling constants of the given gamma."""
-    sc = scaling_constants(gamma)
-    return airy_two_point(
-        -sc.c3 * t1,
-        sc.c3 * t2,
-        sc.c1 * r1 + sc.c2 * t1**2,
-        sc.c1 * r2 + sc.c2 * t2**2,
-    )
+    q = _limit_query(t1, t2, r1, r2, gamma)
+    return airy_two_point(*q.times, *q.thresholds)

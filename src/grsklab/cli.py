@@ -241,6 +241,16 @@ def _laplace_value(points, us, params, quad=None, delta=None, length=12.0):
               params.gamma, **kw)
 
 
+def _laplace_estimate(points, us, params, quad=None, delta=None, length=12.0):
+    """The contour value at 4/3 of the node density, its refinement error
+    estimate |value - value at the base density|, and that 4/3 density."""
+    val = _laplace_value(points, us, params, quad, delta, length)
+    base = quad.nodes_per_unit if quad is not None else 20.0
+    fine = QuadratureSpec(nodes_per_unit=base * 4.0 / 3.0)
+    val_fine = _laplace_value(points, us, params, fine, delta, length)
+    return val_fine, abs(val - val_fine), fine.nodes_per_unit
+
+
 def cmd_laplace(args) -> int:
     points = _parse_points(args.points)
     if len(points) not in (1, 2):
@@ -252,13 +262,8 @@ def cmd_laplace(args) -> int:
     nmax = max(n for _, n in points)
     params = _params_from_args(args, mmax, nmax)
 
-    quad = _quad_from_args(args)
-    val = _laplace_value(points, us, params, quad, args.delta, args.L)
-    # refinement-based error estimate: 4/3 of the node density
-    base = quad.nodes_per_unit if quad is not None else 20.0
-    fine = QuadratureSpec(nodes_per_unit=base * 4.0 / 3.0)
-    val_fine = _laplace_value(points, us, params, fine, args.delta, args.L)
-    err = abs(val - val_fine)
+    val_fine, err, density = _laplace_estimate(
+        points, us, params, _quad_from_args(args), args.delta, args.L)
 
     doc = {
         "value": val_fine.real,
@@ -272,7 +277,7 @@ def cmd_laplace(args) -> int:
         "contours": {
             "delta": args.delta,
             "length": args.L,
-            "nodes_per_unit": fine.nodes_per_unit,
+            "nodes_per_unit": density,
         },
     }
     if args.mc_check:
@@ -457,20 +462,55 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sweep(args) -> int:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# sweep config key -> shape check: one or two [m, n] points, number lists
+# u1 and u2 in grid
+_SWEEP_KEYS = {
+    "points": lambda x: isinstance(x, list) and len(x) in (1, 2) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in x),
+    "grid": lambda x: isinstance(x, dict) and set(x) <= {"u1", "u2"} and all(
+        isinstance(v, list) and all(map(_is_number, v)) for v in x.values()),
+    "op": lambda x: x in ("contour", "mc"),
+    "gamma": _is_number,
+    "seed": _is_int,
+    "samples": _is_int,
+}
+
+
+def _sweep_config(path: str) -> dict:
+    """The sweep config at path, with each key's shape checked."""
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{args.config}: cannot parse sweep config: {exc}")
+        raise ValueError(f"{path}: cannot parse sweep config: {exc}")
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: the sweep config must be a JSON object")
+    for key, value in cfg.items():
+        if key not in _SWEEP_KEYS:
+            raise ValueError(f"{path}: unknown sweep config key {key!r}")
+        if not _SWEEP_KEYS[key](value):
+            raise ValueError(f"{path}: malformed sweep config {key!r}: {value!r}")
+    return cfg
+
+
+def cmd_sweep(args) -> int:
+    cfg = _sweep_config(args.config)
     points = [tuple(p) for p in cfg.get("points", [[1, 1]])]
     gamma = float(cfg.get("gamma", 1.0))
     grid = cfg.get("grid", {})
     u1s = [float(x) for x in grid.get("u1", [])]
     u2s = [float(x) for x in grid.get("u2", [1.0])] if len(points) == 2 else [None]
     use_mc = cfg.get("op", "contour") == "mc"
-    seed = int(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 10**5))
+    seed = cfg.get("seed", 0)
+    samples = cfg.get("samples", 10**5)
 
     mmax = max(m for m, _ in points)
     nmax = max(n for _, n in points)
@@ -492,7 +532,8 @@ def cmd_sweep(args) -> int:
                                          seed=seed)
                         val, err = est.mean, est.stderr
                     else:
-                        val, err = _laplace_value(points, us, params).real, 0.0
+                        fine, err, _ = _laplace_estimate(points, us, params)
+                        val = fine.real
                     writer.writerow([u1, u2 if u2 is not None else "",
                                      repr(val), repr(err),
                                      f"{time.time() - t0:.3f}", ""])

@@ -724,7 +724,7 @@ def joint_series_term(
     (g2v, g2w), (g1v, g1w) = [(np.exp(-phi(v, *g)) * dv, np.exp(phi(w, *g)) * dw)
                               for g in (second, first)]
     P = _pi_csc_circle_line(v, w) / (w[None, :] - v[:, None])
-    ww = np.exp(_lg(gamma - w[:, None] - w[None, :]))
+    ww = _gamma_cross(gamma - w, -w, True)
     vv = np.exp(_lg(gamma - v[:, None] - v[None, :]))
     vw = np.exp(-_lg(gamma - v[:, None] - w[None, :]))
     Pg1w = P * g1w
@@ -836,9 +836,15 @@ def scaled_points(N: int, t1: float, t2: float) -> Tuple[int, int, int, int]:
 
 
 def scaled_u(N: int, gamma: float, r: float) -> float:
-    """u = exp(-N f_gamma - r N^{1/3}) with f_gamma = -2 Psi(gamma/2)."""
+    """u = exp(-N f_gamma - r N^{1/3}) with f_gamma = -2 Psi(gamma/2); a
+    NaN or overflowing u raises ValueError."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be positive and finite")
     f = -2.0 * float(digamma(gamma / 2.0))
-    return math.exp(-N * f - r * N ** (1.0 / 3.0))
+    x = -N * f - r * N ** (1.0 / 3.0)
+    if not x <= math.log(np.finfo(float).max):
+        raise ValueError(f"u = exp({x}) is NaN or overflows")
+    return math.exp(x)
 
 
 def prelimit_term(

@@ -234,8 +234,8 @@ def scaling_constants(gamma_: float) -> ScalingConstants:
       c1 = (-G'''/2)^{-1/3},  c2 = -c1 F''^2 / (2 G'''),  c3 = -F''/G'''.
     G'(gamma/2) = G''(gamma/2) = 0 is asserted numerically.
     """
-    if gamma_ <= 0:
-        raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma_) and gamma_ > 0):
+        raise ValueError("gamma must be positive and finite")
     half = gamma_ / 2.0
     f_gamma = -2.0 * float(np.real(digamma(half)))
     Gppp = 2.0 * float(np.real(polygamma(2, half)))
@@ -292,24 +292,31 @@ def _givental_nodes(quad: QuadratureSpec) -> int:
     return max(8, int(round(quad.nodes_per_unit * 2 * _GIVENTAL_HALF_LENGTH)))
 
 
-def whittaker_givental(arg: WhittakerArg, quad: QuadratureSpec | None = None):
-    """Psi^{(n)}_alpha(x) by quadrature of the Givental integral, rank <= 2.
-
-    Rank 1 is the closed form x^{-alpha}.  At rank 2 the one integration
-    variable z_11 is substituted z = e^y with y on [-L, L]; the pattern
-    potential couples it to the top row, fixed to x.
+def _givental(alpha, x, quad: QuadratureSpec):
+    """Psi^{(n)}_alpha at the base points x = (x_1, ..., x_n), arrays that
+    broadcast together, rank n <= 2.  Rank 1 is the closed form
+    x_1^{-alpha_1}.  At rank 2 the one integration variable z_11 is
+    substituted z = e^y with y on [-L, L]; the pattern potential couples it
+    to the top row x:
+      int z^{-alpha_1} (x_1 x_2 / z)^{-alpha_2} e^{-(z/x_1 + x_2/z)} dz/z.
     """
-    if quad is None:
-        quad = QuadratureSpec(nodes_per_unit=200.0 / 24.0)
-    if arg.rank == 1:
-        return complex(arg.x[0] ** (-np.asarray(arg.alpha[0], dtype=complex)))
+    a = np.asarray(alpha, dtype=complex)
+    if len(a) == 1:
+        return x[0] ** (-a[0])
     L = _GIVENTAL_HALF_LENGTH
     y, wy = gl_nodes(-L, L, _givental_nodes(quad))
     z = np.exp(y)  # dz/z = dy
-    a = np.asarray(arg.alpha, dtype=complex)
-    x1, x2 = arg.x
+    x1, x2 = (np.asarray(v)[..., None] for v in x)
     vals = z ** (-a[0]) * (x1 * x2 / z) ** (-a[1]) * np.exp(-(z / x1 + x2 / z))
-    return complex(np.sum(vals * wy))
+    return np.sum(vals * wy, axis=-1)
+
+
+def whittaker_givental(arg: WhittakerArg, quad: QuadratureSpec | None = None):
+    """Psi^{(n)}_alpha(x) by quadrature of the Givental integral, rank <= 2
+    (see _givental)."""
+    if quad is None:
+        quad = QuadratureSpec(nodes_per_unit=200.0 / 24.0)
+    return complex(_givental(arg.alpha, arg.x, quad))
 
 
 def stade_check(n: int, nu, lam, r: float,
@@ -336,33 +343,14 @@ def stade_check(n: int, nu, lam, r: float,
     rhs = r ** (-float(np.sum(nu + lam).real)) * np.prod(
         [gamma(ni + lj) for ni in nu for lj in lam]
     )
+    # the base point x_i = e^{y_i} on the product grid: dx_i/x_i = dy_i
     L = _GIVENTAL_HALF_LENGTH
-    m = _givental_nodes(quad)
-    y, wy = gl_nodes(-L, L, m)
+    y, wy = gl_nodes(-L, L, _givental_nodes(quad))
     x = np.exp(y)
-    if n == 1:
-        vals = np.exp(-r * x) * x ** (nu[0] + lam[0])
-        lhs = np.sum(vals * wy)
-    else:
-        # Psi^{(2)}_{-mu}(x1,x2) = int z^{mu1} (x1 x2 / z)^{mu2}
-        #                              e^{-(z/x1 + x2/z)} dz/z
-        zi, wz = gl_nodes(-L, L, m)
-        z = np.exp(zi)
-
-        def psi2(mu):
-            x1 = x[:, None, None]
-            x2 = x[None, :, None]
-            zz = z[None, None, :]
-            vals = (
-                zz ** mu[0]
-                * (x1 * x2 / zz) ** mu[1]
-                * np.exp(-(zz / x1 + x2 / zz))
-            )
-            return np.sum(vals * wz, axis=-1)
-
-        P = psi2(nu) * psi2(lam)
-        outer = np.exp(-r * x)[:, None] * P
-        lhs = np.einsum("i,j,ij->", wy, wy, outer)
+    base = (x,) if n == 1 else (x[:, None], x[None, :])
+    vals = np.exp(-r * base[0]) * (
+        _givental(-nu, base, quad) * _givental(-lam, base, quad))
+    lhs = np.sum(vals * wy) if n == 1 else np.einsum("i,j,ij->", wy, wy, vals)
     lhs = complex(lhs)
     rhs = complex(rhs)
     relerr = abs(lhs - rhs) / abs(rhs)

@@ -6,6 +6,7 @@ and the kernel-route evaluation.
 scipy is used on the test side only, as the independent reference.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from grsklab.airy import (
     extended_airy_kernel,
     limit_term,
 )
+from grsklab.contour import prelimit_term, scaled_u
 from grsklab.quadrature import gl_panels
 from grsklab.specfun import scaling_constants
 
@@ -264,6 +266,26 @@ def test_limit_term_validation():
         # mixed blocks need the times bounded away from zero
         limit_term(1, 1, 0.01, 0.01, 0.0, 0.0)
     assert limit_term(0, 0, 0.5, 0.5, 0.0, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: limit_term(1, 0, 0.5, 0.5, 0.0, math.nan),      # returned 0.0
+    lambda: limit_term(1, 0, 0.5, math.nan, 0.0, 0.0),      # returned nan
+    lambda: limit_term(1, 1, 0.5, 0.5, 0.0, 0.0, math.inf),
+    lambda: conjecture_rhs(0.5, 0.5, math.nan, 0.0),
+    lambda: extended_airy_kernel(0.0, math.nan, 1.0, 0.0),  # returned 0.0
+    lambda: extended_airy_kernel(math.inf, 0.0, 1.0, 0.0),
+    lambda: scaling_constants(math.nan),                    # ArithmeticError
+    lambda: scaling_constants(math.inf),                    # OverflowError
+    lambda: scaled_u(8, 1.0, math.nan),                     # returned nan
+    lambda: prelimit_term(1, 0, 8, 1.0, 0.5, 0.5, r2=-1e3),  # OverflowError
+], ids=["limit-r2", "limit-t2", "limit-gamma", "rhs-r1", "kernel-xi",
+        "kernel-t", "scaling-nan", "scaling-inf", "scaled_u-r", "prelimit-r2"])
+def test_airy_and_scaling_layer_reject_non_finite_input(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_conjecture_rhs_monotone_and_limits():

@@ -542,6 +542,34 @@ def test_sweep_bad_config(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("cfg", [
+    {"points": 5},
+    {"points": [[2, 2]], "grid": 5},
+    {"points": [[2, 2]], "grid": {"u1": 5}},
+    [[2, 2]],
+    {"points": [[2, 2]], "op": "mcc", "grid": {"u1": [1.0]}},
+], ids=["points-int", "grid-int", "u1-int", "top-level-list", "unknown-op"])
+def test_sweep_malformed_config_is_usage_error(tmp_path, cfg):
+    # each printed a traceback and exited 1, or ran the contour route for
+    # an unknown op
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    proc = run_process("sweep", str(p))
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_sweep_contour_rows_report_laplace_estimate(tmp_path, capsys):
+    # a contour row carries the value and 4/3-density error estimate that
+    # grsklab laplace prints for the same input, not an error of 0.0
+    cfg = {"points": [[2, 2]], "grid": {"u1": [1.0]}}
+    _, rows = sweep_rows(tmp_path, capsys, cfg)
+    _, doc = run_json(capsys, "laplace", "--points", "2,2", "--u", "1.0")
+    assert float(rows[1][2]) == doc["value"]
+    assert float(rows[1][3]) == doc["error_estimate"] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # environment overrides
 # ---------------------------------------------------------------------------

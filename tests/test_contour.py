@@ -759,6 +759,9 @@ def test_default_lines_resolve_converged_values(call, ref, rel):
     (0.4, 1.4, 240, 240, True),     # case a: Gamma(lam + mu) on ell_delta, ell_{delta+gamma}
     (0.4, 0.5, 240, 240, False),    # case b: Gamma(mu - lam) on ell_delta, ell_delta'
     (0.4, 0.5, 200, 331, False),    # oy_laplace2: two lengths, one spacing
+    # (1,1) series term: Gamma(gamma - w - w') on the pair (gamma - w, -w),
+    # w on ell_0.35 at gamma = 1; reversing both lines gives this pair
+    (0.65, -0.35, 240, 240, True),
 ])
 def test_structured_matrices_match_dense(d_lam, d_mu, n_lam, n_mu, hankel):
     h = 0.1
