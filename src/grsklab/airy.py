@@ -128,15 +128,12 @@ class AiryQuery:
 
     times: List[float]
     thresholds: List[float]
-    order: int = 3
 
     def __post_init__(self):
         if len(self.times) != len(self.thresholds):
             raise ValueError("need one threshold per time")
         if not all(math.isfinite(x) for x in [*self.times, *self.thresholds]):
             raise ValueError("times and thresholds must be finite")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
         if any(x < _MIN_THRESHOLD for x in self.thresholds):
             raise ValueError(
                 f"thresholds below {_MIN_THRESHOLD} are outside the "
@@ -194,9 +191,9 @@ def airy_two_point_series(
     off by the FFT on 8 roots of unity per time (the operator's numerical
     degree is <= 6 per time at thresholds >= -5).  Equal times reduce to
     one time at the lower threshold, as in airy_two_point."""
-    if order > 3:
-        raise ValueError("order cap: order <= 3")
-    times, thresholds = _operator(AiryQuery([t1, t2], [xi1, xi2], order))
+    if not 1 <= order <= 3:
+        raise ValueError("order must be in 1..3")
+    times, thresholds = _operator(AiryQuery([t1, t2], [xi1, xi2]))
     Mw = _nystrom_matrix(times, thresholds, n_tau)
     c = _graded_det_coefficients(-Mw, [len(Mw)], 8 * len(times))
     return [float(p) for p in np.cumsum(c[: order + 1].real)]
@@ -226,11 +223,13 @@ def airy_two_point(
 def _limit_query(t1, t2, r1, r2, gamma) -> AiryQuery:
     """The scaling map of the two-point limit: the Airy query at times
     (-c3 t1, c3 t2) and thresholds c1 r_l + c2 t_l^2 for the scaling
-    constants of gamma, checked by AiryQuery."""
+    constants of gamma, checked by AiryQuery.  t * t, not t**2: an
+    overflowing square is then an infinite threshold, which AiryQuery
+    rejects, not an OverflowError."""
     sc = scaling_constants(gamma)
     return AiryQuery(
         [-sc.c3 * t1, sc.c3 * t2],
-        [sc.c1 * r1 + sc.c2 * t1**2, sc.c1 * r2 + sc.c2 * t2**2],
+        [sc.c1 * r1 + sc.c2 * t1 * t1, sc.c1 * r2 + sc.c2 * t2 * t2],
     )
 
 

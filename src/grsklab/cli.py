@@ -26,9 +26,10 @@ from . import arrays, oracle
 from .airy import airy_two_point, airy_two_point_series, conjecture_rhs, limit_term
 from .contour import (
     _bcr_fredholm,
+    _laplace1,
+    _laplace2_case_a,
+    _laplace2_case_b,
     laplace1,
-    laplace2_case_a,
-    laplace2_case_b,
     prelimit_term,
 )
 from .quadrature import QuadratureSpec
@@ -219,36 +220,22 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _quad_from_args(args) -> Optional[QuadratureSpec]:
-    if args.nodes is None:
-        return None
-    return QuadratureSpec(nodes_per_unit=args.nodes / max(args.L, 1e-9))
-
-
-def _laplace_value(points, us, params, quad=None, delta=None, length=12.0):
-    """Dispatch one- or two-point contour evaluation."""
-    kw = {"length": length}
-    if quad is not None:
-        kw["quad"] = quad
-    if delta is not None:
-        kw["delta"] = delta
+def _laplace_value(points, us, params, nodes, length, delta=None):
+    """The one- or two-point contour transform, its error estimate, and the
+    node density of its lines: 4/3 of nodes/length per unit, or of 20
+    without nodes."""
+    base = 20.0 if nodes is None else nodes / max(length, 1e-9)
+    quad = QuadratureSpec(nodes_per_unit=base * 4.0 / 3.0)
+    kw = {"quad": quad, "length": length, "delta": delta}
     if len(points) == 1:
         (m, n) = points[0]
-        return laplace1(m, n, us[0], params.alpha, params.alphahat, **kw)
-    (m1, n1), (m2, n2) = points
-    fn = laplace2_case_a if m2 >= n2 else laplace2_case_b
-    return fn(m1, n1, m2, n2, us[0], us[1], params.alpha, params.alphahat,
-              params.gamma, **kw)
-
-
-def _laplace_estimate(points, us, params, quad=None, delta=None, length=12.0):
-    """The contour value at 4/3 of the node density, its refinement error
-    estimate |value - value at the base density|, and that 4/3 density."""
-    val = _laplace_value(points, us, params, quad, delta, length)
-    base = quad.nodes_per_unit if quad is not None else 20.0
-    fine = QuadratureSpec(nodes_per_unit=base * 4.0 / 3.0)
-    val_fine = _laplace_value(points, us, params, fine, delta, length)
-    return val_fine, abs(val - val_fine), fine.nodes_per_unit
+        val, err = _laplace1(m, n, us[0], params.alpha, params.alphahat, **kw)
+    else:
+        (m1, n1), (m2, n2) = points
+        fn = _laplace2_case_a if m2 >= n2 else _laplace2_case_b
+        val, err = fn(m1, n1, m2, n2, us[0], us[1], params.alpha,
+                      params.alphahat, params.gamma, **kw)
+    return val, err, quad.nodes_per_unit
 
 
 def cmd_laplace(args) -> int:
@@ -262,18 +249,16 @@ def cmd_laplace(args) -> int:
     nmax = max(n for _, n in points)
     params = _params_from_args(args, mmax, nmax)
 
-    val_fine, err, density = _laplace_estimate(
-        points, us, params, _quad_from_args(args), args.delta, args.L)
-
+    val, err, density = _laplace_value(points, us, params, args.nodes, args.L,
+                                       args.delta)
     doc = {
-        "value": val_fine.real,
-        "value_imag": val_fine.imag,
+        "value": val.real,
+        "value_imag": val.imag,
         "error_estimate": err,
         "points": [list(p) for p in points],
         "u": us,
         "gamma": params.gamma,
-        # what the command passed: delta is null where the evaluator chose
-        # it, and the density is that of the printed (fine) value
+        # what the command passed: delta is null where the evaluator chose it
         "contours": {
             "delta": args.delta,
             "length": args.L,
@@ -284,7 +269,7 @@ def cmd_laplace(args) -> int:
         est = mc_laplace(points, us, params, n_samples=args.samples,
                          seed=args.seed)
         doc["mc"] = est.to_json_dict()
-        doc["mc_z_score"] = (val_fine.real - est.mean) / max(est.stderr, 1e-300)
+        doc["mc_z_score"] = (val.real - est.mean) / max(est.stderr, 1e-300)
     _emit(doc, args.output)
     return EXIT_OK
 
@@ -510,7 +495,7 @@ def cmd_sweep(args) -> int:
     u2s = [float(x) for x in grid.get("u2", [1.0])] if len(points) == 2 else [None]
     use_mc = cfg.get("op", "contour") == "mc"
     seed = cfg.get("seed", 0)
-    samples = cfg.get("samples", 10**5)
+    samples = cfg.get("samples", args.samples)
 
     mmax = max(m for m, _ in points)
     nmax = max(n for _, n in points)
@@ -532,10 +517,10 @@ def cmd_sweep(args) -> int:
                                          seed=seed)
                         val, err = est.mean, est.stderr
                     else:
-                        fine, err, _ = _laplace_estimate(points, us, params)
-                        val = fine.real
+                        val, err, _ = _laplace_value(points, us, params,
+                                                     args.nodes, args.L)
                     writer.writerow([u1, u2 if u2 is not None else "",
-                                     repr(val), repr(err),
+                                     repr(val.real), repr(err),
                                      f"{time.time() - t0:.3f}", ""])
                 except (ValueError, ArithmeticError) as exc:
                     writer.writerow([u1, u2 if u2 is not None else "",
@@ -634,6 +619,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="CSV sweep from a config file")
     p.add_argument("config")
     p.add_argument("-o", "--output")
+    # no options: the rows read these from the GRSKLAB_ variables alone
+    p.set_defaults(samples=None, L=None, nodes=None)
     return ap
 
 

@@ -29,6 +29,10 @@ Conventions:
     (at most 2 axes) stays an explicit sum over its nodes.  The evaluators
     keep their dimension caps: beyond them the fixed line length and
     spacing, not the cost, limit the accuracy;
+  - laplace1, laplace2_case_a/_b and bcr_fredholm return the values of
+    _laplace1, _laplace2_case_a/_b and _bcr_fredholm, which also return an
+    error estimate; the Sklyanin-line forms take it from subsets of the
+    nodes they sum (_estimated_transform), not from a second evaluation;
   - every Sklyanin line group takes its per-axis weight u^{-z}
     prod Gamma(z - p) prod Gamma(z + q), over its normalization, from
     _axis_weights;
@@ -50,6 +54,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Optional, Sequence, Tuple
 
@@ -116,6 +121,18 @@ def _leading(values: Sequence[float], k: int, name: str) -> list:
 def _check_laplace_args(*us: float) -> None:
     if not all(math.isfinite(u) and u >= 0 for u in us):
         raise ValueError("Laplace arguments must be finite and >= 0")
+
+
+def _value_only(evaluate):
+    """The public form of a private evaluator that returns (value, error
+    estimate): the same arguments and docstring, the value alone."""
+    def public(*args, **kwargs):
+        return evaluate(*args, **kwargs)[0]
+    public.__name__ = public.__qualname__ = evaluate.__name__[1:]
+    public.__doc__ = evaluate.__doc__
+    public.__signature__ = inspect.signature(evaluate).replace(
+        return_annotation="complex")
+    return public
 
 
 def _line_nodes_for_dim(dim: int, quad: Optional[QuadratureSpec],
@@ -229,16 +246,10 @@ def _circle_line_kernel(v, dv, w, dw, log_v, log_w):
 # ---------------------------------------------------------------------------
 
 
-def laplace1(
-    m: int,
-    n: int,
-    u: float,
-    alpha: Sequence[float],
-    alphahat: Sequence[float],
-    delta: Optional[float] = None,
-    quad: Optional[QuadratureSpec] = None,
-    length: float = 12.0,
-) -> complex:
+def _laplace1(m: int, n: int, u: float, alpha: Sequence[float],
+              alphahat: Sequence[float], delta: Optional[float] = None,
+              quad: Optional[QuadratureSpec] = None,
+              length: float = 12.0) -> Tuple[complex, float]:
     """E[exp(-u Z_{(m,n)})] for an (alpha, alphahat)-log-gamma polymer,
     m >= n, as an n-fold integral over the vertical line ell_delta.
 
@@ -255,7 +266,7 @@ def laplace1(
     alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
     _check_laplace_args(u)
     if u == 0:
-        return 1.0 + 0j
+        return 1.0 + 0j, 0.0
     lower = max(max(alphahat), -min(alpha))
     if delta is None:
         delta = lower + 0.5
@@ -266,8 +277,7 @@ def laplace1(
     nn = _line_nodes_for_dim(n, quad, length)
     mu, dmu = vertical_line(delta, length, nn)
     g = _axis_weights(mu, dmu, n, alphahat, alpha, math.log(u))
-    val, err = _two_group_integral(None, 0, g, n, None, dmu[0].imag)
-    return _checked_transform(val, err)
+    return _estimated_transform(None, 0, g, n, None, dmu[0].imag)
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +367,41 @@ def _checked_transform(val: complex, err: float = 0.0) -> complex:
     return val
 
 
+def _estimated_transform(gl, k1, gm, k2, cross, h) -> Tuple[complex, float]:
+    """_two_group_integral's value, checked by _checked_transform against
+    its rounding bound, and an error estimate from subsets of the same
+    nodes: the sums on every 2nd and every 4th node of each line (spacing
+    2h and 4h) and on the inner 3/4 of each line.  With d1 = |I(h) - I(2h)|
+    and d2 = |I(2h) - I(4h)| the discretization term is d1^2/d2, the error
+    of the rule at 4h/3 under geometric convergence, or d1 where d1 >= d2;
+    the truncation term is |I(h) - I(inner)|.  The estimate is their sum
+    plus the rounding bound."""
+    val, bound = _two_group_integral(gl, k1, gm, k2, cross, h)
+    val = _checked_transform(val, bound)
+
+    def on(nodes, s=1):
+        # the sum on the nodes `nodes` of every line, at spacing s h
+        return _two_group_integral(
+            None if gl is None else gl[nodes] * s, k1, gm[nodes] * s, k2,
+            None if cross is None else cross[nodes, nodes], s * h)[0]
+
+    i2, i4 = on(slice(None, None, 2), 2), on(slice(None, None, 4), 4)
+    d1, d2 = abs(val - i2), abs(i2 - i4)
+    n = len(gm)
+    trunc = abs(val - on(slice(n // 8, n - n // 8)))
+    return val, (d1 if d1 >= d2 else d1 * d1 / d2) + trunc + bound
+
+
 def _check_two_points(m1, n1, m2, n2):
     if not (m1 < m2 and n1 > n2 and min(m1, n2) >= 1):
         raise ValueError("points must satisfy m1 < m2, n1 > n2, both >= (1,1)")
 
 
-def laplace2_case_a(
-    m1: int,
-    n1: int,
-    m2: int,
-    n2: int,
-    u1: float,
-    u2: float,
-    alpha: Sequence[float],
-    alphahat: Sequence[float],
-    gamma: float,
-    delta: Optional[float] = None,
-    quad: Optional[QuadratureSpec] = None,
-    length: float = 12.0,
-) -> complex:
+def _laplace2_case_a(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
+                     alpha: Sequence[float], alphahat: Sequence[float],
+                     gamma: float, delta: Optional[float] = None,
+                     quad: Optional[QuadratureSpec] = None,
+                     length: float = 12.0) -> Tuple[complex, float]:
     """Joint Laplace transform E[exp(-u1 Z_{(m1,n1)} - u2 Z_{(m2,n2)})] in
     the case m2 >= n2 (with m1 <= n1): an (m1 + n2)-fold contour integral,
     lambda over (ell_delta)^{m1} and mu over (ell_{delta+gamma})^{n2}, with
@@ -403,10 +429,10 @@ def laplace2_case_a(
     # line: mu on ell_{delta+gamma}; lam on ell_delta, which is a line of
     # the transposed (n1, m1) form only
     if u2 == 0:
-        return laplace1(n1, m1, u1, alphahat, alpha[:m1], given, quad, length)
+        return _laplace1(n1, m1, u1, alphahat, alpha[:m1], given, quad, length)
     if u1 == 0:
-        return laplace1(m2, n2, u2, alpha, alphahat,
-                        None if given is None else given + gamma, quad, length)
+        return _laplace1(m2, n2, u2, alpha, alphahat,
+                         None if given is None else given + gamma, quad, length)
 
     nn = _line_nodes_for_dim(m1 + n2, quad, length)
     lam, dlam = vertical_line(delta, length, nn)
@@ -417,25 +443,15 @@ def laplace2_case_a(
     # cross factor Gamma(lambda + mu) / Gamma(alpha_i + alphahat_j)
     log_cross_den = float(np.sum(_lg(np.add.outer(alpha[:m1], alphahat[:n2])).real))
     cross = _gamma_cross(lam, mu, True, log_cross_den / (m1 * n2))
-    val, err = _two_group_integral(gl, m1, gm, n2, cross, dlam[0].imag)
-    return _checked_transform(val, err)
+    return _estimated_transform(gl, m1, gm, n2, cross, dlam[0].imag)
 
 
-def laplace2_case_b(
-    m1: int,
-    n1: int,
-    m2: int,
-    n2: int,
-    u1: float,
-    u2: float,
-    alpha: Sequence[float],
-    alphahat: Sequence[float],
-    gamma: float,
-    delta: Optional[float] = None,
-    delta_prime: Optional[float] = None,
-    quad: Optional[QuadratureSpec] = None,
-    length: float = 12.0,
-) -> complex:
+def _laplace2_case_b(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
+                     alpha: Sequence[float], alphahat: Sequence[float],
+                     gamma: float, delta: Optional[float] = None,
+                     delta_prime: Optional[float] = None,
+                     quad: Optional[QuadratureSpec] = None,
+                     length: float = 12.0) -> Tuple[complex, float]:
     """Joint Laplace transform in the case m2 < n2 (with m1 <= n1): lambda
     over (ell_delta)^{m1}, mu over (ell_{delta'})^{m2} with delta' > delta,
     and the cross factor prod Gamma(-lambda_i + mu_{i'}), for u1, u2 > 0.
@@ -470,8 +486,7 @@ def laplace2_case_b(
     gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], alphahat[:n2], math.log(u2),
                        norm=alpha[:m2])
     cross = _gamma_cross(lam, mu, False)
-    val, err = _two_group_integral(gl, m1, gm, m2, cross, dlam[0].imag)
-    return _checked_transform(val, err)
+    return _estimated_transform(gl, m1, gm, m2, cross, dlam[0].imag)
 
 
 def oy_laplace2(
@@ -548,19 +563,12 @@ def oy_laplace2(
 # ---------------------------------------------------------------------------
 
 
-def bcr_fredholm(
-    m: int,
-    n: int,
-    u: float,
-    alpha: Sequence[float],
-    alphahat: Sequence[float],
-    delta1: Optional[float] = None,
-    delta2: Optional[float] = None,
-    quad: Optional[QuadratureSpec] = None,
-    order: Optional[int] = None,
-    n_circle: int = 128,
-    length: float = 12.0,
-) -> complex:
+def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
+                  alphahat: Sequence[float], delta1: Optional[float] = None,
+                  delta2: Optional[float] = None,
+                  quad: Optional[QuadratureSpec] = None,
+                  order: Optional[int] = None, n_circle: int = 128,
+                  length: float = 12.0) -> Tuple[complex, float]:
     """E[exp(-u Z_{(m,n)})] as det(I + K_u) on L^2(C_{delta1}).
 
     The partition-function law is invariant under the re-parameterization
@@ -573,20 +581,12 @@ def bcr_fredholm(
     [u^v prod_i Gamma(alpha'_i - v)] * prod_j Gamma(v + alphahat'_j) /
     Gamma(w + alphahat'_j).  The determinant has rank <= n (its only poles
     in v inside the circle are at -alphahat'_j), so the series truncates,
-    and its coefficients n + 1 and n + 2 vanish but for rounding: where
-    they exceed 1e-6 it raises ArithmeticError, as it does for a value
-    outside [0, 1] or off the real axis.
+    and its coefficients n + 1 and n + 2 vanish but for rounding: the
+    larger of the two is the error estimate, the rounding and aliasing
+    noise that every coefficient carries.  Where it exceeds 1e-6 it raises
+    ArithmeticError, as it does for a value outside [0, 1] or off the real
+    axis.
     """
-    return _bcr_fredholm(m, n, u, alpha, alphahat, delta1, delta2, quad, order,
-                         n_circle, length)[0]
-
-
-def _bcr_fredholm(m, n, u, alpha, alphahat, delta1=None, delta2=None, quad=None,
-                  order=None, n_circle=128, length=12.0) -> Tuple[complex, float]:
-    """bcr_fredholm's value and its error bound: the larger of the
-    coefficients n + 1 and n + 2 of det(I + z K), which vanish in exact
-    arithmetic, so their size is the rounding and aliasing noise that every
-    coefficient carries."""
     alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
     _check_laplace_args(u)
     if order is None:
@@ -633,6 +633,13 @@ def _bcr_fredholm(m, n, u, alpha, alphahat, delta1=None, delta2=None, quad=None,
     c = _graded_det_coefficients(Kt, [len(Kt)], n + 3)
     err = float(np.max(np.abs(c[n + 1:])))
     return _checked_transform(complex(np.sum(c[: min(order, n) + 1])), err), err
+
+
+# the public evaluators: the private forms' values alone
+laplace1 = _value_only(_laplace1)
+laplace2_case_a = _value_only(_laplace2_case_a)
+laplace2_case_b = _value_only(_laplace2_case_b)
+bcr_fredholm = _value_only(_bcr_fredholm)
 
 
 # ---------------------------------------------------------------------------

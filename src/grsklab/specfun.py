@@ -128,12 +128,14 @@ def polygamma(k: int, z):
     while abs(z) < 15 or z.real < 15:
         acc += sign * math.factorial(k) / z ** (k + 1)
         z += 1.0
-    # the k-th derivatives of log z, -1/(2z) and -B_2n/(2n z^{2n})
-    val = np.log(z) if k == 0 else sign * math.factorial(k - 1) / z**k
-    val += sign * math.factorial(k) / (2 * z ** (k + 1))
+    # the k-th derivatives of log z, -1/(2z) and -B_2n/(2n z^{2n}), in
+    # powers of w = 1/z, which underflow where powers of a huge z overflow
+    w = 1.0 / z
+    val = np.log(z) if k == 0 else sign * math.factorial(k - 1) * w**k
+    val += sign * math.factorial(k) * w ** (k + 1) / 2
     for n, b in enumerate(_BERN, start=1):
         coef = math.factorial(2 * n + k - 1) / math.factorial(2 * n)
-        val += sign * coef * b / z ** (2 * n + k)
+        val += sign * coef * b * w ** (2 * n + k)
     val += acc
     return val.real if abs(val.imag) < 1e-14 else val
 

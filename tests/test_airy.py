@@ -114,9 +114,9 @@ def test_query_validation():
     with pytest.raises(ValueError):
         AiryQuery([0.0], [0.0, 1.0])
     with pytest.raises(ValueError):
-        AiryQuery([0.0, 1.0], [0.0, 1.0], order=0)
-    with pytest.raises(ValueError):
         AiryQuery([0.0, 1.0], [0.0, -6.0])
+    with pytest.raises(ValueError):
+        airy_two_point_series(0.0, 1.0, 0.0, 0.0, order=0)
     with pytest.raises(ValueError):
         airy_two_point_series(0.0, 1.0, 0.0, 0.0, order=4)
 
@@ -279,8 +279,12 @@ def test_limit_term_validation():
     lambda: scaling_constants(math.inf),                    # OverflowError
     lambda: scaled_u(8, 1.0, math.nan),                     # returned nan
     lambda: prelimit_term(1, 0, 8, 1.0, 0.5, 0.5, r2=-1e3),  # OverflowError
+    lambda: limit_term(1, 0, 1e200, 0.5, 0.0, 0.0),         # OverflowError
+    lambda: scaled_u(8, 1e308, 0.0),                        # OverflowError
+    lambda: scaled_u(8, 1e30, 0.0),                         # OverflowError
 ], ids=["limit-r2", "limit-t2", "limit-gamma", "rhs-r1", "kernel-xi",
-        "kernel-t", "scaling-nan", "scaling-inf", "scaled_u-r", "prelimit-r2"])
+        "kernel-t", "scaling-nan", "scaling-inf", "scaled_u-r", "prelimit-r2",
+        "limit-t1-squared", "scaled_u-gamma-1e308", "scaled_u-gamma-1e30"])
 def test_airy_and_scaling_layer_reject_non_finite_input(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -415,6 +415,16 @@ def test_airy2_non_finite_threshold_error(capsys):
     assert code == EXIT_INPUT
 
 
+def test_airy2_overflowing_time_is_usage_error():
+    # the threshold c1 r1 + c2 t1^2 overflows: an input out of range, not
+    # a failed computation (it raised OverflowError and exited 1)
+    proc = run_process("airy2", "--t1", "1e200", "--t2", "0.4",
+                       "--gamma", "1.0")
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_laplace_rejects_delta1_without_traceback():
     # laplace has no --delta1 (the two-point integrals take one offset,
     # --delta), so argparse rejects it as a usage error
@@ -427,7 +437,7 @@ def test_laplace_rejects_delta1_without_traceback():
 
 def test_laplace_reports_its_contours(capsys):
     # delta is the --delta passed on (null where the evaluator chose it),
-    # and the density is that of the printed value, the 4/3 pass
+    # and the density is 4/3 of --nodes/--L, or of 20
     code, doc = run_json(capsys, "laplace", "--points", "1,1", "--u", "1.0")
     assert code == EXIT_OK
     assert doc["contours"] == {"delta": None, "length": 12.0,
@@ -561,13 +571,84 @@ def test_sweep_malformed_config_is_usage_error(tmp_path, cfg):
 
 
 def test_sweep_contour_rows_report_laplace_estimate(tmp_path, capsys):
-    # a contour row carries the value and 4/3-density error estimate that
-    # grsklab laplace prints for the same input, not an error of 0.0
+    # a contour row carries the value and error estimate that grsklab
+    # laplace prints for the same input, not an error of 0.0
     cfg = {"points": [[2, 2]], "grid": {"u1": [1.0]}}
     _, rows = sweep_rows(tmp_path, capsys, cfg)
     _, doc = run_json(capsys, "laplace", "--points", "2,2", "--u", "1.0")
     assert float(rows[1][2]) == doc["value"]
     assert float(rows[1][3]) == doc["error_estimate"] > 0.0
+
+
+def test_sweep_rows_read_the_environment_defaults(tmp_path, capsys,
+                                                 monkeypatch):
+    # contour rows ran at L = 12 and the default density whatever
+    # GRSKLAB_LENGTH and GRSKLAB_NODES said, and mc rows at 10^5 samples
+    monkeypatch.setenv("GRSKLAB_LENGTH", "4")
+    monkeypatch.setenv("GRSKLAB_NODES", "60")
+    monkeypatch.setenv("GRSKLAB_SAMPLES", "2000")
+    _, rows = sweep_rows(tmp_path, capsys,
+                         {"points": [[2, 2]], "grid": {"u1": [1.0]}})
+    _, doc = run_json(capsys, "laplace", "--points", "2,2", "--u", "1.0")
+    assert doc["contours"]["length"] == 4.0
+    assert float(rows[1][2]) == doc["value"]
+    assert float(rows[1][3]) == doc["error_estimate"]
+    # a config "samples" wins over GRSKLAB_SAMPLES
+    for cfg_samples, n in [({}, "2000"), ({"samples": 1000}, "1000")]:
+        cfg = {"points": [[2, 2]], "op": "mc", "grid": {"u1": [1.0]},
+               **cfg_samples}
+        _, rows = sweep_rows(tmp_path, capsys, cfg)
+        _, doc = run_json(capsys, "sample", "--points", "2,2", "--u", "1.0",
+                          "--samples", n)
+        assert [float(x) for x in rows[1][2:4]] == [doc["mean"], doc["stderr"]]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["laplace", "--points", "2,2", "--u", "1.0"], 1),
+    (["laplace", "--points", "1,4,2,3", "--u", "0.25,0.25"], 2),
+    (["sweep"], 1),
+], ids=["one-point", "two-point", "sweep-row"])
+def test_contour_commands_evaluate_once(tmp_path, capsys, monkeypatch, argv,
+                                        lines):
+    # each line's per-axis weights are built once: the error estimate
+    # comes from the same nodes, not from a second pass at another density
+    import grsklab.contour as contour
+    built = []
+    original = contour._axis_weights
+    monkeypatch.setattr(contour, "_axis_weights",
+                        lambda *a, **k: built.append(a) or original(*a, **k))
+    if argv == ["sweep"]:
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"points": [[2, 2]], "grid": {"u1": [1.0]}}))
+        argv = ["sweep", str(p), "-o", str(tmp_path / "out.csv")]
+    assert main(argv) == EXIT_OK
+    assert len(built) == lines
+
+
+@pytest.mark.parametrize("points, u", [
+    ([(2, 2)], 1.0), ([(3, 3)], 0.25), ([(1, 3), (3, 2)], 0.25),
+    ([(1, 4), (2, 3)], 0.25),
+], ids=["2,2", "3,3", "case-a", "case-b"])
+def test_laplace_error_estimate_covers_truncation(capsys, points, u):
+    # on short lines the truncation error dominates; a reference on long,
+    # dense lines checks that the estimate sees it
+    from grsklab.contour import laplace1, laplace2_case_a, laplace2_case_b
+    from grsklab.quadrature import QuadratureSpec
+    fine = {"quad": QuadratureSpec(nodes_per_unit=80.0), "length": 20.0}
+    alpha, alphahat = [0.0] * 4, [1.0] * 4
+    if len(points) == 1:
+        ref = laplace1(*points[0], u, alpha, alphahat, **fine)
+    else:
+        (m1, n1), (m2, n2) = points
+        fn = laplace2_case_a if m2 >= n2 else laplace2_case_b
+        ref = fn(m1, n1, m2, n2, u, u, alpha, alphahat, 1.0, **fine)
+    pts = ",".join(f"{m},{n}" for m, n in points)
+    for length in ("4", "6", "8", "12"):
+        code, doc = run_json(capsys, "laplace", "--points", pts,
+                             "--u", ",".join([str(u)] * len(points)),
+                             "--L", length)
+        assert code == EXIT_OK
+        assert doc["error_estimate"] >= abs(doc["value"] - ref.real), length
 
 
 # ---------------------------------------------------------------------------
