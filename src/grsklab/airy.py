@@ -28,6 +28,7 @@ from .quadrature import _graded_det_coefficients, gl_panels
 from .specfun import airy_ai, scaling_constants
 
 _TAU_MAX = 10.0  # orthant truncation; Ai decay makes the tail < 1e-10
+_N_TAU = 64  # Gauss-Legendre nodes on [0, _TAU_MAX] per time
 _LAMBDA_MAX = 12.0
 _MIN_THRESHOLD = -5.0
 
@@ -181,7 +182,6 @@ def airy_two_point_series(
     xi1: float,
     xi2: float,
     order: int = 3,
-    n_tau: int = 64,
 ) -> List[float]:
     """Partial sums of the block Fredholm expansion of
     P(Ai(t1) <= xi1, Ai(t2) <= xi2) through the given total order.
@@ -194,7 +194,7 @@ def airy_two_point_series(
     if not 1 <= order <= 3:
         raise ValueError("order must be in 1..3")
     times, thresholds = _operator(AiryQuery([t1, t2], [xi1, xi2]))
-    Mw = _nystrom_matrix(times, thresholds, n_tau)
+    Mw = _nystrom_matrix(times, thresholds, _N_TAU)
     c = _graded_det_coefficients(-Mw, [len(Mw)], 8 * len(times))
     return [float(p) for p in np.cumsum(c[: order + 1].real)]
 
@@ -204,7 +204,7 @@ def airy_two_point(
     t2: float,
     xi1: float,
     xi2: float,
-    n_tau: int = 64,
+    n_tau: int = _N_TAU,
 ) -> float:
     """Two-time Airy process probability P(Ai(t1) <= xi1, Ai(t2) <= xi2)
     as the full Fredholm determinant det(I - f Ai f), evaluated as
@@ -241,7 +241,6 @@ def limit_term(
     r1: float,
     r2: float,
     gamma: float = 1.0,
-    n_tau: int = 64,
 ) -> float:
     """The (m, n) term of the limiting double series: m indexes the
     second-point group (threshold c1 r2 + c2 t2^2), n the first-point
@@ -267,7 +266,7 @@ def limit_term(
 
     # the groups the term uses: (multiplicity, time, threshold)
     ks, times, thetas = zip(*[g for g in zip((n, m), q.times, q.thresholds) if g[0]])
-    Mw = _nystrom_matrix(times, thetas, n_tau)
+    Mw = _nystrom_matrix(times, thetas, _N_TAU)
     c = _graded_det_coefficients(-Mw, [len(Mw) // len(ks)] * len(ks), 8)
     return float(c[ks].real)
 

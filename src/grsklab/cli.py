@@ -32,7 +32,6 @@ from .contour import (
     laplace1,
     prelimit_term,
 )
-from .quadrature import QuadratureSpec
 from .sampling import ParameterSet, mc_laplace
 from .specfun import stade_check
 
@@ -57,7 +56,7 @@ def _env_default(name: str, cast, fallback):
     try:
         return cast(raw)
     except ValueError:
-        raise SystemExit(f"invalid GRSKLAB_{name}={raw!r}")
+        raise ValueError(f"invalid GRSKLAB_{name}={raw!r}")
 
 
 def _emit(obj: dict, out: Optional[str]) -> None:
@@ -225,8 +224,8 @@ def _laplace_value(points, us, params, nodes, length, delta=None):
     node density of its lines: 4/3 of nodes/length per unit, or of 20
     without nodes."""
     base = 20.0 if nodes is None else nodes / max(length, 1e-9)
-    quad = QuadratureSpec(nodes_per_unit=base * 4.0 / 3.0)
-    kw = {"quad": quad, "length": length, "delta": delta}
+    density = base * 4.0 / 3.0
+    kw = {"nodes_per_unit": density, "length": length, "delta": delta}
     if len(points) == 1:
         (m, n) = points[0]
         val, err = _laplace1(m, n, us[0], params.alpha, params.alphahat, **kw)
@@ -235,7 +234,7 @@ def _laplace_value(points, us, params, nodes, length, delta=None):
         fn = _laplace2_case_a if m2 >= n2 else _laplace2_case_b
         val, err = fn(m1, n1, m2, n2, us[0], us[1], params.alpha,
                       params.alphahat, params.gamma, **kw)
-    return val, err, quad.nodes_per_unit
+    return val, err, density
 
 
 def cmd_laplace(args) -> int:
@@ -626,13 +625,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    for dest, (name, cast, fallback) in _ENV_DEFAULTS.items():
-        if getattr(args, dest, 0) is None:
-            setattr(args, dest, _env_default(name, cast, fallback))
     # the handler cmd_<command> is looked up at call time, not bound into
     # the cached parser, so that a handler replaced on the module runs
     handler = globals()[f"cmd_{args.command}"]
     try:
+        for dest, (name, cast, fallback) in _ENV_DEFAULTS.items():
+            if getattr(args, dest, 0) is None:
+                setattr(args, dest, _env_default(name, cast, fallback))
         code = handler(args)
         # a closed pipe shows up here, not at the flush at interpreter exit
         sys.stdout.flush()

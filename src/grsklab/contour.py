@@ -29,6 +29,12 @@ Conventions:
     (at most 2 axes) stays an explicit sum over its nodes.  The evaluators
     keep their dimension caps: beyond them the fixed line length and
     spacing, not the cost, limit the accuracy;
+  - the contour evaluators take one resolution argument, nodes_per_unit
+    (default 20, finite and > 0, checked with the Laplace arguments before
+    any early return).  A line's node count is its base count on L = 12
+    (240, 240, 200 and 320 nodes for 1, 2, 3 and 4 axes, a spacing of 0.1
+    on 1-D and 2-D lines) scaled by nodes_per_unit/20 and by L/12;
+    oy_laplace2 spaces its nodes 2/nodes_per_unit apart;
   - laplace1, laplace2_case_a/_b and bcr_fredholm return the values of
     _laplace1, _laplace2_case_a/_b and _bcr_fredholm, which also return an
     error estimate; the Sklyanin-line forms take it from subsets of the
@@ -60,7 +66,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, _graded_det_coefficients, gl_panels
+from .quadrature import _graded_det_coefficients, gl_panels
 from .specfun import digamma, log_gamma
 
 TWO_PI_I = 2j * math.pi
@@ -118,7 +124,10 @@ def _leading(values: Sequence[float], k: int, name: str) -> list:
     return out
 
 
-def _check_laplace_args(*us: float) -> None:
+def _check_laplace_args(nodes_per_unit: float, *us: float) -> None:
+    """Line density finite and > 0, Laplace arguments finite and >= 0."""
+    if not (math.isfinite(nodes_per_unit) and nodes_per_unit > 0):
+        raise ValueError("nodes_per_unit must be finite and > 0")
     if not all(math.isfinite(u) and u >= 0 for u in us):
         raise ValueError("Laplace arguments must be finite and >= 0")
 
@@ -135,16 +144,16 @@ def _value_only(evaluate):
     return public
 
 
-def _line_nodes_for_dim(dim: int, quad: Optional[QuadratureSpec],
+def _line_nodes_for_dim(dim: int, nodes_per_unit: float,
                         length: float = 12.0) -> int:
     """Nodes on a line of half-length `length`: the base count belongs to
-    L = 12 and scales with the length, so the spacing stays fixed."""
+    L = 12 at 20 nodes per unit, scales with the density and with the
+    length, so the spacing stays fixed."""
     # the 4-d joint terms carry a slowly-decaying cross term along the
     # lines, so they need denser nodes than the lower-dimensional cases
     length = _checked_length(length)
     base = {1: 240, 2: 240, 3: 200}.get(dim, 320)
-    if quad is not None:
-        base = max(32, int(base * quad.nodes_per_unit / 20.0))
+    base = max(32, int(base * nodes_per_unit / 20.0))
     return max(32, round(base * length / 12.0))
 
 
@@ -248,7 +257,7 @@ def _circle_line_kernel(v, dv, w, dw, log_v, log_w):
 
 def _laplace1(m: int, n: int, u: float, alpha: Sequence[float],
               alphahat: Sequence[float], delta: Optional[float] = None,
-              quad: Optional[QuadratureSpec] = None,
+              nodes_per_unit: float = 20.0,
               length: float = 12.0) -> Tuple[complex, float]:
     """E[exp(-u Z_{(m,n)})] for an (alpha, alphahat)-log-gamma polymer,
     m >= n, as an n-fold integral over the vertical line ell_delta.
@@ -264,7 +273,7 @@ def _laplace1(m: int, n: int, u: float, alpha: Sequence[float],
     if n > 3:
         raise ValueError("dimension cap: n <= 3")
     alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
-    _check_laplace_args(u)
+    _check_laplace_args(nodes_per_unit, u)
     if u == 0:
         return 1.0 + 0j, 0.0
     lower = max(max(alphahat), -min(alpha))
@@ -274,7 +283,7 @@ def _laplace1(m: int, n: int, u: float, alpha: Sequence[float],
         raise ValueError("contour must lie right of all poles: delta > "
                          f"{lower}")
 
-    nn = _line_nodes_for_dim(n, quad, length)
+    nn = _line_nodes_for_dim(n, nodes_per_unit, length)
     mu, dmu = vertical_line(delta, length, nn)
     g = _axis_weights(mu, dmu, n, alphahat, alpha, math.log(u))
     return _estimated_transform(None, 0, g, n, None, dmu[0].imag)
@@ -400,7 +409,7 @@ def _check_two_points(m1, n1, m2, n2):
 def _laplace2_case_a(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
                      alpha: Sequence[float], alphahat: Sequence[float],
                      gamma: float, delta: Optional[float] = None,
-                     quad: Optional[QuadratureSpec] = None,
+                     nodes_per_unit: float = 20.0,
                      length: float = 12.0) -> Tuple[complex, float]:
     """Joint Laplace transform E[exp(-u1 Z_{(m1,n1)} - u2 Z_{(m2,n2)})] in
     the case m2 >= n2 (with m1 <= n1): an (m1 + n2)-fold contour integral,
@@ -415,7 +424,7 @@ def _laplace2_case_a(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
     if m1 + n2 > 4:
         raise ValueError("dimension cap: m1 + n2 <= 4")
     alpha, alphahat = _leading(alpha, m2, "alpha"), _leading(alphahat, n1, "alphahat")
-    _check_laplace_args(u1, u2)
+    _check_laplace_args(nodes_per_unit, u1, u2)
     given = delta
     if delta is None:
         delta = 0.4 * gamma
@@ -429,12 +438,14 @@ def _laplace2_case_a(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
     # line: mu on ell_{delta+gamma}; lam on ell_delta, which is a line of
     # the transposed (n1, m1) form only
     if u2 == 0:
-        return _laplace1(n1, m1, u1, alphahat, alpha[:m1], given, quad, length)
+        return _laplace1(n1, m1, u1, alphahat, alpha[:m1], given,
+                         nodes_per_unit, length)
     if u1 == 0:
         return _laplace1(m2, n2, u2, alpha, alphahat,
-                         None if given is None else given + gamma, quad, length)
+                         None if given is None else given + gamma,
+                         nodes_per_unit, length)
 
-    nn = _line_nodes_for_dim(m1 + n2, quad, length)
+    nn = _line_nodes_for_dim(m1 + n2, nodes_per_unit, length)
     lam, dlam = vertical_line(delta, length, nn)
     mu, dmu = vertical_line(delta + gamma, length, nn)
 
@@ -450,7 +461,7 @@ def _laplace2_case_b(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
                      alpha: Sequence[float], alphahat: Sequence[float],
                      gamma: float, delta: Optional[float] = None,
                      delta_prime: Optional[float] = None,
-                     quad: Optional[QuadratureSpec] = None,
+                     nodes_per_unit: float = 20.0,
                      length: float = 12.0) -> Tuple[complex, float]:
     """Joint Laplace transform in the case m2 < n2 (with m1 <= n1): lambda
     over (ell_delta)^{m1}, mu over (ell_{delta'})^{m2} with delta' > delta,
@@ -464,7 +475,7 @@ def _laplace2_case_b(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
     if m1 + m2 > 4:
         raise ValueError("dimension cap: m1 + m2 <= 4")
     alpha, alphahat = _leading(alpha, m2, "alpha"), _leading(alphahat, n1, "alphahat")
-    _check_laplace_args(u1, u2)
+    _check_laplace_args(nodes_per_unit, u1, u2)
     if min(u1, u2) == 0:
         raise ValueError("requires u1, u2 > 0")
     if delta is None:
@@ -479,7 +490,7 @@ def _laplace2_case_b(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
     if not all(abs(a - gamma) < delta for a in alphahat):
         raise ValueError("requires |alphahat_j - gamma| < delta")
 
-    nn = _line_nodes_for_dim(m1 + m2, quad, length)
+    nn = _line_nodes_for_dim(m1 + m2, nodes_per_unit, length)
     lam, dlam = vertical_line(delta, length, nn)
     mu, dmu = vertical_line(delta_prime, length, nn)
     gl = _axis_weights(lam, dlam, m1, alpha[:m1], alphahat[n2:n1], math.log(u1 / u2))
@@ -499,7 +510,7 @@ def oy_laplace2(
     alpha: Sequence[float],
     delta: float = 0.4,
     delta_prime: Optional[float] = None,
-    quad: Optional[QuadratureSpec] = None,
+    nodes_per_unit: float = 20.0,
     length: Optional[float] = None,
 ) -> complex:
     """Two-point Laplace transform of the semi-discrete Brownian polymer:
@@ -519,7 +530,7 @@ def oy_laplace2(
         # four axes do not converge within reach of the node counts
         raise ValueError("dimension cap: m1 + m2 <= 3")
     alpha = _leading(alpha, m2, "alpha (drift)")
-    _check_laplace_args(u1, u2)
+    _check_laplace_args(nodes_per_unit, u1, u2)
     if u1 == 0 and u2 == 0:
         return 1.0 + 0j
     if delta_prime is None:
@@ -540,8 +551,7 @@ def oy_laplace2(
         len_l = len_m = _checked_length(length)
     # both lines share the spacing h (2/nodes_per_unit, finer if a line
     # would get fewer than 64 nodes), so the cross matrix is Toeplitz
-    npu = 20.0 if quad is None else quad.nodes_per_unit
-    h = min(2.0 / npu, len_l / 32.0, len_m / 32.0)
+    h = min(2.0 / nodes_per_unit, len_l / 32.0, len_m / 32.0)
     nm = round(2.0 * len_m / h)
     mu, dmu = vertical_line(delta_prime, 0.5 * nm * h, nm)
     gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], [], math.log(u2), t2,
@@ -566,7 +576,7 @@ def oy_laplace2(
 def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
                   alphahat: Sequence[float], delta1: Optional[float] = None,
                   delta2: Optional[float] = None,
-                  quad: Optional[QuadratureSpec] = None,
+                  nodes_per_unit: float = 20.0,
                   order: Optional[int] = None, n_circle: int = 128,
                   length: float = 12.0) -> Tuple[complex, float]:
     """E[exp(-u Z_{(m,n)})] as det(I + K_u) on L^2(C_{delta1}).
@@ -588,7 +598,7 @@ def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
     axis.
     """
     alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
-    _check_laplace_args(u)
+    _check_laplace_args(nodes_per_unit, u)
     if order is None:
         order = n
     if order < 0:
@@ -613,7 +623,7 @@ def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
 
     # u^w oscillates along the w-line at large u and the integrand decays
     # slowly at small u: the line takes twice the 1-d node count
-    nw = 2 * _line_nodes_for_dim(1, quad, length)
+    nw = 2 * _line_nodes_for_dim(1, nodes_per_unit, length)
     v, dv = circle(delta1, n_circle)
     w, dw = vertical_line(delta2, length, nw)
 
@@ -646,6 +656,8 @@ bcr_fredholm = _value_only(_bcr_fredholm)
 # Fredholm-like double series for two points at (0, gamma)
 # ---------------------------------------------------------------------------
 
+# trapezoid nodes on the series terms' circle C_delta1
+_SERIES_CIRCLE_NODES = 64
 
 def joint_series_term(
     m: int,
@@ -659,8 +671,7 @@ def joint_series_term(
     gamma: float,
     delta: Optional[float] = None,
     delta1: Optional[float] = None,
-    quad: Optional[QuadratureSpec] = None,
-    n_circle: int = 64,
+    nodes_per_unit: float = 20.0,
     length: Optional[float] = None,
 ) -> complex:
     """The (m, n) summand of the double series for the (0, gamma) joint
@@ -676,7 +687,8 @@ def joint_series_term(
     the (1,1) term, whose cross factor Gamma(gamma - w - w') has a pole
     gamma - 2 delta from the line.  delta1 defaults to 0.2 min(d, 1 - d)
     with d = 0.4 gamma at every term, or to 0.1 when d >= 1.  u1 and u2
-    must be positive.
+    must be positive.  At 20 nodes_per_unit the line takes 240 (one pair)
+    or 320 (two pairs) nodes at every length, the circle 64.
 
     The line half-length defaults to min(12, max(2, 80/decay)), where
     decay = (pi/2) min(m_i + n_i) over the points whose group the term
@@ -688,7 +700,7 @@ def joint_series_term(
         raise ValueError("term indices must be >= 0")
     if m + n > 2:
         raise ValueError("dimension cap: m + n <= 2")
-    _check_laplace_args(u1, u2)
+    _check_laplace_args(nodes_per_unit, u1, u2)
     if min(u1, u2) == 0:
         raise ValueError("requires u1, u2 > 0")
     if m == 0 and n == 0:
@@ -705,8 +717,8 @@ def joint_series_term(
         sizes = ([m2 + n2] if m else []) + ([m1 + n1] if n else [])
         decay = min(sizes) * math.pi / 2.0
         length = min(12.0, max(2.0, 80.0 / decay))
-    nl = _line_nodes_for_dim(2 * (m + n), quad)
-    v, dv = circle(delta1, n_circle)
+    nl = _line_nodes_for_dim(2 * (m + n), nodes_per_unit)
+    v, dv = circle(delta1, _SERIES_CIRCLE_NODES)
     w, dw = vertical_line(delta, length, nl)
 
     def phi(z, u, e_gamma, e_zero):
@@ -722,12 +734,12 @@ def joint_series_term(
         # the higher coefficients into this one
         k, group = (m, second) if m else (n, first)
         K = _circle_line_kernel(v, dv, w, dw, phi(v, *group), phi(w, *group))
-        return complex(_graded_det_coefficients(K, [n_circle], max(k, group[2]) + 1)[k])
+        return complex(_graded_det_coefficients(K, [len(K)], max(k, group[2]) + 1)[k])
 
     # (1,1): one pair (v, w) per group, each with its Cauchy factor P, and
     # the cross term Gamma(gamma-a-b) between the groups, numerators on the
     # like pairs and denominators on the mixed ones; one step per circle
-    # node a of the second group keeps the temporaries at n_circle x nl
+    # node a of the second group keeps the temporaries at circle x line size
     (g2v, g2w), (g1v, g1w) = [(np.exp(-phi(v, *g)) * dv, np.exp(phi(w, *g)) * dw)
                               for g in (second, first)]
     P = _pi_csc_circle_line(v, w) / (w[None, :] - v[:, None])
@@ -747,6 +759,8 @@ def joint_series_term(
 # block Cauchy identity check
 # ---------------------------------------------------------------------------
 
+# Gauss-Legendre nodes per orthant axis, in panels of 24
+_CAUCHY_NODES = 96
 
 def block_cauchy_check(
     w: Sequence[complex],
@@ -754,7 +768,6 @@ def block_cauchy_check(
     ws: Sequence[complex],
     vs: Sequence[complex],
     gamma: float,
-    n_nodes: int = 96,
 ) -> Tuple[complex, complex, float]:
     """Evaluate both sides of the block Cauchy identity.
 
@@ -762,7 +775,7 @@ def block_cauchy_check(
     linear-factor ratios (gamma-ws-v)(gamma-vs-w)/((gamma-ws-w)(gamma-vs-v)).
     rhs: integral over the positive orthant of the exponential block
     determinant, as the determinant of its per-axis column integrals, each
-    by Gauss-Legendre quadrature.  Returns (lhs, rhs, relerr).
+    by Gauss-Legendre quadrature on 96 nodes.  Returns (lhs, rhs, relerr).
     """
     w = [complex(z) for z in w]
     v = [complex(z) for z in v]
@@ -817,7 +830,7 @@ def block_cauchy_check(
     # orthant integral is det of the matrix of column integrals (Leibniz)
     A = np.empty((dim, dim), dtype=complex)
     for j, r in enumerate(rates):
-        x, wx = gl_panels(0.0, 40.0 / r, n_nodes, max(1, n_nodes // 24))
+        x, wx = gl_panels(0.0, 40.0 / r, _CAUCHY_NODES, _CAUCHY_NODES // 24)
         A[:, j] = np.exp(-np.outer(S[:, j], x)) @ wx
     A[:n, n:] *= -1.0
     rhs = complex(np.linalg.det(A))
@@ -865,7 +878,7 @@ def prelimit_term(
     r2: float = 0.0,
     delta: Optional[float] = None,
     delta1: Optional[float] = None,
-    quad: Optional[QuadratureSpec] = None,
+    nodes_per_unit: float = 20.0,
 ) -> complex:
     """The pre-limit summand I^{(N)}_{m,n} of the two-point expansion, for
     the (0, gamma) polymer at the N^{2/3}-separated points, with
@@ -900,7 +913,7 @@ def prelimit_term(
     u1 = scaled_u(N, gamma, r1)
     u2 = scaled_u(N, gamma, r2)
     return joint_series_term(m, n, m1, n1, m2, n2, u1, u2, gamma,
-                             delta=delta, delta1=delta1, quad=quad)
+                             delta, delta1, nodes_per_unit)
 
 
 def prelimit_sum(

@@ -1,24 +1,11 @@
-"""Shared quadrature plumbing: Gauss-Legendre panels, node-density specs,
-and the graded Fredholm-determinant coefficients."""
+"""Shared quadrature plumbing: Gauss-Legendre panels and the graded
+Fredholm-determinant coefficients."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node density: nodes_per_unit is the target number of nodes per unit
-    contour length."""
-
-    nodes_per_unit: float = 20.0
-
-    def __post_init__(self):
-        if self.nodes_per_unit <= 0:
-            raise ValueError("nodes_per_unit must be positive")
 
 
 @lru_cache(maxsize=256)
@@ -55,14 +42,19 @@ def _graded_det_coefficients(M: np.ndarray, sizes: Sequence[int],
     (Bornemann, Math. Comp. 79 (2010) 871).  Coefficients of degree >= K in
     some z_l alias into the result, so K must exceed the numerical degree.
     The determinants are taken one at a time to keep memory flat, and
-    c[0, ..., 0] = det(I) = 1 is set exactly."""
+    c[0, ..., 0] = det(I) = 1 is set exactly.  Subnormal parts are zeroed
+    before each det: numpy's complex LU returns NaN on a subnormal pivot."""
     roots = np.exp(2j * np.pi * np.arange(K) / K)
     group = np.repeat(np.arange(len(sizes)), sizes)
     eye = np.eye(len(M))
+    tiny = np.finfo(float).tiny
     vals = np.empty((K,) * len(sizes), dtype=complex)
     for idx in np.ndindex(vals.shape):
         z = roots[np.asarray(idx)][group]
-        vals[idx] = np.linalg.det(eye + z[:, None] * M)
+        A = eye + z[:, None] * M
+        for part in (A.real, A.imag):
+            part[np.abs(part) < tiny] = 0.0
+        vals[idx] = np.linalg.det(A)
     c = np.fft.fftn(vals) / vals.size
     c[(0,) * len(sizes)] = 1.0
     return c

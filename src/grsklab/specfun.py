@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, gl_nodes
+from .quadrature import gl_nodes
 
 # ---------------------------------------------------------------------------
 # log-gamma (Lanczos, g = 607/128, 15 coefficients), vectorized over ndarrays
@@ -286,43 +286,39 @@ class WhittakerArg:
 
 
 # half-length of the log-variable window y in [-L, L] of the Givental and
-# Stade integrals
+# Stade integrals, and the Gauss-Legendre nodes on it
 _GIVENTAL_HALF_LENGTH = 12.0
+_WHITTAKER_NODES = 200
+_STADE_NODES = 120  # each of stade_check's outer and inner integrals
 
 
-def _givental_nodes(quad: QuadratureSpec) -> int:
-    return max(8, int(round(quad.nodes_per_unit * 2 * _GIVENTAL_HALF_LENGTH)))
-
-
-def _givental(alpha, x, quad: QuadratureSpec):
+def _givental(alpha, x, n_nodes: int):
     """Psi^{(n)}_alpha at the base points x = (x_1, ..., x_n), arrays that
     broadcast together, rank n <= 2.  Rank 1 is the closed form
     x_1^{-alpha_1}.  At rank 2 the one integration variable z_11 is
     substituted z = e^y with y on [-L, L]; the pattern potential couples it
     to the top row x:
-      int z^{-alpha_1} (x_1 x_2 / z)^{-alpha_2} e^{-(z/x_1 + x_2/z)} dz/z.
+      int z^{-alpha_1} (x_1 x_2 / z)^{-alpha_2} e^{-(z/x_1 + x_2/z)} dz/z,
+    by n_nodes-point Gauss-Legendre quadrature in y.
     """
     a = np.asarray(alpha, dtype=complex)
     if len(a) == 1:
         return x[0] ** (-a[0])
     L = _GIVENTAL_HALF_LENGTH
-    y, wy = gl_nodes(-L, L, _givental_nodes(quad))
+    y, wy = gl_nodes(-L, L, n_nodes)
     z = np.exp(y)  # dz/z = dy
     x1, x2 = (np.asarray(v)[..., None] for v in x)
     vals = z ** (-a[0]) * (x1 * x2 / z) ** (-a[1]) * np.exp(-(z / x1 + x2 / z))
     return np.sum(vals * wy, axis=-1)
 
 
-def whittaker_givental(arg: WhittakerArg, quad: QuadratureSpec | None = None):
+def whittaker_givental(arg: WhittakerArg):
     """Psi^{(n)}_alpha(x) by quadrature of the Givental integral, rank <= 2
     (see _givental)."""
-    if quad is None:
-        quad = QuadratureSpec(nodes_per_unit=200.0 / 24.0)
-    return complex(_givental(arg.alpha, arg.x, quad))
+    return complex(_givental(arg.alpha, arg.x, _WHITTAKER_NODES))
 
 
-def stade_check(n: int, nu, lam, r: float,
-                quad: QuadratureSpec | None = None):
+def stade_check(n: int, nu, lam, r: float):
     """Evaluate both sides of the gamma-product pairing identity
 
         int e^{-r x_1} Psi_{-nu}(x) Psi_{-lam}(x) prod dx_i/x_i
@@ -340,18 +336,16 @@ def stade_check(n: int, nu, lam, r: float,
         for lj in lam:
             if (ni + lj).real <= 0:
                 raise ValueError("need Re(nu_i + lam_j) > 0")
-    if quad is None:
-        quad = QuadratureSpec(nodes_per_unit=120.0 / 24.0)
     rhs = r ** (-float(np.sum(nu + lam).real)) * np.prod(
         [gamma(ni + lj) for ni in nu for lj in lam]
     )
     # the base point x_i = e^{y_i} on the product grid: dx_i/x_i = dy_i
     L = _GIVENTAL_HALF_LENGTH
-    y, wy = gl_nodes(-L, L, _givental_nodes(quad))
+    y, wy = gl_nodes(-L, L, _STADE_NODES)
     x = np.exp(y)
     base = (x,) if n == 1 else (x[:, None], x[None, :])
-    vals = np.exp(-r * base[0]) * (
-        _givental(-nu, base, quad) * _givental(-lam, base, quad))
+    vals = np.exp(-r * base[0]) * (_givental(-nu, base, _STADE_NODES)
+                                   * _givental(-lam, base, _STADE_NODES))
     lhs = np.sum(vals * wy) if n == 1 else np.einsum("i,j,ij->", wy, wy, vals)
     lhs = complex(lhs)
     rhs = complex(rhs)

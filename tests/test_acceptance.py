@@ -38,7 +38,7 @@ from grsklab.contour import (
     laplace2_case_b,
     prelimit_term,
 )
-from grsklab.quadrature import QuadratureSpec, gl_panels
+from grsklab.quadrature import gl_panels
 from grsklab.sampling import ParameterSet, mc_laplace
 from grsklab.specfun import airy_ai, log_gamma, scaling_constants, stade_check
 
@@ -222,10 +222,9 @@ def test_criterion_4_one_point_formula():
                 )
                 # the small-gamma circle needs more nodes than the
                 # default before the determinant resolves to 1e-4
-                q = QuadratureSpec(nodes_per_unit=40.0)
-                fine = laplace1(m, n, u, a, ah, quad=q, length=16.0).real
-                det = bcr_fredholm(m, n, u, a, ah, n_circle=256, quad=q,
-                                   length=16.0).real
+                kw = {"nodes_per_unit": 40.0, "length": 16.0}
+                fine = laplace1(m, n, u, a, ah, **kw).real
+                det = bcr_fredholm(m, n, u, a, ah, n_circle=256, **kw).real
                 assert rel(det, fine) <= 1e-4, (
                     f"bcr vs laplace1 at {(m, n)}, gamma={g}, u={u}"
                 )

@@ -633,8 +633,7 @@ def test_laplace_error_estimate_covers_truncation(capsys, points, u):
     # on short lines the truncation error dominates; a reference on long,
     # dense lines checks that the estimate sees it
     from grsklab.contour import laplace1, laplace2_case_a, laplace2_case_b
-    from grsklab.quadrature import QuadratureSpec
-    fine = {"quad": QuadratureSpec(nodes_per_unit=80.0), "length": 20.0}
+    fine = {"nodes_per_unit": 80.0, "length": 20.0}
     alpha, alphahat = [0.0] * 4, [1.0] * 4
     if len(points) == 1:
         ref = laplace1(*points[0], u, alpha, alphahat, **fine)
@@ -657,9 +656,10 @@ def test_laplace_error_estimate_covers_truncation(capsys, points, u):
 
 
 def test_env_default_invalid(monkeypatch, capsys):
+    # an unparsable variable is an input error, like an unparsable option
     monkeypatch.setenv("GRSKLAB_SAMPLES", "not-a-number")
-    with pytest.raises(SystemExit):
-        main(["sample", "--points", "2,2", "--u", "1.0"])
+    assert main(["sample", "--points", "2,2", "--u", "1.0"]) == EXIT_INPUT
+    assert "invalid GRSKLAB_SAMPLES='not-a-number'" in capsys.readouterr().err
 
 
 def test_env_default_applies(monkeypatch, capsys):

@@ -38,7 +38,7 @@ from grsklab.contour import (
     scaled_u,
     vertical_line,
 )
-from grsklab.quadrature import QuadratureSpec, gl_nodes
+from grsklab.quadrature import gl_nodes
 from grsklab.sampling import ParameterSet, mc_laplace
 
 
@@ -107,13 +107,32 @@ VALID_INPUTS = {
                         r1=0.0, r2=0.0),
 }
 
+# the changes to VALID_INPUTS at which an evaluator returns without a line:
+# a zero Laplace argument or the (0,0) series term
+EARLY_RETURNS = {
+    laplace1: dict(u=0.0),
+    laplace2_case_a: dict(u2=0.0),
+    oy_laplace2: dict(u1=0.0, u2=0.0),
+    bcr_fredholm: dict(u=0.0),
+    joint_series_term: dict(m=0),
+    prelimit_term: dict(m=0),
+}
+
 
 def _bad_inputs():
     """Each evaluator's valid input with one Laplace argument non-finite or
     negative (zero too where u must be positive; prelimit_term's r = +-inf
-    gives u = 0 or inf), a non-finite gamma, or a NaN among the alpha or
-    alphahat it reads."""
+    gives u = 0 or inf), a non-finite gamma, a NaN among the alpha or
+    alphahat it reads, or a line density that is not finite and > 0, also
+    at the input where it returns early."""
     for f, kw in VALID_INPUTS.items():
+        inputs = {"": kw}
+        if f in EARLY_RETURNS:
+            inputs["early-"] = {**kw, **EARLY_RETURNS[f]}
+        for tag, base in inputs.items():
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                yield pytest.param(f, {**base, "nodes_per_unit": bad},
+                                   id=f"{f.__name__}-{tag}nodes_per_unit={bad}")
         for key, value in kw.items():
             if key in ("u", "u1", "u2"):
                 bads = [math.nan, math.inf, -math.inf, -1.0]
@@ -183,9 +202,8 @@ def test_laplace1_single_cell_vs_density_quadrature():
 def test_laplace1_contour_independence():
     # farther-right lines need denser nodes and a longer window before the
     # gamma-product envelope is resolved, so fix a generous quadrature
-    q = QuadratureSpec(nodes_per_unit=40.0)
     vals = [laplace1(2, 2, 1.0, [0.0, 0.1], [1.0, 0.9], delta=d,
-                     length=20.0, quad=q)
+                     length=20.0, nodes_per_unit=40.0)
             for d in (1.3, 1.5, 1.9)]
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], rel=1e-9)
@@ -202,8 +220,7 @@ def test_laplace1_small_u_cancellation_raises():
     # the node sum cancels to ~1 from weights of size u^{-delta}: the value
     # 0.99999875 was 1.3e-6 off, and 200 nodes per unit read 1.00000017
     with pytest.raises(ArithmeticError, match="rounding"):
-        laplace1(2, 2, 1e-13, [0.0, 0.0], [1.0, 1.0],
-                 quad=QuadratureSpec(nodes_per_unit=80 / 3))
+        laplace1(2, 2, 1e-13, [0.0, 0.0], [1.0, 1.0], nodes_per_unit=80 / 3)
 
 
 def test_laplace1_validation():
@@ -235,14 +252,13 @@ def test_laplace1_vs_mc_quick():
 def test_bcr_matches_laplace1():
     # at default resolution the two routes agree to ~1e-4 (the acceptance
     # tolerance); with a denser circle and line they match to ~1e-9
-    q = QuadratureSpec(nodes_per_unit=40.0)
+    kw = {"nodes_per_unit": 40.0, "length": 16.0}
     for (m, n), u, g in [((1, 1), 0.5, 1.0), ((2, 2), 1.0, 1.0),
                          ((3, 2), 2.0, 1.5)]:
         a = [0.0] * m
         ah = [g] * n
-        line = laplace1(m, n, u, a, ah, quad=q, length=16.0).real
-        det = bcr_fredholm(m, n, u, a, ah, n_circle=256, quad=q,
-                           length=16.0).real
+        line = laplace1(m, n, u, a, ah, **kw).real
+        det = bcr_fredholm(m, n, u, a, ah, n_circle=256, **kw).real
         assert det == pytest.approx(line, rel=1e-8, abs=1e-10)
 
 
@@ -253,7 +269,7 @@ def test_bcr_matches_laplace1():
 ])
 def test_bcr_default_resolution_matches_laplace1(m, n, u, rel, abs_):
     a, ah = [0.0] * m, [1.0] * n
-    line = laplace1(m, n, u, a, ah, quad=QuadratureSpec(nodes_per_unit=40.0))
+    line = laplace1(m, n, u, a, ah, nodes_per_unit=40.0)
     det = bcr_fredholm(m, n, u, a, ah)
     assert det.real == pytest.approx(line.real, rel=rel, abs=abs_)
 
@@ -351,9 +367,10 @@ def test_two_point_validation():
 def test_case_a_contour_independence():
     g = 1.0
     a, ah = [0.0, 0.0], [g, g]
-    q = QuadratureSpec(nodes_per_unit=40.0)
-    v1 = laplace2_case_a(1, 2, 2, 1, 0.7, 0.4, a, ah, g, delta=0.35, quad=q)
-    v2 = laplace2_case_a(1, 2, 2, 1, 0.7, 0.4, a, ah, g, delta=0.45, quad=q)
+    v1 = laplace2_case_a(1, 2, 2, 1, 0.7, 0.4, a, ah, g, delta=0.35,
+                         nodes_per_unit=40.0)
+    v2 = laplace2_case_a(1, 2, 2, 1, 0.7, 0.4, a, ah, g, delta=0.45,
+                         nodes_per_unit=40.0)
     assert v1 == pytest.approx(v2, rel=1e-7)
 
 
@@ -471,8 +488,7 @@ def test_oy_vs_lattice_scaling_link():
     oy = oy_laplace2(1, t1, 2, t2, u1, u2, alpha).real
     lg = laplace2_case_b(
         1, n1, 2, n2, u1N, u2N, alpha, [float(N)] * n1, gamma=float(N),
-        delta=0.4, delta_prime=0.5, length=24.0,
-        quad=QuadratureSpec(nodes_per_unit=60.0),
+        delta=0.4, delta_prime=0.5, length=24.0, nodes_per_unit=60.0,
     ).real
     assert 0 < oy < 1
     assert abs(lg - oy) / abs(oy) < 5e-2
@@ -718,11 +734,10 @@ def test_two_group_integral_matches_brute_force(k1, k2, n_lam, n_mu):
     # structured matrices and the 4-axis contraction, not the transform,
     # so case b keeps the second line at delta' = 0.5 rather than its default
     (lambda: laplace2_case_a(2, 4, 4, 2, 0.25, 0.25, [0.0] * 4, [1.0] * 4, 1.0,
-                             quad=QuadratureSpec(nodes_per_unit=5)),
+                             nodes_per_unit=5),
      0.011698547113378125),
     (lambda: laplace2_case_b(1, 5, 3, 4, 1.0, 1.0, [0.0] * 3, [1.0] * 5, 1.0,
-                             delta_prime=0.5,
-                             quad=QuadratureSpec(nodes_per_unit=5)),
+                             delta_prime=0.5, nodes_per_unit=5),
      0.0011110090157402121),
 ])
 def test_four_axis_values_are_pinned(call, value):
@@ -783,15 +798,14 @@ def test_structured_matrices_match_dense(d_lam, d_mu, n_lam, n_mu, hankel):
 def test_oy_laplace2_four_axes_rejected():
     # four axes gave -0.199, 0.330 and 0.511 at 4, 6 and 8 nodes per unit
     with pytest.raises(ValueError):
-        oy_laplace2(1, 1.0, 3, 0.5, 1.0, 1.0, [0.0] * 3,
-                    quad=QuadratureSpec(nodes_per_unit=4))
+        oy_laplace2(1, 1.0, 3, 0.5, 1.0, 1.0, [0.0] * 3, nodes_per_unit=4)
 
 
 @pytest.mark.parametrize("call", [
     lambda: laplace1(2, 2, 1e-20, [0.0, 0.0], [1.0, 1.0]),      # reads -8.71
     # a 144-node w-line, 0.3 of the default density: 75.6
     lambda: bcr_fredholm(2, 2, 1e7, [0.0, 0.0], [1.0, 1.0],
-                         quad=QuadratureSpec(nodes_per_unit=6.0)),
+                         nodes_per_unit=6.0),
 ])
 def test_transform_outside_unit_interval_raises(call):
     with pytest.raises(ArithmeticError):

@@ -12,7 +12,7 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from grsklab.quadrature import QuadratureSpec, gl_nodes
+from grsklab.quadrature import gl_nodes
 from grsklab.specfun import (
     WhittakerArg,
     _airy_ai_wedge,
