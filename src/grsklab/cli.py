@@ -1,11 +1,11 @@
 """Command-line surface: array transforms, samplers, contour formulas,
 Airy evaluations, verification suites, and CSV sweeps.
 
-Exit codes: 0 success, 1 computational failure (non-convergence), 2 input
-validation; a reader that closes stdout early (grsklab ... | head) gets
-exit 0 and no message.  Defaults for quadrature settings can be
-overridden with GRSKLAB_-prefixed environment variables (GRSKLAB_NODES,
-GRSKLAB_LENGTH, GRSKLAB_SAMPLES).
+Exit codes: 0 success, 1 computational failure (non-convergence, out of
+memory), 2 input validation; a reader that closes stdout early
+(grsklab ... | head) gets exit 0 and no message.  Defaults for quadrature
+settings can be overridden with GRSKLAB_-prefixed environment variables
+(GRSKLAB_NODES, GRSKLAB_LENGTH, GRSKLAB_SAMPLES).
 """
 from __future__ import annotations
 
@@ -198,12 +198,23 @@ def _params_from_args(args, n_rows: int, n_cols: int) -> ParameterSet:
     return ParameterSet.flat(args.gamma, n_rows, n_cols)
 
 
-def cmd_sample(args) -> int:
+def _polymer(args, max_points: Optional[int] = None):
+    """The corner points, Laplace arguments and ParameterSet of sample,
+    laplace or fredholm; at most max_points points, if given."""
     points = _parse_points(args.points)
+    if max_points is not None and len(points) > max_points:
+        raise ValueError(f"too many corner points: {args.command} takes "
+                         f"at most {max_points}")
     us = _parse_floats(args.u)
+    if len(us) != len(points):
+        raise ValueError("need one --u value per point")
     mmax = max(m for m, _ in points)
     nmax = max(n for _, n in points)
-    params = _params_from_args(args, mmax, nmax)
+    return points, us, _params_from_args(args, mmax, nmax)
+
+
+def cmd_sample(args) -> int:
+    points, us, params = _polymer(args)
     est = mc_laplace(
         points,
         us,
@@ -238,16 +249,7 @@ def _laplace_value(points, us, params, nodes, length, delta=None):
 
 
 def cmd_laplace(args) -> int:
-    points = _parse_points(args.points)
-    if len(points) not in (1, 2):
-        raise ValueError("laplace supports one or two corner points")
-    us = _parse_floats(args.u)
-    if len(us) != len(points):
-        raise ValueError("need one --u value per point")
-    mmax = max(m for m, _ in points)
-    nmax = max(n for _, n in points)
-    params = _params_from_args(args, mmax, nmax)
-
+    points, us, params = _polymer(args, max_points=2)
     val, err, density = _laplace_value(points, us, params, args.nodes, args.L,
                                        args.delta)
     doc = {
@@ -274,11 +276,8 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_fredholm(args) -> int:
-    points, us = _parse_points(args.points), _parse_floats(args.u)
-    if len(points) != 1 or len(us) != 1:
-        raise ValueError("fredholm takes one corner point and one --u value")
+    points, us, params = _polymer(args, max_points=1)
     (m, n), u = points[0], us[0]
-    params = _params_from_args(args, m, n)
     val, err = _bcr_fredholm(m, n, u, params.alpha, params.alphahat,
                              delta1=args.delta1, delta2=args.delta2,
                              order=args.order, length=args.L)
@@ -422,6 +421,10 @@ def _suite_asymptotic(tol: float) -> List[dict]:
 
 
 def cmd_verify(args) -> int:
+    # the non-intersecting check enumerates paths: up to 1.3 s a trial at
+    # size 8, 18 s at 9, and past the oracle's cap at 10
+    if not 2 <= args.max_size <= 8:
+        raise ValueError(f"--max-size must be in 2..8, got {args.max_size}")
     t0 = time.time()
     if args.suite == "combinatorial":
         props = _suite_combinatorial(args.max_size, args.seed, args.tolerance)
@@ -541,52 +544,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="geometric RSK / log-gamma polymer workbench",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # the polymer that sample, laplace and fredholm evaluate
+    polymer = argparse.ArgumentParser(add_help=False)
+    polymer.add_argument("--points", required=True, help="m1,n1[,m2,n2,...]")
+    polymer.add_argument("--u", required=True)
+    polymer.add_argument("--gamma", type=_finite_float, default=1.0)
+    polymer.add_argument("--alpha", default=None)
+    polymer.add_argument("--alphahat", default=None)
 
     p = sub.add_parser("grsk", help="run geometric RSK on an array file")
     p.add_argument("input")
-    p.add_argument("-o", "--output")
 
     p = sub.add_parser("gpng", help="run geometric PNG on an array file")
     p.add_argument("input")
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("sample", help="Monte Carlo Laplace transform")
-    p.add_argument("--points", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--gamma", type=_finite_float, default=1.0)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--alphahat", default=None)
+    p = sub.add_parser("sample", parents=[polymer],
+                       help="Monte Carlo Laplace transform")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--streams", type=int, default=1)
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("laplace", help="contour-integral Laplace transform")
-    p.add_argument("--points", required=True,
-                   help="m1,n1[,m2,n2]")
-    p.add_argument("--u", required=True)
-    p.add_argument("--gamma", type=_finite_float, default=1.0)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--alphahat", default=None)
+    p = sub.add_parser("laplace", parents=[polymer],
+                       help="contour-integral Laplace transform")
     p.add_argument("--delta", type=_finite_float, default=None)
     p.add_argument("--L", type=_finite_float, default=None)
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--mc-check", action="store_true")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("fredholm", help="Fredholm-determinant transform")
-    p.add_argument("--points", required=True, help="m,n")
-    p.add_argument("--u", required=True)
-    p.add_argument("--gamma", type=_finite_float, default=1.0)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--alphahat", default=None)
+    p = sub.add_parser("fredholm", parents=[polymer],
+                       help="Fredholm-determinant transform")
     p.add_argument("--delta1", type=_finite_float, default=None)
     p.add_argument("--delta2", type=_finite_float, default=None)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--L", type=_finite_float, default=None)
-    p.add_argument("-o", "--output")
 
     p = sub.add_parser("airy2", help="two-time Airy process probability")
     p.add_argument("--t1", type=float, required=True)
@@ -605,7 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rescaled level at t1 in scaling mode (default 0)")
     p.add_argument("--r2", type=float, default=None,
                    help="rescaled level at t2 in scaling mode (default 0)")
-    p.add_argument("-o", "--output")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
@@ -613,13 +604,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("-o", "--output")
 
     p = sub.add_parser("sweep", help="CSV sweep from a config file")
     p.add_argument("config")
-    p.add_argument("-o", "--output")
     # no options: the rows read these from the GRSKLAB_ variables alone
     p.set_defaults(samples=None, L=None, nodes=None)
+
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output")
     return ap
 
 
@@ -649,6 +641,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     except ArithmeticError as exc:
         print(f"computational failure: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        # whether an allocation fits depends on the machine, not the input
+        print(f"computational failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

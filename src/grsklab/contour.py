@@ -672,7 +672,6 @@ def joint_series_term(
     delta: Optional[float] = None,
     delta1: Optional[float] = None,
     nodes_per_unit: float = 20.0,
-    length: Optional[float] = None,
 ) -> complex:
     """The (m, n) summand of the double series for the (0, gamma) joint
     Laplace transform.  The first index m counts contour pairs (v, w)
@@ -690,7 +689,7 @@ def joint_series_term(
     must be positive.  At 20 nodes_per_unit the line takes 240 (one pair)
     or 320 (two pairs) nodes at every length, the circle 64.
 
-    The line half-length defaults to min(12, max(2, 80/decay)), where
+    The line half-length is min(12, max(2, 80/decay)), where
     decay = (pi/2) min(m_i + n_i) over the points whose group the term
     uses: a group's w-factor decays like exp(-decay |Im w|), and a short
     line keeps the fixed node count dense against the oscillation of u^w
@@ -713,10 +712,9 @@ def joint_series_term(
     if not (0 < delta1 < min(delta, 1.0 - delta) and delta < gamma / 2):
         raise ValueError("requires 0 < delta1 < min(delta, 1-delta), delta < gamma/2")
 
-    if length is None:
-        sizes = ([m2 + n2] if m else []) + ([m1 + n1] if n else [])
-        decay = min(sizes) * math.pi / 2.0
-        length = min(12.0, max(2.0, 80.0 / decay))
+    sizes = ([m2 + n2] if m else []) + ([m1 + n1] if n else [])
+    decay = min(sizes) * math.pi / 2.0
+    length = min(12.0, max(2.0, 80.0 / decay))
     nl = _line_nodes_for_dim(2 * (m + n), nodes_per_unit)
     v, dv = circle(delta1, _SERIES_CIRCLE_NODES)
     w, dw = vertical_line(delta, length, nl)
@@ -876,8 +874,6 @@ def prelimit_term(
     t2: float,
     r1: float = 0.0,
     r2: float = 0.0,
-    delta: Optional[float] = None,
-    delta1: Optional[float] = None,
     nodes_per_unit: float = 20.0,
 ) -> complex:
     """The pre-limit summand I^{(N)}_{m,n} of the two-point expansion, for
@@ -904,16 +900,10 @@ def prelimit_term(
     m1, n1, m2, n2 = scaled_points(N, t1, t2)
     if m > n2 or n > m1:
         raise ValueError("term indices exceed the series range (n2, m1)")
-    if delta is None:
-        delta = 0.4 * gamma
-    if delta1 is None:
-        delta1 = 0.2 * gamma
-    if not (0 < delta1 < delta < gamma / 2):
-        raise ValueError("requires 0 < delta1 < delta < gamma/2")
     u1 = scaled_u(N, gamma, r1)
     u2 = scaled_u(N, gamma, r2)
     return joint_series_term(m, n, m1, n1, m2, n2, u1, u2, gamma,
-                             delta, delta1, nodes_per_unit)
+                             0.4 * gamma, 0.2 * gamma, nodes_per_unit)
 
 
 def prelimit_sum(

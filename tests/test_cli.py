@@ -170,12 +170,35 @@ def test_gpng_output_reads_back(capsys, tmp_path, doc):
     assert _array_doc(H, triangular) == out["array"]
 
 
-def test_output_file(tmp_path, capsys, ones2x2):
-    out = tmp_path / "out.json"
-    code, text = run(capsys, "grsk", ones2x2, "-o", str(out))
+@pytest.mark.parametrize("argv", [
+    ["grsk", "ARRAY"],
+    ["gpng", "ARRAY"],
+    ["sample", "--points", "2,2", "--u", "1.0", "--samples", "1000"],
+    ["laplace", "--points", "1,1", "--u", "1.0"],
+    ["fredholm", "--points", "2,2", "--u", "1.0"],
+    ["airy2", "--t1", "0.2", "--t2", "0.4", "--gamma", "1.0"],
+    ["verify", "--suite", "combinatorial", "--max-size", "2"],
+    ["sweep", "CONFIG"],
+], ids=lambda argv: argv[0])
+def test_every_command_writes_to_output(tmp_path, capsys, ones2x2, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": [[1, 1]], "grid": {"u1": [1.0]}}))
+    argv = [{"ARRAY": ones2x2, "CONFIG": str(cfg)}.get(a, a) for a in argv]
+
+    def document(text):
+        # the same document up to its wall times
+        if argv[0] == "sweep":
+            return [row[:4] + row[5:] for row in csv.reader(text.splitlines())]
+        doc = json.loads(text)
+        doc.pop("wall_time_s", None)
+        return doc
+
+    code, printed = run(capsys, *argv)
+    assert code == EXIT_OK
+    out = tmp_path / "out.txt"
+    code, text = run(capsys, *argv, "-o", str(out))
     assert code == EXIT_OK and text == ""
-    doc = json.loads(out.read_text())
-    assert doc["corner_values"]["t_2_2"] == pytest.approx(2.0)
+    assert document(out.read_text()) == document(printed)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +261,34 @@ def test_fredholm_extra_input_or_negative_order_is_usage_error(argv):
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sample", "laplace", "fredholm"])
+def test_polymer_commands_share_options(capsys, command):
+    extra = ["--samples", "1000"] if command == "sample" else []
+    code, _ = run_json(capsys, command, "--points", "2,2", "--u", "1.0",
+                       "--alpha", "0.1,0.0", "--alphahat", "1.0,0.9", *extra)
+    assert code == EXIT_OK
+    code = main([command, "--points", "2,2", "--u", "1.0,2.0", *extra])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need one --u value per point" in captured.err
+
+
+def test_out_of_memory_is_compute_error(capsys, monkeypatch):
+    # an allocation too large for the machine (--nodes 10^12 asks numpy
+    # for 9.7 TiB) is a computational failure with a one-line message;
+    # the real allocation could succeed under memory overcommit
+    import grsklab.cli as cli
+
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.70 TiB")
+
+    monkeypatch.setattr(cli, "_laplace1", allocate)
+    assert main(["laplace", "--points", "1,1", "--u", "1.0"]) == EXIT_COMPUTE
+    assert capsys.readouterr() == ("", "computational failure: out of memory: "
+                                       "Unable to allocate 9.70 TiB\n")
 
 
 @pytest.mark.parametrize("streams", ["0", "-3", "1001"])
@@ -469,6 +520,18 @@ def test_verify_failure_exit_code(capsys):
                          "--tolerance", "1e-300")
     assert code == EXIT_COMPUTE
     assert doc["all_pass"] is False
+
+
+@pytest.mark.parametrize("size", ["1", "10"])
+def test_verify_max_size_out_of_range_is_usage_error(size):
+    # size 1 failed in numpy's integers(2, 2); size 10 ran 53 s and then
+    # raised the oracle's EnumerationCapExceeded
+    proc = run_process("verify", "--suite", "combinatorial",
+                       "--max-size", size)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "2..8" in proc.stderr
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
