@@ -603,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["combinatorial", "analytic", "asymptotic"])
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-10)
 
     p = sub.add_parser("sweep", help="CSV sweep from a config file")
     p.add_argument("config")

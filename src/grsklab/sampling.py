@@ -7,7 +7,10 @@ partition function Z computed by the DP recursion per sample.
 
 Weights are drawn only for the c cells of the staircase, cell-major, one
 block of _DP_BLOCK samples at a time from a PCG64 stream into one reused
-buffer; the numpy kernel grsklab._mc_numpy reads each block as drawn.
+buffer; the numpy kernel grsklab._mc_numpy runs the DP in place over each
+block as drawn.  Each block's samples are reduced to a count, a mean and a
+centred sum of squares, and the blocks are merged once at the end, so
+memory is O(cells x _DP_BLOCK) and does not grow with the sample count.
 (seed, n_streams) fixes every bit of an estimate.
 """
 from __future__ import annotations
@@ -106,7 +109,9 @@ def _inverse_gamma_weights(
     U ~ Uniform(0,1) drawn in cell order.  G * U^{1/a} ~ Gamma(a), and it
     avoids the density blow-up at 0 for small shapes.  When every cell
     shares the boosted shape the call takes a scalar shape, which consumes
-    the stream as the per-element call does, in half the time at shape 1.
+    the stream as the per-element call does, in about half the time; a
+    shared shape of 1 is an Exp(1) fill, the draw standard_gamma(1.0)
+    makes element by element, faster again.
     """
     shapes = np.asarray(shapes, dtype=float)
     if not np.all(shapes > 0):
@@ -118,7 +123,10 @@ def _inverse_gamma_weights(
     g = (np.empty(size) if out is None else out[:size]).reshape(rows.size, cols)
     small = rows < 1.0
     boosted = rows + small
-    if size and np.all(boosted == boosted[0]):
+    if size and np.all(boosted == 1.0):
+        # standard_gamma(1.0) draws each element from this same ziggurat
+        rng.standard_exponential(out=g)
+    elif size and np.all(boosted == boosted[0]):
         rng.standard_gamma(boosted[0], out=g)
     else:
         rng.standard_gamma(boosted[:, None], out=g)
@@ -157,6 +165,9 @@ def mc_laplace(
     The sample budget is split into n_streams equal shares, each drawn from
     its own PCG64 stream, one block of _DP_BLOCK samples after another;
     (seed, n_streams) fixes the estimate to the last bit for every shape.
+    Memory is O(cells x _DP_BLOCK) whatever n_samples is: each block is
+    drawn into one buffer, the DP overwrites it, and the block leaves only
+    its count, mean and centred sum of squares, merged once at the end.
     """
     index = IndexSet(points)
     if len(us) != len(index.corners):
@@ -181,22 +192,27 @@ def mc_laplace(
     for k in range(n_samples - sum(per_stream)):
         per_stream[k] += 1
 
-    # every block is drawn into this one buffer and read before the next
+    # every block is drawn into this one buffer, which the kernel overwrites
+    # with Z
     buf = np.empty(len(cells) * min(_DP_BLOCK, max(per_stream)))
-    sample = np.empty(n_samples)
-    done = 0
+    blocks = []
     for stream, budget in enumerate(per_stream):
         rng = _stream_rng(int(seed), stream)
         for start in range(0, budget, _DP_BLOCK):
             w = _inverse_gamma_weights(rng, shapes,
                                        min(_DP_BLOCK, budget - start), out=buf)
-            sample[done:done + w.shape[1]] = _mc_numpy.mc_chunk(w, index.corners, us)
-            done += w.shape[1]
-    mean = float(np.mean(sample))
-    std = float(np.std(sample, ddof=1))
+            x = _mc_numpy.mc_chunk(w, index.corners, us)
+            m = float(np.mean(x))
+            x -= m
+            np.square(x, out=x)
+            blocks.append((x.size, m, float(np.sum(x))))
+    # the pairwise merge of Chan, Golub & LeVeque (1983), all blocks at once
+    mean = math.fsum(nb * mb for nb, mb, _ in blocks) / n_samples
+    m2 = math.fsum([m2b for _, _, m2b in blocks]
+                   + [nb * (mb - mean) ** 2 for nb, mb, _ in blocks])
     return MCEstimate(
         mean=mean,
-        stderr=std / math.sqrt(n_samples),
+        stderr=math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples),
         n_samples=n_samples,
         seed=int(seed),
         n_streams=n_streams,

@@ -228,6 +228,8 @@ def test_sample_schema_and_determinism(capsys):
     ["laplace", "--points", "2,2", "--u", "nan"],
     ["laplace", "--points", "2,2", "--u", "1.0", "--gamma", "inf"],
     ["fredholm", "--points", "2,2", "--u", "nan"],
+    # rejected before the suite runs, not after it as a non-finite result
+    ["verify", "--suite", "analytic", "--tolerance", "nan"],
 ])
 def test_non_finite_input_is_usage_error(argv):
     proc = run_process(*argv)

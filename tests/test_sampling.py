@@ -1,6 +1,7 @@
 """Monte Carlo sampling tests: moment identities, determinism, and a direct
 1-D quadrature oracle for the single-cell Laplace transform."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,12 @@ def test_uniform_shape_draw_matches_array_shape_draw(a):
         u = rng.random(shapes.size)
         g = (boost * u ** (1.0 / shapes.ravel())).reshape(shapes.shape)
     assert np.array_equal(got, 1.0 / g)
+    if a == 1.0:
+        # a cell-major block of shape-1 cells is an Exp(1) fill, which
+        # consumes the stream as standard_gamma(1.0) of the (c, n) block
+        got = _inverse_gamma_weights(_stream_rng(21, 2), np.full(7, a), 5003)
+        g = _stream_rng(21, 2).standard_gamma(1.0, size=(7, 5003))
+        assert np.array_equal(got, 1.0 / g)
 
 
 def test_sample_array_determinism():
@@ -123,7 +130,8 @@ def test_kernel_cells_outside_shape_are_never_drawn_or_read(monkeypatch):
     assert len(cells) == 8
     rng = np.random.default_rng(3)
     w = 1.0 / rng.standard_gamma(1.3, size=(len(cells), 50))
-    got = _mc_numpy.mc_chunk(w, points, us)
+    # the kernel overwrites its block with Z
+    got = _mc_numpy.mc_chunk(w.copy(), points, us)
     for s in range(w.shape[1]):
         arr = PolygonalArray(index=idx, entries={
             c: float(w[k, s]) for k, c in enumerate(cells)})
@@ -252,8 +260,9 @@ def test_mc_laplace_agrees_with_philox_pins(case, pin):
 
 def test_mc_laplace_reproduces_across_calls_and_partial_blocks():
     # the reused draw buffer must hold no state between blocks or calls:
-    # two calls agree to the last bit, and so does a sum over blocks drawn
-    # into fresh arrays, with a short last block in each stream
+    # two calls agree to the last bit, and so does the per-block reduction
+    # of blocks drawn into fresh arrays, with a short last block in each
+    # stream
     points, us = [(1, 3), (2, 2), (3, 1)], [0.3, 0.2, 0.5]
     p = ParameterSet(alpha=[0.0, 0.2, 0.1], alphahat=[0.6, 1.0, 1.3])
     n = 2 * sampling._DP_BLOCK + 2 * 1234 + 1
@@ -269,9 +278,39 @@ def test_mc_laplace_reproduces_across_calls_and_partial_blocks():
             w = _inverse_gamma_weights(
                 rng, shapes, min(sampling._DP_BLOCK, budget - start))
             parts.append(_mc_numpy.mc_chunk(w, points, us))
+    block = sampling._DP_BLOCK
+    assert [x.size for x in parts] == [block, 1235, block, 1234]
+    # count, mean and centred sum of squares per block, merged at the end
+    means = [float(np.mean(x)) for x in parts]
+    mean = math.fsum(x.size * m for x, m in zip(parts, means)) / n
+    m2 = math.fsum([float(np.sum((x - m) ** 2)) for x, m in zip(parts, means)]
+                   + [x.size * (m - mean) ** 2 for x, m in zip(parts, means)])
+    assert a.mean == mean
+    assert a.stderr == math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    # and the merge is the moments of all samples at once, to rounding
     sample = np.concatenate(parts)
-    assert a.mean == float(np.mean(sample))
-    assert a.stderr == float(np.std(sample, ddof=1)) / math.sqrt(n)
+    assert a.mean == pytest.approx(float(np.mean(sample)), rel=1e-13)
+    assert a.stderr == pytest.approx(
+        float(np.std(sample, ddof=1)) / math.sqrt(n), rel=1e-13)
+
+
+def test_mc_laplace_memory_does_not_grow_with_samples():
+    # the estimator streams through one block buffer: ten times the
+    # samples leave the traced peak where it was (a kept sample array
+    # and its centred copy add about 25 MB here)
+    points, us = [(2, 6), (4, 4), (6, 2)], [0.02] * 3
+    p = ParameterSet.flat(1.0, 6, 6)
+    # a first call may import numpy.random, whose allocations would count
+    mc_laplace(points, us, p, 10**3)
+    peaks = []
+    for n in (2 * 10**5, 2 * 10**6):
+        tracemalloc.start()
+        try:
+            mc_laplace(points, us, p, n, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 def test_mc_laplace_reports_stream_layout():
