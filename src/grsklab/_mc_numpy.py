@@ -25,6 +25,10 @@ def mc_chunk(w: np.ndarray, points, us) -> np.ndarray:
     can replace w row by row.  A staircase is closed under moving up or
     left, so a neighbour is missing only on the first row or column:
     there Z is the other neighbour times w, and Z_11 = w_11.
+
+    A Z past the largest double is inf, and its term is exp(-u * inf) = 0
+    for u > 0; a corner with u = 0 adds nothing to the exponent, and is
+    skipped so that an inf Z there does not make 0 * inf = NaN.
     """
     cells = IndexSet(points).cells()
     if w.ndim != 2 or w.shape[0] != len(cells):
@@ -40,7 +44,8 @@ def mc_chunk(w: np.ndarray, points, us) -> np.ndarray:
             w[k] *= w[nbrs[0]]
     expo = np.zeros(w.shape[1])
     for (m, n), u in zip(points, us):
-        np.multiply(w[at[(m, n)]], u, out=row)
-        expo += row
+        if u != 0:
+            np.multiply(w[at[(m, n)]], u, out=row)
+            expo += row
     np.negative(expo, out=expo)
     return np.exp(expo, out=expo)

@@ -6,16 +6,22 @@ Monte Carlo estimator evaluates E[exp(-sum_l u_l Z_{m_l,n_l})] with the
 partition function Z computed by the DP recursion per sample.
 
 Weights are drawn only for the c cells of the staircase, cell-major, one
-block of _DP_BLOCK samples at a time from a PCG64 stream into one reused
-buffer; the numpy kernel grsklab._mc_numpy runs the DP in place over each
-block as drawn.  Each block's samples are reduced to a count, a mean and a
-centred sum of squares, and the blocks are merged once at the end, so
-memory is O(cells x _DP_BLOCK) and does not grow with the sample count.
-(seed, n_streams) fixes every bit of an estimate.
+block of _DP_BLOCK // (c + 2) samples at a time; block b of stream s draws
+from its own PCG64 stream, keyed by (seed, s, b), so the blocks are
+independent and run on up to _MAX_WORKERS cores in any order.  Each
+worker draws its blocks into one buffer of its own and the numpy kernel
+grsklab._mc_numpy runs the DP in place over each block as drawn.  Each
+block's samples are reduced to a count, a mean and a centred sum of
+squares, and the blocks are merged once at the end in block order, so
+memory is O(min(_MAX_WORKERS, cores) x _DP_BLOCK) and does not grow with
+the sample count, and (seed, n_streams) fixes every bit of an estimate
+for any thread count.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,10 +30,17 @@ import numpy as np
 from . import _mc_numpy
 from .arrays import IndexSet, PolygonalArray
 
-# samples per block of the draws and of the DP: the rows a cell update
-# touches stay in L2.  Blocks are drawn cell-major, so this is part of the
-# stream layout.
-_DP_BLOCK = 2 * 10**4
+# doubles per block of the draws and of the DP, the kernel's two scratch
+# rows included: a block of _DP_BLOCK // (cells + 2) samples stays in L2.
+# Each block has its own stream, so the block size is part of the stream
+# layout.
+_DP_BLOCK = 25 * 10**4
+
+# each worker holds one buffer of up to _DP_BLOCK doubles (2 MB), so the
+# worker count is capped whatever the host's core count; the affinity
+# mask does not see a cgroup CPU quota, and the cap also bounds the
+# threads a quota-limited container starts
+_MAX_WORKERS = 8
 
 # looked up by name when a stream is made: importing numpy.random with
 # this module would cost the commands that never sample about 5 MB of RSS
@@ -64,6 +77,8 @@ class MCEstimate:
     stderr: float
     n_samples: int
     seed: int
+    # samples per block: block b of stream s draws from (seed, s, b)
+    block: int
     n_streams: int = 1
     generator: str = _BIT_GENERATOR
 
@@ -79,13 +94,15 @@ class MCEstimate:
             "seed": self.seed,
             "streams": self.n_streams,
             "generator": self.generator,
+            "block": self.block,
         }
 
 
-def _stream_rng(seed: int, stream: int) -> np.random.Generator:
+def _stream_rng(seed: int, *key: int) -> np.random.Generator:
     # independent streams come from the same entropy with distinct spawn
-    # keys, so results are reproducible for any (seed, stream) pair
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    # keys, so results are reproducible for any (seed, key): (stream,) for
+    # sample_array, (stream, block) for the blocks of mc_laplace
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(getattr(np.random, _BIT_GENERATOR)(ss))
 
 
@@ -112,10 +129,15 @@ def _inverse_gamma_weights(
     the stream as the per-element call does, in about half the time; a
     shared shape of 1 is an Exp(1) fill, the draw standard_gamma(1.0)
     makes element by element, faster again.
+
+    For a shape far below 1, G * U^{1/a} can underflow to 0; its weight is
+    then inf, as the weight that small a draw stands for is past the
+    largest double, and numpy's divide-by-zero warning says so.
     """
     shapes = np.asarray(shapes, dtype=float)
-    if not np.all(shapes > 0):
-        raise ValueError("all Gamma shapes alpha_i + alphahat_j must be > 0")
+    if not np.all(np.isfinite(shapes) & (shapes > 0)):
+        raise ValueError(
+            "all Gamma shapes alpha_i + alphahat_j must be finite and > 0")
     # one row per cell (or per element) of `cols` draws each
     rows = shapes.reshape(-1)
     cols = 1 if n is None else int(n)
@@ -152,6 +174,58 @@ def sample_array(index: IndexSet, params: ParameterSet, seed: int) -> PolygonalA
     )
 
 
+def _worker_count(n_blocks: int) -> int:
+    """One worker per core this process may run on, at most one per block
+    and at most _MAX_WORKERS."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_blocks, _MAX_WORKERS))
+
+
+def _run_blocks(run_block, n_blocks: int, buffers: list) -> list:
+    """[run_block(k, buf) for k in range(n_blocks)] on len(buffers) workers:
+    the calling thread and plain threads, each with its own buffer, taking
+    the next block from one shared counter.
+
+    The first exception of any worker is raised here once every worker has
+    stopped, and after it no worker takes a new block; no thread outlives
+    the call.
+    """
+    results = [None] * n_blocks
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors = []
+
+    def work(buf):
+        try:
+            while True:
+                with lock:
+                    k = None if errors else next(blocks, None)
+                if k is None:
+                    return
+                results[k] = run_block(k, buf)
+        except BaseException as exc:  # raised in the caller
+            with lock:
+                errors.append(exc)
+
+    threads = []
+    for buf in buffers[1:]:
+        t = threading.Thread(target=work, args=(buf,))
+        try:
+            t.start()
+        except RuntimeError:  # no thread to spare: fewer workers, same bits
+            break
+        threads.append(t)
+    work(buffers[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def mc_laplace(
     points: Sequence[Tuple[int, int]],
     us: Sequence[float],
@@ -162,12 +236,20 @@ def mc_laplace(
 ) -> MCEstimate:
     """Monte Carlo estimate of E[exp(-sum_l u_l Z_{m_l, n_l})].
 
-    The sample budget is split into n_streams equal shares, each drawn from
-    its own PCG64 stream, one block of _DP_BLOCK samples after another;
-    (seed, n_streams) fixes the estimate to the last bit for every shape.
-    Memory is O(cells x _DP_BLOCK) whatever n_samples is: each block is
-    drawn into one buffer, the DP overwrites it, and the block leaves only
-    its count, mean and centred sum of squares, merged once at the end.
+    The sample budget is split into n_streams equal shares; share s is
+    drawn in blocks of _DP_BLOCK // (cells + 2) samples, block b from its
+    own PCG64 stream keyed by (seed, s, b).  The blocks run on one worker
+    per core the process may use, at most _MAX_WORKERS, and each leaves
+    only its count, mean and centred sum of squares, merged once at the
+    end in block order, so (seed, n_streams) fixes the estimate to the
+    last bit for every shape and any thread count.  Memory is
+    O(min(_MAX_WORKERS, cores) x _DP_BLOCK) whatever n_samples is: each
+    worker draws into one buffer, allocated here, and the DP overwrites
+    it.
+
+    A shape far below 1 can draw an inf weight (see
+    _inverse_gamma_weights); its Z is inf and its term exp(-u * inf) = 0,
+    so the reciprocal and the DP run without divide and overflow warnings.
     """
     index = IndexSet(points)
     if len(us) != len(index.corners):
@@ -179,7 +261,7 @@ def mc_laplace(
     n_samples = int(n_samples)
     if n_samples < 10**3:
         raise ValueError("n_samples must be >= 1000")
-    n_streams = int(n_streams)
+    n_streams, seed = int(n_streams), int(seed)
     # every stream draws at least one sample, so the stream count is
     # bounded by the sample budget
     if not 1 <= n_streams <= n_samples:
@@ -192,20 +274,29 @@ def mc_laplace(
     for k in range(n_samples - sum(per_stream)):
         per_stream[k] += 1
 
-    # every block is drawn into this one buffer, which the kernel overwrites
-    # with Z
-    buf = np.empty(len(cells) * min(_DP_BLOCK, max(per_stream)))
-    blocks = []
-    for stream, budget in enumerate(per_stream):
-        rng = _stream_rng(int(seed), stream)
-        for start in range(0, budget, _DP_BLOCK):
-            w = _inverse_gamma_weights(rng, shapes,
-                                       min(_DP_BLOCK, budget - start), out=buf)
+    # block b of stream s: (stream, b, samples)
+    block = max(1, _DP_BLOCK // (len(cells) + 2))
+    layout = [(stream, b, min(block, budget - start))
+              for stream, budget in enumerate(per_stream)
+              for b, start in enumerate(range(0, budget, block))]
+
+    def run_block(k, buf):
+        stream, b, size = layout[k]
+        # errstate is per thread, so it is set here, on the worker's thread
+        with np.errstate(divide="ignore", over="ignore"):
+            w = _inverse_gamma_weights(_stream_rng(seed, stream, b), shapes,
+                                       size, out=buf)
             x = _mc_numpy.mc_chunk(w, index.corners, us)
-            m = float(np.mean(x))
-            x -= m
-            np.square(x, out=x)
-            blocks.append((x.size, m, float(np.sum(x))))
+        m = float(np.mean(x))
+        x -= m
+        np.square(x, out=x)
+        return size, m, float(np.sum(x))
+
+    # the buffers are allocated on this thread: allocated in the workers
+    # they would land in per-thread malloc arenas and raise the peak RSS
+    size = len(cells) * min(block, max(per_stream))
+    buffers = [np.empty(size) for _ in range(_worker_count(len(layout)))]
+    blocks = _run_blocks(run_block, len(layout), buffers)
     # the pairwise merge of Chan, Golub & LeVeque (1983), all blocks at once
     mean = math.fsum(nb * mb for nb, mb, _ in blocks) / n_samples
     m2 = math.fsum([m2b for _, _, m2b in blocks]
@@ -214,6 +305,7 @@ def mc_laplace(
         mean=mean,
         stderr=math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples),
         n_samples=n_samples,
-        seed=int(seed),
+        seed=seed,
         n_streams=n_streams,
+        block=block,
     )

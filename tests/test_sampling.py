@@ -1,14 +1,23 @@
 """Monte Carlo sampling tests: moment identities, determinism, and a direct
 1-D quadrature oracle for the single-cell Laplace transform."""
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
+
+import grsklab
 
 from grsklab import _mc_numpy, oracle, sampling
 from grsklab.arrays import IndexSet, PolygonalArray
 from grsklab.quadrature import gl_nodes
+from grsklab.cli import EXIT_INPUT, main
 from grsklab.sampling import (
     MCEstimate,
     ParameterSet,
@@ -44,7 +53,8 @@ def test_inverse_gamma_rejects_bad_shape():
         _inverse_gamma_weights(rng, np.array([0.5, -0.1]))
 
 
-@pytest.mark.parametrize("shapes", [[1.0, np.nan], [np.nan, np.nan]])
+@pytest.mark.parametrize("shapes", [
+    [1.0, np.nan], [np.nan, np.nan], [np.inf], [1.0, np.inf]])
 def test_inverse_gamma_rejects_nan_shape(shapes):
     with pytest.raises(ValueError):
         _inverse_gamma_weights(_stream_rng(0, 0), np.array(shapes))
@@ -83,6 +93,23 @@ def test_sample_array_determinism():
     assert a.entries != c.entries
     assert set(a.entries) == set(idx.cells())
     assert all(v > 0 for v in a.entries.values())
+
+
+def test_sample_array_keeps_its_stream():
+    # sample_array draws from the (seed, 0) stream as before mc_laplace
+    # took one stream per block: these are the bits of that layout
+    idx = IndexSet([(1, 4), (3, 2)])
+    p = ParameterSet(alpha=[0.1, 0.3, 0.0], alphahat=[0.9, 0.5, 1.2, 0.8])
+    a = sample_array(idx, p, seed=2024)
+    assert [a.entries[c] for c in idx.cells()] == [
+        0.6915085591166783, 1.2533696565115953, 2.0611009418668074,
+        1.0763680832322289, 3.967392665712913, 0.44134765905641354,
+        0.3753884265681351, 7.364337118034141]
+    idx = IndexSet([(2, 2)])
+    b = sample_array(idx, ParameterSet.flat(1.0, 2, 2), seed=5)
+    assert [b.entries[c] for c in idx.cells()] == [
+        1.8824349462713788, 0.4738456483150396, 17.850267283038654,
+        6.260737872056097]
 
 
 def test_sample_array_moment():
@@ -172,7 +199,7 @@ def test_cell_major_draw_matches_sample_major_draw(shapes):
     # consumed as by the element-by-element draw of the (c, n) broadcast
     # shapes, with or without a buffer to draw into
     shapes = np.array(shapes)
-    n = 2 * sampling._DP_BLOCK + 7
+    n = 40007
     want = _inverse_gamma_weights(
         _stream_rng(4, 1), np.broadcast_to(shapes[:, None], (shapes.size, n)))
     got = _inverse_gamma_weights(_stream_rng(4, 1), shapes, n)
@@ -212,8 +239,21 @@ _MC_CASES = [
 _MC_IDS = ["flat1-staircase", "flat0.6-two-corners", "mixed-two-corners",
            "mixed-one-corner-3-streams", "uniform1-two-corners",
            "flat1.5-three-corners", "mixed-below-above-1-2-streams"]
-# (mean, stderr) of each case: PCG64 streams, cell-major blocks
+# (mean, stderr) of each case: cell-major blocks of _DP_BLOCK // (cells + 2)
+# samples, one PCG64 stream per (seed, stream, block)
 _MC_PINS = [
+    (0.006841731106501245, 0.000114305569402173),
+    (0.01662284311447077, 0.00017724336563216576),
+    (0.06112883775618997, 0.000294330818434525),
+    (0.10814073430583236, 0.000452022982795161),
+    (0.08310511504007743, 0.00035424267922378887),
+    (0.3050843891775186, 0.0006485482577979835),
+    (0.012906616976434209, 0.00019165714919634427),
+]
+# the same cases from the earlier layout (one PCG64 stream per share,
+# cell-major blocks of 2e4 samples): an independent sample of the same
+# estimators
+_MC_CELL_MAJOR_PINS = [
     (0.006759191224932149, 0.00011334539470849265),
     (0.01622143477042909, 0.00017520098369645695),
     (0.06109779767090531, 0.0002955817960293295),
@@ -235,6 +275,12 @@ _MC_PHILOX_PINS = [
 ]
 
 
+def _agrees_with(est, pin):
+    # a change of stream layout moves the estimates by noise only
+    assert abs(est.mean - pin[0]) <= 4 * math.hypot(est.stderr, pin[1])
+    assert est.stderr == pytest.approx(pin[1], rel=0.02)
+
+
 def _run_case(case):
     points, us, params, n, seed, streams = case
     return mc_laplace(points, us, params, n, seed=seed, n_streams=streams)
@@ -252,33 +298,37 @@ def test_mc_laplace_pinned_values(case, pin):
 @pytest.mark.parametrize("case, pin", zip(_MC_CASES, _MC_PHILOX_PINS),
                          ids=_MC_IDS)
 def test_mc_laplace_agrees_with_philox_pins(case, pin):
-    # a change of stream layout moves the estimates by noise only
-    est = _run_case(case)
-    assert abs(est.mean - pin[0]) <= 4 * math.hypot(est.stderr, pin[1])
-    assert est.stderr == pytest.approx(pin[1], rel=0.02)
+    _agrees_with(_run_case(case), pin)
+
+
+@pytest.mark.parametrize("case, pin", zip(_MC_CASES, _MC_CELL_MAJOR_PINS),
+                         ids=_MC_IDS)
+def test_mc_laplace_agrees_with_cell_major_pins(case, pin):
+    _agrees_with(_run_case(case), pin)
 
 
 def test_mc_laplace_reproduces_across_calls_and_partial_blocks():
-    # the reused draw buffer must hold no state between blocks or calls:
+    # the reused draw buffers must hold no state between blocks or calls:
     # two calls agree to the last bit, and so does the per-block reduction
-    # of blocks drawn into fresh arrays, with a short last block in each
-    # stream
+    # of blocks drawn from their (seed, stream, block) streams into fresh
+    # arrays, with a short last block in each stream
     points, us = [(1, 3), (2, 2), (3, 1)], [0.3, 0.2, 0.5]
     p = ParameterSet(alpha=[0.0, 0.2, 0.1], alphahat=[0.6, 1.0, 1.3])
-    n = 2 * sampling._DP_BLOCK + 2 * 1234 + 1
+    cells = IndexSet(points).cells()
+    block = sampling._DP_BLOCK // (len(cells) + 2)
+    n = 2 * block + 2 * 1234 + 1
     a = mc_laplace(points, us, p, n, seed=12, n_streams=2)
     b = mc_laplace(points, us, p, n, seed=12, n_streams=2)
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
+    assert a.block == block
 
-    shapes = np.array([p.shape_at(i, j) for (i, j) in IndexSet(points).cells()])
+    shapes = np.array([p.shape_at(i, j) for (i, j) in cells])
     parts = []
     for stream, budget in enumerate([n // 2 + 1, n // 2]):
-        rng = _stream_rng(12, stream)
-        for start in range(0, budget, sampling._DP_BLOCK):
-            w = _inverse_gamma_weights(
-                rng, shapes, min(sampling._DP_BLOCK, budget - start))
+        for k, start in enumerate(range(0, budget, block)):
+            w = _inverse_gamma_weights(_stream_rng(12, stream, k), shapes,
+                                       min(block, budget - start))
             parts.append(_mc_numpy.mc_chunk(w, points, us))
-    block = sampling._DP_BLOCK
     assert [x.size for x in parts] == [block, 1235, block, 1234]
     # count, mean and centred sum of squares per block, merged at the end
     means = [float(np.mean(x)) for x in parts]
@@ -292,6 +342,83 @@ def test_mc_laplace_reproduces_across_calls_and_partial_blocks():
     assert a.mean == pytest.approx(float(np.mean(sample)), rel=1e-13)
     assert a.stderr == pytest.approx(
         float(np.std(sample, ddof=1)) / math.sqrt(n), rel=1e-13)
+
+
+def _workers(monkeypatch, k):
+    monkeypatch.setattr(sampling, "_worker_count",
+                        lambda n_blocks: min(k, n_blocks))
+
+
+def test_mc_estimate_is_independent_of_worker_count(monkeypatch):
+    # every block has its own stream and its own slot, so the estimate
+    # does not depend on which thread draws which block, or on how many
+    # threads there are
+    points, us = [(1, 4), (3, 2)], [0.3, 0.4]
+    p = ParameterSet(alpha=[0.1, 0.3, 0.0], alphahat=[0.9, 0.5, 1.2, 0.8])
+    n = 7 * (sampling._DP_BLOCK // 10) + 5
+    got = []
+    for k in (1, 2, 5):
+        _workers(monkeypatch, k)
+        est = mc_laplace(points, us, p, n, seed=21, n_streams=2)
+        got.append((est.mean, est.stderr))
+    assert got[0] == got[1] == got[2]
+
+
+def test_mc_laplace_without_a_spare_thread_runs_on_fewer_workers(monkeypatch):
+    p = ParameterSet.flat(1.0, 3, 3)
+    args = ([(3, 3)], [0.2], p, 2 * 10**5)
+    _workers(monkeypatch, 1)
+    want = mc_laplace(*args, seed=4)
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    _workers(monkeypatch, 3)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    got = mc_laplace(*args, seed=4)
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
+
+
+def test_one_block_call_starts_no_thread(monkeypatch):
+    # 10^4 samples of one cell are one block: the call runs on the caller
+    def no_thread(self):
+        raise AssertionError("a one-block call started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    est = mc_laplace([(1, 1)], [1.0], ParameterSet.flat(1.0, 1, 1), 10**4)
+    assert est.block > 10**4
+
+
+@pytest.mark.parametrize("exc", [ValueError, MemoryError, RuntimeWarning])
+def test_mc_laplace_worker_exception_reaches_the_caller(monkeypatch, exc):
+    # an exception in block 5 of a 3-worker call is raised in the caller,
+    # and every worker thread has ended by then
+    stream_rng = sampling._stream_rng
+    drawn = []
+    raised = threading.Event()
+
+    def failing(seed, *key):
+        drawn.append(key)
+        if key == (0, 5):
+            raised.set()
+            raise exc(f"block {key}")
+        if key > (0, 5):
+            # the blocks after the failing one start only once it failed
+            raised.wait(timeout=30)
+        return stream_rng(seed, *key)
+
+    _workers(monkeypatch, 3)
+    monkeypatch.setattr(sampling, "_stream_rng", failing)
+    p = ParameterSet.flat(1.0, 3, 3)
+    before = threading.active_count()
+    with pytest.raises(exc, match=r"block \(0, 5\)"):
+        mc_laplace([(3, 3)], [0.2], p, 10**6, seed=4)
+    assert threading.active_count() == before
+    # the workers take no new block after the failure: the blocks in
+    # flight end, and the last block is never drawn
+    n_blocks = -(-10**6 // (sampling._DP_BLOCK // (9 + 2)))
+    assert n_blocks > 20
+    assert (0, 5) in drawn and (0, n_blocks - 1) not in drawn
 
 
 def test_mc_laplace_memory_does_not_grow_with_samples():
@@ -313,12 +440,29 @@ def test_mc_laplace_memory_does_not_grow_with_samples():
     assert abs(peaks[1] - peaks[0]) < 2**20
 
 
+def test_worker_count_is_capped_whatever_the_core_count(monkeypatch):
+    # each worker holds one buffer of up to _DP_BLOCK doubles: on a
+    # 64-core host the call still starts at most _MAX_WORKERS workers, and
+    # its memory still does not grow with the sample count
+    monkeypatch.setattr(sampling.os, "sched_getaffinity",
+                        lambda pid: set(range(64)), raising=False)
+    assert sampling._worker_count(209) == sampling._MAX_WORKERS
+    assert sampling._worker_count(3) == 3
+    # 2*10^5 samples of the 24-cell case below are 21 blocks
+    assert sampling._MAX_WORKERS <= 21
+    test_mc_laplace_memory_does_not_grow_with_samples()
+
+
 def test_mc_laplace_reports_stream_layout():
     est = mc_laplace([(2, 2)], [1.0], ParameterSet.flat(1.0, 2, 2), 10**3,
                      seed=1, n_streams=3)
     assert (est.n_streams, est.generator) == (3, "PCG64")
+    # the block size is part of the stream layout: it depends on the cell
+    # count, not on the thread count
+    assert est.block == sampling._DP_BLOCK // (4 + 2)
     doc = est.to_json_dict()
     assert doc["streams"] == 3 and doc["generator"] == "PCG64"
+    assert doc["block"] == est.block
     assert type(_stream_rng(1, 0).bit_generator).__name__ == est.generator
 
 
@@ -333,6 +477,37 @@ def test_mc_laplace_u_zero_is_one():
     est = mc_laplace([(2, 2)], [0.0], ParameterSet.flat(1.0, 2, 2), 10**3, seed=1)
     assert est.mean == 1.0
     assert est.stderr == 0.0
+
+
+def test_mc_laplace_small_shape_u_zero_is_one():
+    # with a = 0.01 some draws G * U^{1/a} underflow to 0 and their weight
+    # is inf; a u = 0 corner must not turn that into 0 * inf = NaN
+    p = ParameterSet(alpha=[0.0], alphahat=[0.01])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_laplace([(1, 1)], [0.0], p, 10**5, seed=0)
+    assert est.mean == 1.0
+    assert est.stderr == 0.0
+
+
+def test_mc_laplace_small_shape_matches_closed_form():
+    # E[e^{-u w}], 1/w ~ Gamma(a): 2 u^{a/2} K_a(2 sqrt(u)) / Gamma(a); the
+    # inf weights of the underflowed draws give exp(-inf) = 0, silently
+    a, u = 0.01, 1.0
+    ref = 2 * u ** (a / 2) * scipy.special.kv(a, 2 * math.sqrt(u)) / math.gamma(a)
+    p = ParameterSet(alpha=[0.0], alphahat=[a])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_laplace([(1, 1)], [u], p, 10**6, seed=0)
+    assert abs(est.mean - ref) <= 4 * est.stderr
+
+
+def test_small_shape_u_zero_command_prints_one(capsys):
+    assert main(["sample", "--points", "1,1", "--u", "0", "--alpha", "0",
+                 "--alphahat", "0.01", "--samples", "100000"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert '"mean": 1.0' in out
 
 
 def test_mc_laplace_monotone_to_zero():
@@ -395,7 +570,7 @@ def test_mc_laplace_input_validation():
     with pytest.raises(ValueError):
         mc_laplace([(2, 2)], [1.0], p, 500)  # below sample floor
     with pytest.raises(ValueError):
-        MCEstimate(mean=1.0, stderr=0.0, n_samples=1, seed=0)
+        MCEstimate(mean=1.0, stderr=0.0, n_samples=1, seed=0, block=1)
 
 
 @pytest.mark.parametrize("u", [math.nan, math.inf])
@@ -408,6 +583,38 @@ def test_mc_laplace_rejects_nan_shape():
     p = ParameterSet(alpha=[0.0, math.nan], alphahat=[1.0, 1.0])
     with pytest.raises(ValueError):
         mc_laplace([(2, 2)], [1.0], p, 10**3)
+
+
+@pytest.mark.parametrize("alpha, alphahat", [
+    ([math.inf], [1.0]),
+    # finite parameters whose sum overflows to inf
+    ([1e308], [1e308])])
+def test_non_finite_shape_is_rejected(alpha, alphahat, capsys):
+    p = ParameterSet(alpha=alpha, alphahat=alphahat)
+    with pytest.raises(ValueError, match="finite"):
+        mc_laplace([(1, 1)], [1.0], p, 10**3)
+    with pytest.raises(ValueError, match="finite"):
+        sample_array(IndexSet([(1, 1)]), p, seed=0)
+    if math.isfinite(alpha[0]):
+        assert main(["sample", "--points", "1,1", "--u", "1",
+                     "--alpha", str(alpha[0]), "--alphahat", str(alphahat[0]),
+                     "--samples", "1000"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err and "Traceback" not in err
+
+
+def test_import_sampling_loads_no_module_numpy_does_not():
+    # threading and os come with numpy; concurrent.futures would cost
+    # every import of grsklab.sampling (and of grsklab.cli) a few ms
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grsklab.__file__)))
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import grsklab.sampling; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m in ('threading', 'os') or m.startswith('concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf])
