@@ -186,6 +186,14 @@ def _finite_float(text: str) -> float:
     return val
 
 
+def _seed(text: str) -> int:
+    """argparse type for a seed: a negative seed is a usage error."""
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return val
+
+
 def _params_from_args(args, n_rows: int, n_cols: int) -> ParameterSet:
     if args.alpha or args.alphahat:
         alpha = _parse_floats(args.alpha) if args.alpha else [0.0] * n_rows
@@ -221,7 +229,6 @@ def cmd_sample(args) -> int:
         params,
         n_samples=args.samples,
         seed=args.seed,
-        n_streams=args.streams,
     )
     doc = est.to_json_dict()
     doc["points"] = [list(p) for p in points]
@@ -466,7 +473,7 @@ _SWEEP_KEYS = {
         isinstance(v, list) and all(map(_is_number, v)) for v in x.values()),
     "op": lambda x: x in ("contour", "mc"),
     "gamma": _is_number,
-    "seed": _is_int,
+    "seed": lambda x: _is_int(x) and x >= 0,
     "samples": _is_int,
 }
 
@@ -561,8 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[polymer],
                        help="Monte Carlo Laplace transform")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("laplace", parents=[polymer],
                        help="contour-integral Laplace transform")
@@ -571,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--mc-check", action="store_true")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("fredholm", parents=[polymer],
                        help="Fredholm-determinant transform")
@@ -602,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=["combinatorial", "analytic", "asymptotic"])
     p.add_argument("--max-size", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tolerance", type=_finite_float, default=1e-10)
 
     p = sub.add_parser("sweep", help="CSV sweep from a config file")

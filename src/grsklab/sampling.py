@@ -6,16 +6,16 @@ Monte Carlo estimator evaluates E[exp(-sum_l u_l Z_{m_l,n_l})] with the
 partition function Z computed by the DP recursion per sample.
 
 Weights are drawn only for the c cells of the staircase, cell-major, one
-block of _DP_BLOCK // (c + 2) samples at a time; block b of stream s draws
-from its own PCG64 stream, keyed by (seed, s, b), so the blocks are
-independent and run on up to _MAX_WORKERS cores in any order.  Each
-worker draws its blocks into one buffer of its own and the numpy kernel
-grsklab._mc_numpy runs the DP in place over each block as drawn.  Each
-block's samples are reduced to a count, a mean and a centred sum of
-squares, and the blocks are merged once at the end in block order, so
-memory is O(min(_MAX_WORKERS, cores) x _DP_BLOCK) and does not grow with
-the sample count, and (seed, n_streams) fixes every bit of an estimate
-for any thread count.
+block of _DP_BLOCK // (c + 2) samples at a time; block b draws from its
+own PCG64 stream, spawn key (0, b), so the blocks are independent and run
+on up to _MAX_WORKERS cores in any order.  Each worker draws its blocks
+into one buffer of its own and the numpy kernel grsklab._mc_numpy runs
+the DP in place over each block as drawn.  Each block's samples are
+reduced to a count, a mean and a centred sum of squares, and the blocks
+are merged once at the end in block order, so memory is
+O(min(_MAX_WORKERS, cores) x _DP_BLOCK) doubles plus three numbers per
+block, and (seed, block size) fixes every bit of an estimate for any
+thread count.
 """
 from __future__ import annotations
 
@@ -77,9 +77,8 @@ class MCEstimate:
     stderr: float
     n_samples: int
     seed: int
-    # samples per block: block b of stream s draws from (seed, s, b)
+    # samples per block: block b draws from spawn key (0, b)
     block: int
-    n_streams: int = 1
     generator: str = _BIT_GENERATOR
 
     def __post_init__(self):
@@ -92,7 +91,6 @@ class MCEstimate:
             "stderr": self.stderr,
             "n": self.n_samples,
             "seed": self.seed,
-            "streams": self.n_streams,
             "generator": self.generator,
             "block": self.block,
         }
@@ -100,10 +98,16 @@ class MCEstimate:
 
 def _stream_rng(seed: int, *key: int) -> np.random.Generator:
     # independent streams come from the same entropy with distinct spawn
-    # keys, so results are reproducible for any (seed, key): (stream,) for
-    # sample_array, (stream, block) for the blocks of mc_laplace
+    # keys, so results are reproducible for any (seed, key): (0,) for
+    # sample_array, (0, b) for block b of mc_laplace
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(getattr(np.random, _BIT_GENERATOR)(ss))
+
+
+def _check_seed(seed: int) -> int:
+    if int(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return int(seed)
 
 
 def _inverse_gamma_weights(
@@ -165,7 +169,7 @@ def _inverse_gamma_weights(
 
 def sample_array(index: IndexSet, params: ParameterSet, seed: int) -> PolygonalArray:
     """One draw of the log-gamma measure on the given staircase shape."""
-    rng = _stream_rng(int(seed), 0)
+    rng = _stream_rng(_check_seed(seed), 0)
     cells = index.cells()
     shapes = np.array([params.shape_at(i, j) for (i, j) in cells])
     w = _inverse_gamma_weights(rng, shapes)
@@ -232,25 +236,24 @@ def mc_laplace(
     params: ParameterSet,
     n_samples: int = 10**6,
     seed: int = 0,
-    n_streams: int = 1,
 ) -> MCEstimate:
     """Monte Carlo estimate of E[exp(-sum_l u_l Z_{m_l, n_l})].
 
-    The sample budget is split into n_streams equal shares; share s is
-    drawn in blocks of _DP_BLOCK // (cells + 2) samples, block b from its
-    own PCG64 stream keyed by (seed, s, b).  The blocks run on one worker
-    per core the process may use, at most _MAX_WORKERS, and each leaves
-    only its count, mean and centred sum of squares, merged once at the
-    end in block order, so (seed, n_streams) fixes the estimate to the
-    last bit for every shape and any thread count.  Memory is
-    O(min(_MAX_WORKERS, cores) x _DP_BLOCK) whatever n_samples is: each
-    worker draws into one buffer, allocated here, and the DP overwrites
-    it.
+    The samples are drawn in blocks of _DP_BLOCK // (cells + 2), the last
+    one shorter; block b draws from its own PCG64 stream, spawn key (0, b).
+    The blocks run on one worker per core the process may use, at most
+    _MAX_WORKERS, and each leaves only its count, mean and centred sum of
+    squares, merged once at the end in block order, so (seed, block size)
+    fixes the estimate to the last bit for any thread count.  Each worker
+    draws into one buffer, allocated here, and the DP overwrites it:
+    memory is O(min(_MAX_WORKERS, cores) x _DP_BLOCK) doubles plus the
+    three numbers of each block, n_samples / block of them.
 
     A shape far below 1 can draw an inf weight (see
     _inverse_gamma_weights); its Z is inf and its term exp(-u * inf) = 0,
     so the reciprocal and the DP run without divide and overflow warnings.
     """
+    seed = _check_seed(seed)
     index = IndexSet(points)
     if len(us) != len(index.corners):
         raise ValueError("need one Laplace argument per corner point")
@@ -258,34 +261,24 @@ def mc_laplace(
         raise ValueError("Laplace arguments must be finite")
     if any(u < 0 for u in us):
         raise ValueError("Laplace arguments must be >= 0")
+    # checked before int(), which raises OverflowError on inf
+    if not 10**3 <= n_samples < math.inf:
+        raise ValueError("n_samples must be finite and >= 1000")
     n_samples = int(n_samples)
-    if n_samples < 10**3:
-        raise ValueError("n_samples must be >= 1000")
-    n_streams, seed = int(n_streams), int(seed)
-    # every stream draws at least one sample, so the stream count is
-    # bounded by the sample budget
-    if not 1 <= n_streams <= n_samples:
-        raise ValueError("n_streams must be between 1 and n_samples")
 
     cells = index.cells()
     shapes = np.array([params.shape_at(i, j) for (i, j) in cells])
-
-    per_stream = [n_samples // n_streams] * n_streams
-    for k in range(n_samples - sum(per_stream)):
-        per_stream[k] += 1
-
-    # block b of stream s: (stream, b, samples)
     block = max(1, _DP_BLOCK // (len(cells) + 2))
-    layout = [(stream, b, min(block, budget - start))
-              for stream, budget in enumerate(per_stream)
-              for b, start in enumerate(range(0, budget, block))]
+    n_blocks = -(-n_samples // block)
 
-    def run_block(k, buf):
-        stream, b, size = layout[k]
-        # errstate is per thread, so it is set here, on the worker's thread
+    def run_block(b, buf):
+        size = min(block, n_samples - b * block)
+        # errstate is per thread, so it is set here, on the worker's thread;
+        # the key keeps the leading 0 of the earlier (share, block) keys, so
+        # every estimate keeps the bits it had with the budget in one share
         with np.errstate(divide="ignore", over="ignore"):
-            w = _inverse_gamma_weights(_stream_rng(seed, stream, b), shapes,
-                                       size, out=buf)
+            w = _inverse_gamma_weights(_stream_rng(seed, 0, b), shapes, size,
+                                       out=buf)
             x = _mc_numpy.mc_chunk(w, index.corners, us)
         m = float(np.mean(x))
         x -= m
@@ -294,9 +287,9 @@ def mc_laplace(
 
     # the buffers are allocated on this thread: allocated in the workers
     # they would land in per-thread malloc arenas and raise the peak RSS
-    size = len(cells) * min(block, max(per_stream))
-    buffers = [np.empty(size) for _ in range(_worker_count(len(layout)))]
-    blocks = _run_blocks(run_block, len(layout), buffers)
+    size = len(cells) * min(block, n_samples)
+    buffers = [np.empty(size) for _ in range(_worker_count(n_blocks))]
+    blocks = _run_blocks(run_block, n_blocks, buffers)
     # the pairwise merge of Chan, Golub & LeVeque (1983), all blocks at once
     mean = math.fsum(nb * mb for nb, mb, _ in blocks) / n_samples
     m2 = math.fsum([m2b for _, _, m2b in blocks]
@@ -306,6 +299,5 @@ def mc_laplace(
         stderr=math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples),
         n_samples=n_samples,
         seed=seed,
-        n_streams=n_streams,
         block=block,
     )

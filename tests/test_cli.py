@@ -293,12 +293,27 @@ def test_out_of_memory_is_compute_error(capsys, monkeypatch):
                                        "Unable to allocate 9.70 TiB\n")
 
 
-@pytest.mark.parametrize("streams", ["0", "-3", "1001"])
-def test_sample_stream_count_out_of_range_is_usage_error(streams):
+def test_streams_flag_is_gone():
+    # every block has its own stream, so the budget is never split
     proc = run_process("sample", "--points", "2,2", "--u", "1.0",
-                       "--samples", "1000", "--streams", streams)
+                       "--samples", "1000", "--streams", "2")
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--points", "2,2", "--u", "1.0", "--samples", "1000"],
+    ["laplace", "--points", "2,2", "--u", "1.0", "--mc-check"],
+    ["verify", "--suite", "analytic"],
+])
+def test_negative_seed_is_usage_error(argv):
+    # rejected by the parser, before any transform or draw, with the option
+    # named in the message
+    proc = run_process(*argv, "--seed", "-1")
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "--seed" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -318,9 +333,12 @@ def test_closed_stdout_exits_without_traceback(ones2x2):
 
 def test_sample_reports_stream_layout(capsys):
     code, doc = run_json(capsys, "sample", "--points", "2,2", "--u", "1.0",
-                         "--samples", "2000", "--streams", "2")
+                         "--samples", "2000")
     assert code == EXIT_OK
-    assert doc["streams"] == 2 and doc["generator"] == "PCG64"
+    # block b draws from spawn key (0, b): block and seed give the layout
+    assert doc["generator"] == "PCG64" and doc["block"] > 0
+    assert set(doc) == {"mean", "stderr", "n", "seed", "generator", "block",
+                        "points", "u"}
 
 
 def test_import_leaves_numpy_random_unloaded():
@@ -623,10 +641,12 @@ def test_sweep_bad_config(tmp_path, capsys):
     {"points": [[2, 2]], "grid": {"u1": 5}},
     [[2, 2]],
     {"points": [[2, 2]], "op": "mcc", "grid": {"u1": [1.0]}},
-], ids=["points-int", "grid-int", "u1-int", "top-level-list", "unknown-op"])
+    {"points": [[2, 2]], "op": "mc", "seed": -1, "grid": {"u1": [1.0]}},
+], ids=["points-int", "grid-int", "u1-int", "top-level-list", "unknown-op",
+        "negative-seed"])
 def test_sweep_malformed_config_is_usage_error(tmp_path, cfg):
-    # each printed a traceback and exited 1, or ran the contour route for
-    # an unknown op
+    # each printed a traceback and exited 1, ran the contour route for
+    # an unknown op, or failed every mc row of a negative seed
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     proc = run_process("sweep", str(p))

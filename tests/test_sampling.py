@@ -184,8 +184,7 @@ def test_kernel_cells_outside_shape_are_never_drawn_or_read(monkeypatch):
     monkeypatch.setattr(sampling, "_inverse_gamma_weights", counting_draw)
     monkeypatch.setattr(_mc_numpy, "mc_chunk", counting_kernel)
     n = 130001
-    mc_laplace(points, us, ParameterSet.flat(1.3, 3, 4), n, seed=1,
-               n_streams=2)
+    mc_laplace(points, us, ParameterSet.flat(1.3, 3, 4), n, seed=1)
     assert sum(drawn) == len(cells) * n
     assert set(read) == {len(cells)}
 
@@ -216,39 +215,31 @@ def test_cell_major_draw_matches_sample_major_draw(shapes):
 # ---------------------------------------------------------------------------
 
 
-# (points, us, params, n, seed, streams)
+# (points, us, params, n, seed); the staircases of 5, 6 and 24 cells end
+# in a short block
 _MC_CASES = [
     ([(2, 6), (4, 4), (6, 2)], [0.02] * 3, ParameterSet.flat(1.0, 6, 6),
-     200000, 3, 1),
-    ([(1, 3), (3, 1)], [0.4, 0.4], ParameterSet.flat(0.6, 3, 3), 200000, 4, 1),
+     200000, 3),
+    ([(1, 3), (3, 1)], [0.4, 0.4], ParameterSet.flat(0.6, 3, 3), 200000, 4),
+    # mixed shapes below and above 1
     ([(1, 2), (2, 1)], [1.0, 2.0],
-     ParameterSet(alpha=[0.2, -0.1], alphahat=[0.9, 1.4]), 200000, 5, 1),
-    ([(2, 2)], [1.0], ParameterSet(alpha=[0.1, 0.4], alphahat=[0.7, 1.1]),
-     200007, 6, 3),
+     ParameterSet(alpha=[0.2, -0.1], alphahat=[0.9, 1.4]), 200000, 5),
     # uniform shape 1 from non-flat parameters: the exponential draw
     ([(1, 2), (2, 1)], [0.7, 1.3],
-     ParameterSet(alpha=[0.5, 0.5], alphahat=[0.5, 0.5]), 200000, 8, 1),
+     ParameterSet(alpha=[0.5, 0.5], alphahat=[0.5, 0.5]), 200000, 8),
     ([(1, 3), (2, 2), (3, 1)], [0.3, 0.2, 0.5], ParameterSet.flat(1.5, 3, 3),
-     200000, 9, 1),
-    # a sample count that is no multiple of the DP block, on a
-    # non-rectangular staircase with mixed shapes below and above 1
-    ([(1, 4), (3, 2)], [0.3, 0.4],
-     ParameterSet(alpha=[0.1, 0.3, 0.0], alphahat=[0.9, 0.5, 1.2, 0.8]),
-     130001, 10, 2),
+     200000, 9),
 ]
 _MC_IDS = ["flat1-staircase", "flat0.6-two-corners", "mixed-two-corners",
-           "mixed-one-corner-3-streams", "uniform1-two-corners",
-           "flat1.5-three-corners", "mixed-below-above-1-2-streams"]
+           "uniform1-two-corners", "flat1.5-three-corners"]
 # (mean, stderr) of each case: cell-major blocks of _DP_BLOCK // (cells + 2)
-# samples, one PCG64 stream per (seed, stream, block)
+# samples, block b drawn from the PCG64 stream of spawn key (0, b)
 _MC_PINS = [
     (0.006841731106501245, 0.000114305569402173),
     (0.01662284311447077, 0.00017724336563216576),
     (0.06112883775618997, 0.000294330818434525),
-    (0.10814073430583236, 0.000452022982795161),
     (0.08310511504007743, 0.00035424267922378887),
     (0.3050843891775186, 0.0006485482577979835),
-    (0.012906616976434209, 0.00019165714919634427),
 ]
 # the same cases from the earlier layout (one PCG64 stream per share,
 # cell-major blocks of 2e4 samples): an independent sample of the same
@@ -257,10 +248,8 @@ _MC_CELL_MAJOR_PINS = [
     (0.006759191224932149, 0.00011334539470849265),
     (0.01622143477042909, 0.00017520098369645695),
     (0.06109779767090531, 0.0002955817960293295),
-    (0.10950941397392808, 0.00045504865020976016),
     (0.08266796978920316, 0.00035329363097141896),
     (0.30446487170169856, 0.0006491487627723334),
-    (0.013223440440834462, 0.0001949172507513022),
 ]
 # the same cases from the earlier layout (Philox streams, sample-major
 # chunks of 1e5 samples): an independent sample of the same estimators
@@ -268,10 +257,8 @@ _MC_PHILOX_PINS = [
     (0.0066246520553701, 0.00011266318467685942),
     (0.01629845318636107, 0.0001750188779781458),
     (0.06118767918837826, 0.00029535205626126954),
-    (0.1086595604856258, 0.00045298818442641845),
     (0.083043955544766, 0.0003549959662021406),
     (0.30471706478788074, 0.0006494699253154991),
-    (0.013214410448386905, 0.00019493779707614134),
 ]
 
 
@@ -282,8 +269,8 @@ def _agrees_with(est, pin):
 
 
 def _run_case(case):
-    points, us, params, n, seed, streams = case
-    return mc_laplace(points, us, params, n, seed=seed, n_streams=streams)
+    points, us, params, n, seed = case
+    return mc_laplace(points, us, params, n, seed=seed)
 
 
 @pytest.mark.parametrize("case, pin", zip(_MC_CASES, _MC_PINS), ids=_MC_IDS)
@@ -310,26 +297,25 @@ def test_mc_laplace_agrees_with_cell_major_pins(case, pin):
 def test_mc_laplace_reproduces_across_calls_and_partial_blocks():
     # the reused draw buffers must hold no state between blocks or calls:
     # two calls agree to the last bit, and so does the per-block reduction
-    # of blocks drawn from their (seed, stream, block) streams into fresh
-    # arrays, with a short last block in each stream
+    # of blocks drawn from their (seed, 0, block) streams into fresh
+    # arrays, with a short last block
     points, us = [(1, 3), (2, 2), (3, 1)], [0.3, 0.2, 0.5]
     p = ParameterSet(alpha=[0.0, 0.2, 0.1], alphahat=[0.6, 1.0, 1.3])
     cells = IndexSet(points).cells()
     block = sampling._DP_BLOCK // (len(cells) + 2)
     n = 2 * block + 2 * 1234 + 1
-    a = mc_laplace(points, us, p, n, seed=12, n_streams=2)
-    b = mc_laplace(points, us, p, n, seed=12, n_streams=2)
+    a = mc_laplace(points, us, p, n, seed=12)
+    b = mc_laplace(points, us, p, n, seed=12)
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
     assert a.block == block
 
     shapes = np.array([p.shape_at(i, j) for (i, j) in cells])
     parts = []
-    for stream, budget in enumerate([n // 2 + 1, n // 2]):
-        for k, start in enumerate(range(0, budget, block)):
-            w = _inverse_gamma_weights(_stream_rng(12, stream, k), shapes,
-                                       min(block, budget - start))
-            parts.append(_mc_numpy.mc_chunk(w, points, us))
-    assert [x.size for x in parts] == [block, 1235, block, 1234]
+    for k, start in enumerate(range(0, n, block)):
+        w = _inverse_gamma_weights(_stream_rng(12, 0, k), shapes,
+                                   min(block, n - start))
+        parts.append(_mc_numpy.mc_chunk(w, points, us))
+    assert [x.size for x in parts] == [block, block, 2469]
     # count, mean and centred sum of squares per block, merged at the end
     means = [float(np.mean(x)) for x in parts]
     mean = math.fsum(x.size * m for x, m in zip(parts, means)) / n
@@ -359,7 +345,7 @@ def test_mc_estimate_is_independent_of_worker_count(monkeypatch):
     got = []
     for k in (1, 2, 5):
         _workers(monkeypatch, k)
-        est = mc_laplace(points, us, p, n, seed=21, n_streams=2)
+        est = mc_laplace(points, us, p, n, seed=21)
         got.append((est.mean, est.stderr))
     assert got[0] == got[1] == got[2]
 
@@ -455,22 +441,17 @@ def test_worker_count_is_capped_whatever_the_core_count(monkeypatch):
 
 def test_mc_laplace_reports_stream_layout():
     est = mc_laplace([(2, 2)], [1.0], ParameterSet.flat(1.0, 2, 2), 10**3,
-                     seed=1, n_streams=3)
-    assert (est.n_streams, est.generator) == (3, "PCG64")
+                     seed=1)
+    assert est.generator == "PCG64"
     # the block size is part of the stream layout: it depends on the cell
     # count, not on the thread count
     assert est.block == sampling._DP_BLOCK // (4 + 2)
     doc = est.to_json_dict()
-    assert doc["streams"] == 3 and doc["generator"] == "PCG64"
+    # block b draws from spawn key (0, b): seed and block give the layout
+    assert (doc["seed"], doc["generator"]) == (1, "PCG64")
+    assert set(doc) == {"mean", "stderr", "n", "seed", "generator", "block"}
     assert doc["block"] == est.block
     assert type(_stream_rng(1, 0).bit_generator).__name__ == est.generator
-
-
-@pytest.mark.parametrize("streams", [0, -3, 1001])
-def test_mc_laplace_rejects_stream_count_out_of_range(streams):
-    with pytest.raises(ValueError, match="n_streams"):
-        mc_laplace([(2, 2)], [1.0], ParameterSet.flat(1.0, 2, 2), 10**3,
-                   n_streams=streams)
 
 
 def test_mc_laplace_u_zero_is_one():
@@ -547,16 +528,6 @@ def test_mc_laplace_split_seed_pooling():
     assert abs(single.mean - pooled) <= 4 * pooled_err
 
 
-def test_mc_laplace_stream_count_changes_only_noise():
-    p = ParameterSet.flat(1.0, 2, 2)
-    e1 = mc_laplace([(2, 2)], [1.0], p, 10**5, seed=3, n_streams=1)
-    e4 = mc_laplace([(2, 2)], [1.0], p, 10**5, seed=3, n_streams=4)
-    assert abs(e1.mean - e4.mean) <= 4 * math.hypot(e1.stderr, e4.stderr)
-    # same stream layout is exactly reproducible
-    e4b = mc_laplace([(2, 2)], [1.0], p, 10**5, seed=3, n_streams=4)
-    assert e4.mean == e4b.mean and e4.stderr == e4b.stderr
-
-
 def test_mc_laplace_input_validation():
     p = ParameterSet.flat(1.0, 3, 3)
     with pytest.raises(ValueError):
@@ -569,8 +540,23 @@ def test_mc_laplace_input_validation():
         mc_laplace([(2, 2)], [-1.0], p, 10**3)  # negative Laplace argument
     with pytest.raises(ValueError):
         mc_laplace([(2, 2)], [1.0], p, 500)  # below sample floor
+    with pytest.raises(ValueError, match="finite"):
+        mc_laplace([(2, 2)], [1.0], p, math.inf)  # not OverflowError
     with pytest.raises(ValueError):
         MCEstimate(mean=1.0, stderr=0.0, n_samples=1, seed=0, block=1)
+
+
+def test_negative_seed_is_rejected_before_any_draw(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a negative seed reached the workers")
+
+    monkeypatch.setattr(sampling, "_run_blocks", unreachable)
+    monkeypatch.setattr(sampling, "_stream_rng", unreachable)
+    p = ParameterSet.flat(1.0, 2, 2)
+    with pytest.raises(ValueError, match="seed"):
+        mc_laplace([(2, 2)], [1.0], p, 10**3, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        sample_array(IndexSet([(2, 2)]), p, seed=-1)
 
 
 @pytest.mark.parametrize("u", [math.nan, math.inf])
