@@ -20,6 +20,7 @@ thread count.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -105,9 +106,9 @@ def _stream_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _check_seed(seed: int) -> int:
-    if int(seed) < 0:
+    if operator.index(seed) < 0:  # a float or str seed is a TypeError
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return int(seed)
+    return operator.index(seed)
 
 
 def _inverse_gamma_weights(

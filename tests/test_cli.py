@@ -317,6 +317,16 @@ def test_negative_seed_is_usage_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("seed", ["1.5", "x", "1e3"])
+def test_non_integer_seed_is_usage_error(seed):
+    proc = run_process("sample", "--points", "2,2", "--u", "1.0",
+                       "--samples", "1000", "--seed", seed)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "--seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_closed_stdout_exits_without_traceback(ones2x2):
     # the reader closes the pipe before the child writes, as
     # `grsklab ... | head` can: the write fails with EPIPE, which must end
@@ -642,8 +652,9 @@ def test_sweep_bad_config(tmp_path, capsys):
     [[2, 2]],
     {"points": [[2, 2]], "op": "mcc", "grid": {"u1": [1.0]}},
     {"points": [[2, 2]], "op": "mc", "seed": -1, "grid": {"u1": [1.0]}},
+    {"points": [[2, 2]], "op": "mc", "seed": 1.5, "grid": {"u1": [1.0]}},
 ], ids=["points-int", "grid-int", "u1-int", "top-level-list", "unknown-op",
-        "negative-seed"])
+        "negative-seed", "float-seed"])
 def test_sweep_malformed_config_is_usage_error(tmp_path, cfg):
     # each printed a traceback and exited 1, ran the contour route for
     # an unknown op, or failed every mc row of a negative seed

@@ -454,6 +454,15 @@ def test_mc_laplace_reports_stream_layout():
     assert type(_stream_rng(1, 0).bit_generator).__name__ == est.generator
 
 
+def test_mc_laplace_has_no_stream_count():
+    # every block has its own stream, so the budget is never split
+    p = ParameterSet.flat(1.0, 2, 2)
+    with pytest.raises(TypeError, match="n_streams"):
+        mc_laplace([(2, 2)], [1.0], p, 10**3, seed=1, n_streams=2)
+    assert not hasattr(mc_laplace([(2, 2)], [1.0], p, 10**3, seed=1),
+                       "n_streams")
+
+
 def test_mc_laplace_u_zero_is_one():
     est = mc_laplace([(2, 2)], [0.0], ParameterSet.flat(1.0, 2, 2), 10**3, seed=1)
     assert est.mean == 1.0
@@ -557,6 +566,33 @@ def test_negative_seed_is_rejected_before_any_draw(monkeypatch):
         mc_laplace([(2, 2)], [1.0], p, 10**3, seed=-1)
     with pytest.raises(ValueError, match="seed"):
         sample_array(IndexSet([(2, 2)]), p, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3"])
+def test_non_integer_seed_is_rejected_before_any_draw(monkeypatch, seed):
+    # int() would run 1.5 as seed 1 and "3" as seed 3
+    def unreachable(*args):
+        raise AssertionError("a non-integer seed reached the workers")
+
+    monkeypatch.setattr(sampling, "_run_blocks", unreachable)
+    monkeypatch.setattr(sampling, "_stream_rng", unreachable)
+    p = ParameterSet.flat(1.0, 2, 2)
+    with pytest.raises(TypeError):
+        mc_laplace([(2, 2)], [1.0], p, 10**3, seed=seed)
+    with pytest.raises(TypeError):
+        sample_array(IndexSet([(2, 2)]), p, seed=seed)
+
+
+def test_numpy_integer_seed_keeps_its_bits():
+    p = ParameterSet.flat(1.0, 2, 2)
+    a = mc_laplace([(2, 2)], [1.0], p, 10**3, seed=np.int64(7))
+    b = mc_laplace([(2, 2)], [1.0], p, 10**3, seed=7)
+    assert (a.mean, a.stderr) == (b.mean, b.stderr)
+    # the estimate carries a Python int, so its JSON record serialises
+    assert type(a.seed) is int and a.seed == 7
+    idx = IndexSet([(1, 2), (2, 1)])
+    x = sample_array(idx, p, seed=np.uint32(7))
+    assert x.entries == sample_array(idx, p, seed=7).entries
 
 
 @pytest.mark.parametrize("u", [math.nan, math.inf])
