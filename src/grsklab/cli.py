@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import arrays, oracle
-from .airy import airy_two_point, airy_two_point_series, conjecture_rhs, limit_term
+from .airy import _limit_query, airy_two_point, airy_two_point_series, limit_term
 from .contour import (
     _bcr_fredholm,
     _laplace1,
@@ -315,28 +315,25 @@ def cmd_airy2(args) -> int:
         if getattr(args, name) is None:
             setattr(args, name, 0.0)
     if args.gamma is not None:
-        if args.order is not None:
-            raise ValueError("--order sets the partial sums of kernel mode; "
-                             "the scaling route reports the determinant only")
-        value = conjecture_rhs(args.t1, args.t2, args.r1, args.r2, args.gamma)
-        doc = {"value": value, "gamma": args.gamma,
-               "r1": args.r1, "r2": args.r2}
+        # the polymer scaling map of the two-point limit
+        q = _limit_query(args.t1, args.t2, args.r1, args.r2, args.gamma)
+        query = (*q.times, *q.thresholds)
+        doc = {"gamma": args.gamma, "r1": args.r1, "r2": args.r2}
     else:
         query = (args.t1, args.t2, args.x1, args.x2)
-        order = 3 if args.order is None else args.order
-        value = airy_two_point(*query)
-        # the partial-sum gap says nothing about the determinant's error;
-        # its change under a coarser Nystrom rule estimates it
-        coarse = airy_two_point(*query, n_tau=48)
-        doc = {
-            "value": value,
-            "partial_sums": airy_two_point_series(*query, order=order),
-            "error_estimate": abs(value - coarse),
-            "x1": args.x1,
-            "x2": args.x2,
-            "order": order,
-        }
-    doc.update({"t1": args.t1, "t2": args.t2})
+        doc = {"x1": args.x1, "x2": args.x2}
+    value = airy_two_point(*query)
+    # the partial-sum gap says nothing about the determinant's error;
+    # its change under a coarser Nystrom rule estimates it
+    coarse = airy_two_point(*query, n_tau=48)
+    doc.update({
+        "value": value,
+        "partial_sums": airy_two_point_series(*query, order=args.order),
+        "error_estimate": abs(value - coarse),
+        "order": args.order,
+        "t1": args.t1,
+        "t2": args.t2,
+    })
     _emit(doc, args.output)
     return EXIT_OK
 
@@ -593,9 +590,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="threshold at t1 in kernel mode (default 0)")
     p.add_argument("--x2", type=float, default=None,
                    help="threshold at t2 in kernel mode (default 0)")
-    p.add_argument("--order", type=int, default=None,
-                   help="order of the partial sums reported in kernel mode "
-                        "(default 3)")
+    p.add_argument("--order", type=int, default=3,
+                   help="order of the partial sums (default 3)")
     p.add_argument("--gamma", type=_finite_float, default=None,
                    help="route through the polymer scaling map "
                         "(uses --r1/--r2 instead of --x1/--x2)")

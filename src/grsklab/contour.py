@@ -190,11 +190,7 @@ def _gamma_cross(lam: np.ndarray, mu: np.ndarray, hankel: bool,
     else:
         z = np.concatenate([mu[0] - lam[::-1], mu[1:] - lam[0]])
         index = _toeplitz_index(nl, nm)
-    return np.exp(_lg(z) - log_scale)[index]
-
-
-def _lg(z):
-    return log_gamma(np.asarray(z, dtype=complex))
+    return np.exp(log_gamma(z) - log_scale)[index]
 
 
 def _axis_weights(z, dz, k, poles, shifts, log_u, quad=0.0, norm=None):
@@ -208,9 +204,9 @@ def _axis_weights(z, dz, k, poles, shifts, log_u, quad=0.0, norm=None):
 
     def log_F(x):
         return (-log_u * x + 0.5 * quad * x * x
-                + _lg(np.add.outer(x, np.asarray(shifts, dtype=float))).sum(-1))
+                + log_gamma(np.add.outer(x, np.asarray(shifts, dtype=float))).sum(-1))
 
-    log_f = _lg(np.subtract.outer(z, poles)).sum(-1) + log_F(z)
+    log_f = log_gamma(np.subtract.outer(z, poles)).sum(-1) + log_F(z)
     log_c = float(np.sum(log_F(norm).real))
     return np.exp(log_f - log_c / k) * dz
 
@@ -452,7 +448,7 @@ def _laplace2_case_a(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
     gl = _axis_weights(lam, dlam, m1, alpha[:m1], alphahat[n2:n1], math.log(u1))
     gm = _axis_weights(mu, dmu, n2, alphahat[:n2], alpha[m1:m2], math.log(u2))
     # cross factor Gamma(lambda + mu) / Gamma(alpha_i + alphahat_j)
-    log_cross_den = float(np.sum(_lg(np.add.outer(alpha[:m1], alphahat[:n2])).real))
+    log_cross_den = float(np.sum(log_gamma(np.add.outer(alpha[:m1], alphahat[:n2])).real))
     cross = _gamma_cross(lam, mu, True, log_cross_den / (m1 * n2))
     return _estimated_transform(gl, m1, gm, n2, cross, dlam[0].imag)
 
@@ -511,7 +507,6 @@ def oy_laplace2(
     delta: float = 0.4,
     delta_prime: Optional[float] = None,
     nodes_per_unit: float = 20.0,
-    length: Optional[float] = None,
 ) -> complex:
     """Two-point Laplace transform of the semi-discrete Brownian polymer:
     same contour structure as the m2 < n2 log-gamma case, with the gamma
@@ -521,7 +516,7 @@ def oy_laplace2(
 
     Contour truncation: the reciprocal-gamma pair factors of the Sklyanin
     density *grow* like exp(pi |y_i - y_j|), so the Gaussian only wins far
-    out on the line; by default each group's half-length Y solves
+    out on the line; each group's half-length Y solves
     (rate/2) Y^2 - (growth) Y = 30 for its own Gaussian rate, rather than
     using a fixed window."""
     if not (m1 < m2 and t1 > t2 > 0):
@@ -544,11 +539,8 @@ def oy_laplace2(
         # smallest Y with (rate/2) Y^2 - growth * Y >= 30
         return (growth + math.sqrt(growth**2 + 60.0 * rate)) / rate
 
-    if length is None:
-        len_l = 2.0 * half_length(t1 - t2, math.pi * (m1 - 1) + math.pi * m2 / 2)
-        len_m = 2.0 * half_length(t2, math.pi * (m2 - 1) + math.pi * m1 / 2)
-    else:
-        len_l = len_m = _checked_length(length)
+    len_l = 2.0 * half_length(t1 - t2, math.pi * (m1 - 1) + math.pi * m2 / 2)
+    len_m = 2.0 * half_length(t2, math.pi * (m2 - 1) + math.pi * m1 / 2)
     # both lines share the spacing h (2/nodes_per_unit, finer if a line
     # would get fewer than 64 nodes), so the cross matrix is Toeplitz
     h = min(2.0 / nodes_per_unit, len_l / 32.0, len_m / 32.0)
@@ -631,9 +623,9 @@ def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
         # log of u^z prod_i Gamma(alpha'_i - z) / prod_j Gamma(z + alphahat'_j)
         out = np.log(u) * z
         for a in ap:
-            out = out + _lg(a - z)
+            out = out + log_gamma(a - z)
         for a in ahp:
-            out = out - _lg(z + a)
+            out = out - log_gamma(z + a)
         return out
 
     Kt = _circle_line_kernel(v, dv, w, dw, phi(v), phi(w))
@@ -722,7 +714,7 @@ def joint_series_term(
     def phi(z, u, e_gamma, e_zero):
         # the pair weight is e^{Phi(w) - Phi(v)}: u^w Gamma(gamma-w)^e_gamma
         # / Gamma(w)^e_zero over the same at v
-        return np.log(u) * z + e_gamma * _lg(gamma - z) - e_zero * _lg(z)
+        return np.log(u) * z + e_gamma * log_gamma(gamma - z) - e_zero * log_gamma(z)
 
     second, first = (u2, m2, n2), (u1, n1, m1)
     if n == 0 or m == 0:
@@ -742,8 +734,8 @@ def joint_series_term(
                               for g in (second, first)]
     P = _pi_csc_circle_line(v, w) / (w[None, :] - v[:, None])
     ww = _gamma_cross(gamma - w, -w, True)
-    vv = np.exp(_lg(gamma - v[:, None] - v[None, :]))
-    vw = np.exp(-_lg(gamma - v[:, None] - w[None, :]))
+    vv = np.exp(log_gamma(gamma - v[:, None] - v[None, :]))
+    vw = np.exp(-log_gamma(gamma - v[:, None] - w[None, :]))
     Pg1w = P * g1w
     total = 0j
     for a in range(len(v)):
@@ -939,10 +931,10 @@ def fub_bound_margin(
     estimate that justifies the integral interchange."""
     m1, n1, m2, n2 = scaled_points(N, t1, t2)
     gam_part = float(
-        (m2 * _lg(gamma - w) - n2 * _lg(w)
-         + n1 * _lg(gamma - ws) - m1 * _lg(ws)
-         + _lg(1 + gamma - ws - w) + _lg(1 + gamma - vs - v)
-         - _lg(1 + gamma - ws - v) - _lg(1 + gamma - vs - w)).real
+        (m2 * log_gamma(gamma - w) - n2 * log_gamma(w)
+         + n1 * log_gamma(gamma - ws) - m1 * log_gamma(ws)
+         + log_gamma(1 + gamma - ws - w) + log_gamma(1 + gamma - vs - v)
+         - log_gamma(1 + gamma - ws - v) - log_gamma(1 + gamma - vs - w)).real
     )
     log_bound = (
         -(math.pi / 2.0) * abs(ws.imag + w.imag)

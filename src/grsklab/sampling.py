@@ -262,9 +262,10 @@ def mc_laplace(
         raise ValueError("Laplace arguments must be finite")
     if any(u < 0 for u in us):
         raise ValueError("Laplace arguments must be >= 0")
-    # checked before int(), which raises OverflowError on inf
-    if not 10**3 <= n_samples < math.inf:
-        raise ValueError("n_samples must be finite and >= 1000")
+    # checked before int(), which raises OverflowError on inf; above 2**53
+    # the block counts are no longer exact doubles in the merge
+    if not 10**3 <= n_samples <= 2**53:
+        raise ValueError("n_samples must be finite and in 1000..2**53")
     n_samples = int(n_samples)
 
     cells = index.cells()

@@ -234,7 +234,6 @@ def scaling_constants(gamma_: float) -> ScalingConstants:
       G'''(gamma/2) = 2 Psi''(gamma/2)   (< 0)
       F''(gamma/2)  = 2 Psi'(gamma/2)    (> 0)
       c1 = (-G'''/2)^{-1/3},  c2 = -c1 F''^2 / (2 G'''),  c3 = -F''/G'''.
-    G'(gamma/2) = G''(gamma/2) = 0 is asserted numerically.
     """
     if not (math.isfinite(gamma_) and gamma_ > 0):
         raise ValueError("gamma must be positive and finite")
@@ -244,18 +243,6 @@ def scaling_constants(gamma_: float) -> ScalingConstants:
     Fpp = 2.0 * float(np.real(polygamma(1, half)))
     if not (Gppp < 0 < Fpp):
         raise ArithmeticError("sign assumptions on G''' and F'' violated")
-    # numeric assertion that gamma/2 is the degenerate critical point
-    h = 1e-4
-
-    def G(z):
-        return float(
-            np.real(log_gamma(z) - log_gamma(gamma_ - z)) + f_gamma * z
-        )
-
-    G1 = (G(half + h) - G(half - h)) / (2 * h)
-    G2 = (G(half + h) - 2 * G(half) + G(half - h)) / h**2
-    if abs(G1) > 1e-6 or abs(G2) > 1e-4:
-        raise ArithmeticError("G'(gamma/2) or G''(gamma/2) failed to vanish")
     c1 = (-Gppp / 2.0) ** (-1.0 / 3.0)
     c2 = -c1 * Fpp**2 / (2.0 * Gppp)
     c3 = -Fpp / Gppp

@@ -268,6 +268,27 @@ def test_limit_term_validation():
     assert limit_term(0, 0, 0.5, 0.5, 0.0, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("g", [0.05, 0.3, 1600.0])
+def test_limit_term_at_small_and_large_gamma(g):
+    # the scaling constants are closed forms for every gamma > 0; at
+    # gamma = 1600 the threshold c2 t^2 is 21.5 and the term underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        term = limit_term(1, 0, 0.5, 0.5, 0.0, 0.0, g)
+    assert math.isfinite(term) and -1.0 < term <= 0.0
+    assert (term < -0.02) == (g < 1)
+
+
+def test_conjecture_rhs_at_small_gamma():
+    # at gamma = 0.3 the Airy times (-c3 t, c3 t) are 0.077 apart, enough for
+    # the negative-time window; at t = (0.2, 0.4) they are 0.046 apart and
+    # conjecture_rhs raises
+    rhs = conjecture_rhs(0.5, 0.5, 0.0, 0.0, 0.3)
+    assert rhs == pytest.approx(0.96747, abs=1e-5)
+    with pytest.raises(ArithmeticError, match="negative-time"):
+        conjecture_rhs(0.2, 0.4, 0.0, 0.0, 0.3)
+
+
 @pytest.mark.parametrize("call", [
     lambda: limit_term(1, 0, 0.5, 0.5, 0.0, math.nan),      # returned 0.0
     lambda: limit_term(1, 0, 0.5, math.nan, 0.0, 0.0),      # returned nan

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import grsklab
+from grsklab.airy import conjecture_rhs, limit_term
 from grsklab.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, _array_doc,
                          _load_array, main)
 
@@ -302,6 +303,16 @@ def test_streams_flag_is_gone():
     assert "Traceback" not in proc.stderr
 
 
+def test_sample_count_above_2_pow_53_is_usage_error():
+    # an input error, caught before any block is laid out
+    proc = run_process("sample", "--points", "1,1", "--u", "1",
+                       "--samples", "1" + "0" * 400)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "2**53" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--points", "2,2", "--u", "1.0", "--samples", "1000"],
     ["laplace", "--points", "2,2", "--u", "1.0", "--mc-check"],
@@ -462,13 +473,23 @@ def test_airy2_scaling_mode(capsys):
     assert code == EXIT_OK
     assert 0 < doc["value"] < 1
     assert doc["gamma"] == 1.0
+    # one route from gamma to the Airy probability
+    assert doc["value"] == conjecture_rhs(0.2, 0.4, 0.0, 0.0, 1.0)
+    assert doc["error_estimate"] < 1e-8
 
 
-def test_airy2_order_rejected_in_scaling_mode(capsys):
-    # the scaling route returns the full determinant, which has no order
-    code, _ = run(capsys, "airy2", "--t1", "0.2", "--t2", "0.4",
-                  "--gamma", "1.0", "--order", "2")
-    assert code == EXIT_INPUT
+@pytest.mark.parametrize("gamma", ["1.0", "0.3"])
+def test_airy2_scaling_partial_sums_are_the_limit_series(capsys, gamma):
+    # the j-th partial sum is 1 + the sum of I_{m,n} over 1 <= m + n <= j
+    code, doc = run_json(capsys, "airy2", "--t1", "0.5", "--t2", "0.5",
+                         "--gamma", gamma, "--r1", "0.3", "--r2", "-0.2")
+    assert code == EXIT_OK
+    args = (0.5, 0.5, 0.3, -0.2, float(gamma))
+    sums = [sum(limit_term(m, j - m, *args) for j in range(k + 1)
+                for m in range(j + 1)) for k in range(4)]
+    assert doc["order"] == 3
+    assert doc["partial_sums"] == pytest.approx(sums, rel=0, abs=1e-14)
+    assert doc["value"] == pytest.approx(sums[-1], abs=1e-6)
 
 
 @pytest.mark.parametrize("argv", [

@@ -551,6 +551,12 @@ def test_mc_laplace_input_validation():
         mc_laplace([(2, 2)], [1.0], p, 500)  # below sample floor
     with pytest.raises(ValueError, match="finite"):
         mc_laplace([(2, 2)], [1.0], p, math.inf)  # not OverflowError
+    # above 2**53 the block counts are no longer exact in the merge; the
+    # check comes before any block is laid out
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        mc_laplace([(2, 2)], [1.0], p, 2**53 + 1)
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        mc_laplace([(2, 2)], [1.0], p, 10**400)  # past any index size
     with pytest.raises(ValueError):
         MCEstimate(mean=1.0, stderr=0.0, n_samples=1, seed=0, block=1)
 

@@ -223,6 +223,44 @@ def test_scaling_constants_signs_and_zeros():
     assert abs(sc.Fpp - 2 * float(mpmath.polygamma(1, 0.5))) <= 1e-9
 
 
+@pytest.mark.parametrize("g", [0.05, 0.3, 0.37, 1600.0, 1e4])
+def test_scaling_constants_closed_forms(g):
+    # the constants are closed forms in Psi, Psi' and Psi'' at gamma/2 for
+    # every gamma > 0, far from gamma = 1 too
+    sc = scaling_constants(g)
+    half = mpmath.mpf(g) / 2
+    assert sc.f_gamma == pytest.approx(-2 * float(mpmath.psi(0, half)), rel=1e-12)
+    assert sc.Fpp == pytest.approx(2 * float(mpmath.psi(1, half)), rel=1e-12)
+    assert sc.Gppp == pytest.approx(2 * float(mpmath.psi(2, half)), rel=1e-12)
+    c1 = (-sc.Gppp / 2) ** (-1 / 3)
+    assert sc.c1 == pytest.approx(c1, rel=1e-12)
+    assert sc.c2 == pytest.approx(-c1 * sc.Fpp**2 / (2 * sc.Gppp), rel=1e-12)
+    assert sc.c3 == pytest.approx(-sc.Fpp / sc.Gppp, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [0.05, 0.3, 1.0, 1600.0])
+def test_scaling_point_is_a_degenerate_critical_point(g):
+    # with f_gamma = -2 Psi(gamma/2), z = gamma/2 is a double critical point
+    # of G(z) = log Gamma(z) - log Gamma(gamma - z) + f_gamma z, and the third
+    # derivative of G and second of F = log Gamma(z) + log Gamma(gamma - z)
+    # there are the constants' Gppp and Fpp
+    with mpmath.workdps(40):
+        g_ = mpmath.mpf(g)
+        f = -2 * mpmath.psi(0, g_ / 2)
+
+        def G(z):
+            return mpmath.loggamma(z) - mpmath.loggamma(g_ - z) + f * z
+
+        def F(z):
+            return mpmath.loggamma(z) + mpmath.loggamma(g_ - z)
+
+        d1, d2, d3 = (mpmath.diff(G, g_ / 2, k) for k in (1, 2, 3))
+        assert abs(d1) <= 1e-25 * abs(d3) and abs(d2) <= 1e-25 * abs(d3)
+        sc = scaling_constants(g)
+        assert sc.Gppp == pytest.approx(float(d3), rel=1e-12)
+        assert sc.Fpp == pytest.approx(float(mpmath.diff(F, g_ / 2, 2)), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Whittaker / Stade / Plancherel
 # ---------------------------------------------------------------------------
