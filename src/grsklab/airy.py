@@ -8,10 +8,12 @@ determinant of its weighted Nystrom matrix K (Bornemann, Math. Comp. 79
 block of that matrix is a weighted product of two Ai tables, evaluated once
 per threshold and grid.  The series terms are coefficients of the
 graded determinant det(I - z1 P1 K - z2 P2 K), where P_l keeps the rows
-of time l, read off by an FFT over roots of unity: the limit terms
-I_{m,n} are its z2^m z1^n coefficients at the scaled times and
-thresholds, and the block Fredholm expansion, kept as a partial-sum
-diagnostic, sums the coefficients of det(I - z K) by total order.  The
+of time l.  They have total degree <= 3 and come from the traces of
+products of the blocks of K (the Plemelj-Smithies expansion of log det,
+then its exponential): the limit terms I_{m,n} are the z2^m z1^n
+coefficients at the scaled times and thresholds, and the block Fredholm
+expansion, kept as a partial-sum diagnostic, sums the coefficients of
+det(I - z K) by total order.  The
 pre-limit counterparts of I_{m,n}, grsklab.contour.prelimit_term, are the
 double-series terms of the polymer at the N^{2/3}-scaled points; the
 orthant form of those terms is the identity they rest on.
@@ -24,7 +26,7 @@ from typing import List
 
 import numpy as np
 
-from .quadrature import _graded_det_coefficients, gl_panels
+from .quadrature import _trace_det_coefficients, gl_panels
 from .specfun import airy_ai, scaling_constants
 
 _TAU_MAX = 10.0  # orthant truncation; Ai decay makes the tail < 1e-10
@@ -187,16 +189,16 @@ def airy_two_point_series(
     P(Ai(t1) <= xi1, Ai(t2) <= xi2) through the given total order.
 
     The sum over per-time multiplicities (n1, n2) with n1 + n2 = j of the
-    block-determinant terms is the z^j coefficient of det(I - z M_w), read
-    off by the FFT on 8 roots of unity per time (the operator's numerical
-    degree is <= 6 per time at thresholds >= -5).  Equal times reduce to
-    one time at the lower threshold, as in airy_two_point."""
+    block-determinant terms is the z^j coefficient of det(I - z M_w),
+    computed from tr(M_w^i), i <= j (_trace_det_coefficients).  Equal
+    times reduce to one time at the lower threshold, as in
+    airy_two_point."""
     if not 1 <= order <= 3:
         raise ValueError("order must be in 1..3")
     times, thresholds = _operator(AiryQuery([t1, t2], [xi1, xi2]))
     Mw = _nystrom_matrix(times, thresholds, _N_TAU)
-    c = _graded_det_coefficients(-Mw, [len(Mw)], 8 * len(times))
-    return [float(p) for p in np.cumsum(c[: order + 1].real)]
+    c = _trace_det_coefficients(-Mw, [len(Mw)], order)
+    return [float(p) for p in np.cumsum(c)]
 
 
 def airy_two_point(
@@ -251,9 +253,10 @@ def limit_term(
     (m+n)-point block determinant of the extended Airy kernel at the
     times and thresholds of _limit_query.  That is the
     z2^m z1^n coefficient of the graded Fredholm determinant
-    det(I - z1 P1 K - z2 P2 K) of the weighted Nystrom matrix K, read off
-    by an FFT on 8 roots of unity per variable; summed over (m, n) the
-    terms give conjecture_rhs."""
+    det(I - z1 P1 K - z2 P2 K) of the weighted Nystrom matrix K, computed
+    from the traces of products of at most m + n blocks of K
+    (_trace_det_coefficients); summed over (m, n) the terms give
+    conjecture_rhs."""
     if m < 0 or n < 0:
         raise ValueError("term indices must be >= 0")
     q = _limit_query(t1, t2, r1, r2, gamma)
@@ -267,8 +270,8 @@ def limit_term(
     # the groups the term uses: (multiplicity, time, threshold)
     ks, times, thetas = zip(*[g for g in zip((n, m), q.times, q.thresholds) if g[0]])
     Mw = _nystrom_matrix(times, thetas, _N_TAU)
-    c = _graded_det_coefficients(-Mw, [len(Mw) // len(ks)] * len(ks), 8)
-    return float(c[ks].real)
+    c = _trace_det_coefficients(-Mw, [len(Mw) // len(ks)] * len(ks), m + n)
+    return float(c[ks])
 
 
 def conjecture_rhs(

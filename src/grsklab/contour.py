@@ -49,10 +49,12 @@ Conventions:
     e^{-+i pi v} e^{+-i pi w}, so no exponential or sine runs on the
     circle x line matrix.  The (k,0) series terms are the z^k coefficients
     of det(I + z K) for bcr_fredholm's kernel at alpha' = gamma,
-    alphahat' = 0, read by _graded_det_coefficients (Bornemann, Math. Comp.
-    79 (2010) 871).  det(I + z K) has degree <= n in bcr_fredholm, so its
+    alphahat' = 0, read by _graded_det_coefficients, an FFT of the values
+    of det(I + z K) on roots of unity (Bornemann, Math. Comp. 79 (2010)
+    871).  det(I + z K) has degree <= n in bcr_fredholm, so its
     coefficients n + 1 and n + 2 vanish but for rounding: their size is
-    the error bound its range guard checks;
+    the error bound its range guard checks.  The (1,1) term sums its
+    second-group circle nodes in conjugate pairs;
   - circles C_r are centred at 0 and traced counter-clockwise;
   - the Sklyanin density s_n(mu) = (2 pi i)^{-n}/n! prod_{i != j}
     Gamma(mu_i - mu_j)^{-1} is used with the plain complex line elements
@@ -632,7 +634,7 @@ def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
     # det(I + z K) has degree <= n, the kernel's rank: of its coefficients on
     # n + 3 roots of unity the last two vanish but for rounding, which sizes
     # the error of the rest; the series is truncated at `order`
-    c = _graded_det_coefficients(Kt, [len(Kt)], n + 3)
+    c = _graded_det_coefficients(Kt, n + 3)
     err = float(np.max(np.abs(c[n + 1:])))
     return _checked_transform(complex(np.sum(c[: min(order, n) + 1])), err), err
 
@@ -648,7 +650,8 @@ bcr_fredholm = _value_only(_bcr_fredholm)
 # Fredholm-like double series for two points at (0, gamma)
 # ---------------------------------------------------------------------------
 
-# trapezoid nodes on the series terms' circle C_delta1
+# trapezoid nodes on the series terms' circle C_delta1; even, so that the
+# (1,1) term can sum its circle nodes in conjugate pairs
 _SERIES_CIRCLE_NODES = 64
 
 def joint_series_term(
@@ -724,12 +727,18 @@ def joint_series_term(
         # the higher coefficients into this one
         k, group = (m, second) if m else (n, first)
         K = _circle_line_kernel(v, dv, w, dw, phi(v, *group), phi(w, *group))
-        return complex(_graded_det_coefficients(K, [len(K)], max(k, group[2]) + 1)[k])
+        return complex(_graded_det_coefficients(K, max(k, group[2]) + 1)[k])
 
     # (1,1): one pair (v, w) per group, each with its Cauchy factor P, and
     # the cross term Gamma(gamma-a-b) between the groups, numerators on the
     # like pairs and denominators on the mixed ones; one step per circle
-    # node a of the second group keeps the temporaries at circle x line size
+    # node a of the second group keeps the temporaries at circle x line size.
+    # Circle node N - a is the conjugate of node a, the line is symmetric
+    # about the real axis, each of the four measures dv, dw turns into minus
+    # its conjugate there, and the integrand is real on the real axis: so
+    # the step of node N - a is the conjugate of the step of node a.  For an
+    # even node count N the steps of nodes 0..N/2 suffice, the interior ones
+    # counted twice, and the sum is their real part
     (g2v, g2w), (g1v, g1w) = [(np.exp(-phi(v, *g)) * dv, np.exp(phi(w, *g)) * dw)
                               for g in (second, first)]
     P = _pi_csc_circle_line(v, w) / (w[None, :] - v[:, None])
@@ -737,11 +746,13 @@ def joint_series_term(
     vv = np.exp(log_gamma(gamma - v[:, None] - v[None, :]))
     vw = np.exp(-log_gamma(gamma - v[:, None] - w[None, :]))
     Pg1w = P * g1w
-    total = 0j
-    for a in range(len(v)):
+    half = len(v) // 2
+    total = 0.0
+    for a in range(half + 1):
         X = (g1v * vv[a])[:, None] * vw * (P[a] * g2w)
         Y = (Pg1w * vw[a]) @ ww.T
-        total += g2v[a] * np.sum(X * Y)
+        step = (g2v[a] * np.sum(X * Y)).real
+        total += step if a in (0, half) else 2.0 * step
     return complex(total) / TWO_PI_I**4
 
 
@@ -847,14 +858,20 @@ def scaled_points(N: int, t1: float, t2: float) -> Tuple[int, int, int, int]:
 
 def scaled_u(N: int, gamma: float, r: float) -> float:
     """u = exp(-N f_gamma - r N^{1/3}) with f_gamma = -2 Psi(gamma/2); a
-    NaN or overflowing u raises ValueError."""
+    NaN or overflowing u raises ValueError, and so does a u below the
+    smallest normal double: at gamma = 1, r = 0 that is from N = 181, and
+    from N = 190 the exponential is 0.0, which mc_laplace would read as
+    u = 0 (a transform of exactly 1)."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError("gamma must be positive and finite")
     f = -2.0 * float(digamma(gamma / 2.0))
     x = -N * f - r * N ** (1.0 / 3.0)
     if not x <= math.log(np.finfo(float).max):
         raise ValueError(f"u = exp({x}) is NaN or overflows")
-    return math.exp(x)
+    u = math.exp(x)
+    if u < np.finfo(float).tiny:
+        raise ValueError(f"u = exp({x}) underflows below the smallest normal double")
+    return u
 
 
 def prelimit_term(

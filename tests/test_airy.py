@@ -303,9 +303,13 @@ def test_conjecture_rhs_at_small_gamma():
     lambda: limit_term(1, 0, 1e200, 0.5, 0.0, 0.0),         # OverflowError
     lambda: scaled_u(8, 1e308, 0.0),                        # OverflowError
     lambda: scaled_u(8, 1e30, 0.0),                         # OverflowError
+    lambda: scaled_u(189, 1.0, 0.0),                        # subnormal 4.4e-323
+    lambda: scaled_u(190, 1.0, 0.0),                        # returned 0.0
+    lambda: scaled_u(300, 1.0, 0.0),                        # returned 0.0
 ], ids=["limit-r2", "limit-t2", "limit-gamma", "rhs-r1", "kernel-xi",
         "kernel-t", "scaling-nan", "scaling-inf", "scaled_u-r", "prelimit-r2",
-        "limit-t1-squared", "scaled_u-gamma-1e308", "scaled_u-gamma-1e30"])
+        "limit-t1-squared", "scaled_u-gamma-1e308", "scaled_u-gamma-1e30",
+        "scaled_u-N189", "scaled_u-N190", "scaled_u-N300"])
 def test_airy_and_scaling_layer_reject_non_finite_input(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -20,6 +20,7 @@ from grsklab import specfun
 from grsklab.contour import (
     _circle_line_kernel,
     _gamma_cross,
+    _line_nodes_for_dim,
     _pi_csc_circle_line,
     _sklyanin_pair,
     bcr_fredholm,
@@ -397,6 +398,50 @@ def test_one_group_series_sums_to_laplace1(m2, n2, u2):
     terms = [joint_series_term(k, 0, 1, n2 + 1, m2, n2, 1.0, u2, 1.0) for k in (1, 2)]
     ref = laplace1(m2, n2, u2, [0.0] * m2, [1.0] * n2)
     assert abs(1.0 + sum(terms) - ref) <= 1e-6
+
+
+def full_circle_term_11(m1, n1, m2, n2, u1, u2, g, delta, delta1):
+    """The (1,1) series term on joint_series_term's nodes, summed over every
+    circle node of both groups:
+    sum g2(v, w) g1(v', w') P(v, w) P(v', w') Gamma(g - v - v')
+    Gamma(g - w - w') / (Gamma(g - v' - w) Gamma(g - v - w')) / (2 pi i)^4,
+    with the pair weight g_i = u_i^{w - v} (Gamma(g - w)/Gamma(g - v))^e
+    (Gamma(v)/Gamma(w))^f dv dw and the Cauchy factor
+    P = pi/sin(pi (v - w))/(w - v)."""
+    log_gamma = specfun.log_gamma
+    length = min(12.0, max(2.0, 80.0 / (min(m1 + n1, m2 + n2) * math.pi / 2.0)))
+    v, dv = circle(delta1, 64)
+    w, dw = vertical_line(delta, length, _line_nodes_for_dim(4, 20.0))
+
+    def phi(z, u, e, f):
+        return np.log(u) * z + e * log_gamma(g - z) - f * log_gamma(z)
+
+    (g2v, g2w), (g1v, g1w) = [(np.exp(-phi(v, *p)) * dv, np.exp(phi(w, *p)) * dw)
+                              for p in ((u2, m2, n2), (u1, n1, m1))]
+    P = _pi_csc_circle_line(v, w) / (w[None, :] - v[:, None])
+    vv = np.exp(log_gamma(g - v[:, None] - v[None, :]))
+    ww = np.exp(log_gamma(g - w[:, None] - w[None, :]))
+    vw = np.exp(-log_gamma(g - v[:, None] - w[None, :]))
+    total = 0j
+    for a in range(len(v)):  # v: a; v': b; w: j; w': k
+        total += g2v[a] * np.einsum("j,b,k,j,bk,b,jk,bj,k->", g2w, g1v, g1w, P[a],
+                                    P, vv[a], ww, vw, vw[a], optimize=True)
+    return total / (2j * math.pi) ** 4
+
+
+@pytest.mark.parametrize("case", [
+    # the defaults, delta = 0.35 gamma and delta1 = 0.08 at gamma = 1
+    (1, 2, 2, 1, 1.0, 1.0, 0.35, 0.08),
+    # prelimit_term's points and offsets, delta = 0.4, delta1 = 0.2
+    *[(*scaled_points(N, 0.5, 0.5), scaled_u(N, 1.0, 0.0), scaled_u(N, 1.0, 0.0),
+       0.4, 0.2) for N in (2, 8, 24)],
+], ids=["1,2,2,1", "prelimit-N2", "prelimit-N8", "prelimit-N24"])
+def test_term_11_sums_circle_nodes_in_conjugate_pairs(case):
+    *args, delta, delta1 = case
+    got = joint_series_term(1, 1, *args, 1.0, delta, delta1)
+    assert got.imag == 0.0
+    ref = full_circle_term_11(*args, 1.0, delta, delta1)
+    assert got.real == pytest.approx(ref.real, rel=1e-14)
 
 
 def test_joint_series_term_validation():
