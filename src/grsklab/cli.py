@@ -26,6 +26,7 @@ from . import arrays, oracle
 from .airy import _limit_query, airy_two_point, airy_two_point_series, limit_term
 from .contour import (
     _bcr_fredholm,
+    _fredholm_contours,
     _laplace1,
     _laplace2_case_a,
     _laplace2_case_b,
@@ -288,6 +289,9 @@ def cmd_fredholm(args) -> int:
     val, err = _bcr_fredholm(m, n, u, params.alpha, params.alphahat,
                              delta1=args.delta1, delta2=args.delta2,
                              order=args.order, length=args.L)
+    *_, delta1, delta2, n_circle, n_line = _fredholm_contours(
+        m, n, params.alpha, params.alphahat, args.delta1, args.delta2,
+        length=args.L)
     _emit(
         {
             "value": val.real,
@@ -295,6 +299,14 @@ def cmd_fredholm(args) -> int:
             "error_estimate": err,
             "point": [m, n],
             "order": args.order,
+            # the contours the evaluator used, its defaults filled in
+            "contours": {
+                "delta1": delta1,
+                "delta2": delta2,
+                "n_circle": n_circle,
+                "n_line": n_line,
+                "length": args.L,
+            },
         },
         args.output,
     )

@@ -55,7 +55,10 @@ Conventions:
     coefficients n + 1 and n + 2 vanish but for rounding: their size is
     the error bound its range guard checks.  The (1,1) term sums its
     second-group circle nodes in conjugate pairs;
-  - circles C_r are centred at 0 and traced counter-clockwise;
+  - circles C_r are centred at 0 and traced counter-clockwise, on the
+    even node count _circle_nodes takes from the distance to the nearest
+    singularity in or outside the circle: the trapezoid rule converges
+    like rho^n there too, and the count puts its aliasing error at 2^-56;
   - the Sklyanin density s_n(mu) = (2 pi i)^{-n}/n! prod_{i != j}
     Gamma(mu_i - mu_j)^{-1} is used with the plain complex line elements
     d mu, so every n-fold line integral carries (2 pi i)^{-n}/n!.
@@ -99,8 +102,10 @@ def vertical_line(delta: float, length: float = 12.0,
 
 def circle(radius: float, n_nodes: int = 128) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes z and line elements dz of the circle |z| = radius, traced
-    counter-clockwise, by the trapezoid rule: spectrally accurate for
-    periodic integrands."""
+    counter-clockwise, by the trapezoid rule.  On an integrand analytic in
+    an annulus inner < |z| < outer about the circle the error falls like
+    rho^n_nodes, rho = max(radius/outer, inner/radius); the evaluators take
+    n_nodes from that rate, by _circle_nodes."""
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError("circle radius must be finite and positive")
     if n_nodes < 4:
@@ -108,6 +113,37 @@ def circle(radius: float, n_nodes: int = 128) -> Tuple[np.ndarray, np.ndarray]:
     theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
     e = np.exp(1j * theta)
     return radius * e, 1j * radius * e * (2.0 * math.pi / n_nodes)
+
+
+# most trapezoid nodes on a circle; a circle that needs more sits too close
+# to a singularity for the rule to pay
+_MAX_CIRCLE_NODES = 512
+
+
+def _circle_nodes(radius: float, inner: float, outer: float, poles: int) -> int:
+    """Trapezoid nodes for the circle |v| = radius, centred on a pole of
+    order <= poles at v = 0, of an integrand with no other singularity in
+    inner < |v| < outer: the smallest even n >= poles + 56/log2(1/rho),
+    rho = max(radius/outer, inner/radius), so that the aliasing error
+    rho^(n - poles) is at most 2^-56 (Trefethen & Weideman, SIAM Rev. 56
+    (2014) 385).  Even, so that conjugate nodes pair up.  Above
+    _MAX_CIRCLE_NODES it raises ArithmeticError, naming the radius delta1
+    would have to keep."""
+    rho = max(radius / outer, inner / radius)
+    n = 2 * math.ceil((poles - 56.0 / math.log2(rho)) / 2)
+    if n > _MAX_CIRCLE_NODES:
+        # the rho at which the rule needs _MAX_CIRCLE_NODES nodes
+        rho_max = 2.0 ** (-56.0 / (_MAX_CIRCLE_NODES - poles))
+        if radius / outer >= inner / radius:
+            where = (f"a singularity at distance {outer:.6g}: keep delta1 "
+                     f"under {rho_max * outer:.6g}")
+        else:
+            where = (f"a singularity at distance {inner:.6g} inside it: keep "
+                     f"delta1 over {inner / rho_max:.6g}")
+        raise ArithmeticError(
+            f"circle radius delta1 = {radius:.6g} lies too close to {where}; "
+            f"the trapezoid rule would need {n} > {_MAX_CIRCLE_NODES} nodes")
+    return n
 
 
 def _checked_length(length: float) -> float:
@@ -567,38 +603,16 @@ def oy_laplace2(
 # ---------------------------------------------------------------------------
 
 
-def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
-                  alphahat: Sequence[float], delta1: Optional[float] = None,
-                  delta2: Optional[float] = None,
-                  nodes_per_unit: float = 20.0,
-                  order: Optional[int] = None, n_circle: int = 128,
-                  length: float = 12.0) -> Tuple[complex, float]:
-    """E[exp(-u Z_{(m,n)})] as det(I + K_u) on L^2(C_{delta1}).
-
-    The partition-function law is invariant under the re-parameterization
-    (alpha + s, alphahat - s); we shift by s = mean(alphahat) so the
-    shifted alphahat' are small (|alphahat'| < delta1 is required) and the
-    shifted alpha' are positive (delta2 < min alpha' is required).
-
-    Kernel: K_u(v,v') = (1/2 pi i) int_{ell_delta2} dw/(w - v')
-    * pi/sin(pi(v-w)) * [u^w prod_i Gamma(alpha'_i - w)] /
-    [u^v prod_i Gamma(alpha'_i - v)] * prod_j Gamma(v + alphahat'_j) /
-    Gamma(w + alphahat'_j).  The determinant has rank <= n (its only poles
-    in v inside the circle are at -alphahat'_j), so the series truncates,
-    and its coefficients n + 1 and n + 2 vanish but for rounding: the
-    larger of the two is the error estimate, the rounding and aliasing
-    noise that every coefficient carries.  Where it exceeds 1e-6 it raises
-    ArithmeticError, as it does for a value outside [0, 1] or off the real
-    axis.
-    """
+def _fredholm_contours(m: int, n: int, alpha: Sequence[float],
+                       alphahat: Sequence[float], delta1: Optional[float] = None,
+                       delta2: Optional[float] = None,
+                       nodes_per_unit: float = 20.0,
+                       n_circle: Optional[int] = None, length: float = 12.0):
+    """The shifted parameters alpha', alphahat' and the contours of
+    _bcr_fredholm: (alpha', alphahat', delta1, delta2, n_circle, n_line),
+    the offsets checked or chosen, n_circle by _circle_nodes unless given,
+    and n_line the node count of the w-line."""
     alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
-    _check_laplace_args(nodes_per_unit, u)
-    if order is None:
-        order = n
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if u == 0:
-        return 1.0 + 0j, 0.0
     s = sum(alphahat) / n
     ap = [a + s for a in alpha]
     ahp = [a - s for a in alphahat]
@@ -614,12 +628,56 @@ def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
         delta1 = 0.5 * (cap + ahp_max)
     if not (ahp_max < delta1 < cap):
         raise ValueError("requires max|alphahat'| < delta1 < min(delta2, 1-delta2)")
-
+    # inside the circle the kernel has its poles at -alphahat'; outside,
+    # pi/sin(pi (v - w)) and 1/(w - v') have theirs on the lines Re w = delta2
+    # and Re w - 1; det(I + K) has rank <= n
+    if n_circle is None:
+        n_circle = _circle_nodes(delta1, ahp_max, cap, n)
     # u^w oscillates along the w-line at large u and the integrand decays
     # slowly at small u: the line takes twice the 1-d node count
-    nw = 2 * _line_nodes_for_dim(1, nodes_per_unit, length)
+    n_line = 2 * _line_nodes_for_dim(1, nodes_per_unit, length)
+    return ap, ahp, delta1, delta2, n_circle, n_line
+
+
+def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
+                  alphahat: Sequence[float], delta1: Optional[float] = None,
+                  delta2: Optional[float] = None,
+                  nodes_per_unit: float = 20.0,
+                  order: Optional[int] = None, n_circle: Optional[int] = None,
+                  length: float = 12.0) -> Tuple[complex, float]:
+    """E[exp(-u Z_{(m,n)})] as det(I + K_u) on L^2(C_{delta1}).
+
+    The partition-function law is invariant under the re-parameterization
+    (alpha + s, alphahat - s); we shift by s = mean(alphahat) so the
+    shifted alphahat' are small (|alphahat'| < delta1 is required) and the
+    shifted alpha' are positive (delta2 < min alpha' is required).
+
+    Kernel: K_u(v,v') = (1/2 pi i) int_{ell_delta2} dw/(w - v')
+    * pi/sin(pi(v-w)) * [u^w prod_i Gamma(alpha'_i - w)] /
+    [u^v prod_i Gamma(alpha'_i - v)] * prod_j Gamma(v + alphahat'_j) /
+    Gamma(w + alphahat'_j).  The circle takes n_circle nodes, by default
+    _circle_nodes(delta1, max|alphahat'|, min(delta2, 1 - delta2), n): 58
+    at a flat (2,2) polymer, and ArithmeticError where delta1 lies so close
+    to either bound that more than 512 would be needed.  The determinant
+    has rank <= n (its only poles in v inside the circle are at
+    -alphahat'_j), so the series truncates, and its coefficients n + 1 and
+    n + 2 vanish but for rounding: the larger of the two is the error
+    estimate, the rounding and aliasing noise that every coefficient
+    carries.  Where it exceeds 1e-6 it raises ArithmeticError, as it does
+    for a value outside [0, 1] or off the real axis.
+    """
+    alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
+    _check_laplace_args(nodes_per_unit, u)
+    if order is None:
+        order = n
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if u == 0:
+        return 1.0 + 0j, 0.0
+    ap, ahp, delta1, delta2, n_circle, n_line = _fredholm_contours(
+        m, n, alpha, alphahat, delta1, delta2, nodes_per_unit, n_circle, length)
     v, dv = circle(delta1, n_circle)
-    w, dw = vertical_line(delta2, length, nw)
+    w, dw = vertical_line(delta2, length, n_line)
 
     def phi(z):
         # log of u^z prod_i Gamma(alpha'_i - z) / prod_j Gamma(z + alphahat'_j)
@@ -650,10 +708,6 @@ bcr_fredholm = _value_only(_bcr_fredholm)
 # Fredholm-like double series for two points at (0, gamma)
 # ---------------------------------------------------------------------------
 
-# trapezoid nodes on the series terms' circle C_delta1; even, so that the
-# (1,1) term can sum its circle nodes in conjugate pairs
-_SERIES_CIRCLE_NODES = 64
-
 def joint_series_term(
     m: int,
     n: int,
@@ -682,7 +736,11 @@ def joint_series_term(
     gamma - 2 delta from the line.  delta1 defaults to 0.2 min(d, 1 - d)
     with d = 0.4 gamma at every term, or to 0.1 when d >= 1.  u1 and u2
     must be positive.  At 20 nodes_per_unit the line takes 240 (one pair)
-    or 320 (two pairs) nodes at every length, the circle 64.
+    or 320 (two pairs) nodes at every length.  The circle takes
+    _circle_nodes(delta1, 0, min(delta, 1 - delta, gamma - delta1), e) nodes,
+    e the largest pole order at v = 0 of the groups the term uses (n2 for
+    the second, m1 for the first): 26 for the one-group terms and 28 for
+    the (1,1) term at (1,2,2,1) on the default offsets.
 
     The line half-length is min(12, max(2, 80/decay)), where
     decay = (pi/2) min(m_i + n_i) over the points whose group the term
@@ -711,7 +769,13 @@ def joint_series_term(
     decay = min(sizes) * math.pi / 2.0
     length = min(12.0, max(2.0, 80.0 / decay))
     nl = _line_nodes_for_dim(2 * (m + n), nodes_per_unit)
-    v, dv = circle(delta1, _SERIES_CIRCLE_NODES)
+    # e^{-Phi(v)} has a pole of order e_zero (below) at v = 0, the only
+    # singularity inside the circle; outside, pi/sin(pi (v - w)) and
+    # 1/(w - v) have theirs on the lines Re v = delta and delta - 1, and
+    # Gamma(gamma - v - v') at distance gamma - delta1
+    poles = max(([n2] if m else []) + ([m1] if n else []))
+    v, dv = circle(delta1, _circle_nodes(
+        delta1, 0.0, min(delta, 1.0 - delta, gamma - delta1), poles))
     w, dw = vertical_line(delta, length, nl)
 
     def phi(z, u, e_gamma, e_zero):

@@ -439,6 +439,32 @@ def test_fredholm_matches_laplace(capsys):
     assert f["value"] == pytest.approx(l["value"], abs=1e-4)
 
 
+def test_fredholm_reports_its_contours(capsys):
+    code, doc = run_json(capsys, "fredholm", "--points", "2,2", "--u", "1.0")
+    assert code == EXIT_OK
+    assert doc["contours"] == {"delta1": 0.25, "delta2": 0.5, "n_circle": 58,
+                               "n_line": 480, "length": 12.0}
+    code, doc = run_json(capsys, "fredholm", "--points", "2,2", "--u", "1.0",
+                         "--alphahat", "0.7,1.3", "--L", "6")
+    assert code == EXIT_OK
+    assert doc["contours"] == {"delta1": 0.4, "delta2": 0.5, "n_circle": 176,
+                               "n_line": 240, "length": 6.0}
+
+
+def test_fredholm_circle_near_its_bound(capsys):
+    # at a fixed 128 nodes --delta1 0.45 exited 1 on a rounding guard
+    code, doc = run_json(capsys, "fredholm", "--points", "2,2", "--u", "1",
+                         "--delta1", "0.45")
+    assert code == EXIT_OK and doc["contours"]["n_circle"] == 372
+    _, lap = run_json(capsys, "laplace", "--points", "2,2", "--u", "1")
+    assert doc["value"] == pytest.approx(lap["value"], abs=1e-12)
+    proc = run_process("fredholm", "--points", "2,2", "--u", "1", "--delta1", "0.495")
+    assert proc.returncode == EXIT_COMPUTE
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "delta1 = 0.495" in proc.stderr and "under 0.46" in proc.stderr
+
+
 def test_fredholm_error_estimate_covers_rounding(capsys):
     # the converged transform is 3.0566e-14; at (8,8) the determinant's
     # rounding noise is larger, and the reported estimate must cover it

@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 
 from grsklab import specfun
+from grsklab import contour
 from grsklab.contour import (
     _circle_line_kernel,
+    _circle_nodes,
+    _fredholm_contours,
     _gamma_cross,
     _line_nodes_for_dim,
     _pi_csc_circle_line,
@@ -296,6 +299,79 @@ def test_bcr_order_zero_is_constant_term_and_negative_order_raises():
             bcr_fredholm(2, 2, u, a, ah, order=-1)
 
 
+def test_circle_nodes_follow_the_nearest_singularity():
+    # rho = 0.08/0.35 with a simple pole: 1 + 56/log2(1/rho) = 27.3
+    assert _circle_nodes(0.08, 0.0, 0.35, 1) == 28
+    # rho = 0.5: 56 nodes beyond the pole order, rounded up to even
+    assert _circle_nodes(0.25, 0.0, 0.5, 2) == 58
+    assert _circle_nodes(0.25, 0.0, 0.5, 3) == 60
+    # an inner singularity counts as an outer one does: rho = 0.2/0.25
+    assert _circle_nodes(0.25, 0.2, 1.0, 0) == _circle_nodes(0.2, 0.0, 0.25, 0) == 174
+    with pytest.raises(ArithmeticError, match="delta1 = 0.495.*under 0.46"):
+        _circle_nodes(0.495, 0.0, 0.5, 2)
+    with pytest.raises(ArithmeticError, match="delta1 = 0.101.*over 0.1"):
+        _circle_nodes(0.101, 0.1, 0.5, 2)
+
+
+# every circle user at the rule's node count and at 4 times it
+RULE_INPUTS = {
+    **{f"fredholm {m},{n} u={u}": (lambda m=m, n=n, u=u: bcr_fredholm(
+        m, n, u, [0.0] * m, [1.0] * n)) for (m, n) in [(2, 2), (3, 2), (3, 3)]
+       for u in (0.25, 1.0, 4.0)},
+    # rho = 0.4/0.5: 176 nodes
+    **{f"fredholm 2,2 alphahat=0.7,1.3 u={u}": (lambda u=u: bcr_fredholm(
+        2, 2, u, [0.0, 0.0], [0.7, 1.3])) for u in (0.25, 1.0, 4.0)},
+    **{f"series {m},{n}": (lambda m=m, n=n: joint_series_term(
+        m, n, 1, 2, 2, 1, 1.0, 1.0, 1.0))
+       for (m, n) in [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]},
+    # rho = 0.2/0.4
+    **{f"prelimit {m},{n} N=2": (lambda m=m, n=n: prelimit_term(
+        m, n, 2, 1.0, 0.5, 0.5)) for (m, n) in [(1, 0), (1, 1)]},
+}
+
+
+@pytest.mark.parametrize("name", RULE_INPUTS)
+def test_circle_rule_is_converged(name, monkeypatch):
+    value = RULE_INPUTS[name]()
+    monkeypatch.setattr(contour, "_circle_nodes",
+                        lambda *args: 4 * _circle_nodes(*args))
+    ref = RULE_INPUTS[name]()
+    if name.startswith("fredholm"):
+        # det(I + K) sums coefficients of size up to 1: its rounding noise
+        # is a few ulps of 1 at every value, 5.3e-15 at most on these inputs
+        assert value == pytest.approx(ref, rel=1e-13, abs=1e-14)
+    else:
+        # the (2,0) and (0,2) terms vanish here but for rounding
+        assert value == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+
+def test_fixed_circle_counts_miss_near_a_singularity(monkeypatch):
+    # the tolerances above tell the rule from fixed counts: 128 nodes at
+    # rho = 0.8 are 4.5e-12 off, 32 nodes at rho = 0.5 7.6e-9 relative
+    ref = bcr_fredholm(2, 2, 4.0, [0.0, 0.0], [0.7, 1.3], n_circle=1024)
+    fixed = bcr_fredholm(2, 2, 4.0, [0.0, 0.0], [0.7, 1.3], n_circle=128)
+    assert abs(fixed - ref) > 1e-12
+    ref = prelimit_term(1, 0, 2, 1.0, 0.5, 0.5)
+    monkeypatch.setattr(contour, "_circle_nodes", lambda *args: 32)
+    assert abs(prelimit_term(1, 0, 2, 1.0, 0.5, 0.5) - ref) > 1e-9 * abs(ref)
+
+
+def test_bcr_fredholm_circle_near_its_bound():
+    # at 128 nodes delta1 = 0.45 aliased at 0.9^128 and failed the rounding
+    # guard; the rule takes 372 nodes there
+    a, ah = [0.0, 0.0], [1.0, 1.0]
+    near = bcr_fredholm(2, 2, 1.0, a, ah, delta1=0.45)
+    assert near == pytest.approx(bcr_fredholm(2, 2, 1.0, a, ah), abs=1e-14)
+    assert near.real == pytest.approx(laplace1(2, 2, 1.0, a, ah).real, abs=1e-12)
+    assert _fredholm_contours(2, 2, a, ah, delta1=0.45)[4] == 372
+    with pytest.raises(ArithmeticError, match="delta1 = 0.495"):
+        bcr_fredholm(2, 2, 1.0, a, ah, delta1=0.495)
+    # an explicit node count skips the rule, and its aliasing then fails
+    # the rounding guard
+    with pytest.raises(ArithmeticError, match="rounding error bound"):
+        bcr_fredholm(2, 2, 1.0, a, ah, delta1=0.495, n_circle=128)
+
+
 # ---------------------------------------------------------------------------
 # two-point transforms
 # ---------------------------------------------------------------------------
@@ -410,7 +486,8 @@ def full_circle_term_11(m1, n1, m2, n2, u1, u2, g, delta, delta1):
     P = pi/sin(pi (v - w))/(w - v)."""
     log_gamma = specfun.log_gamma
     length = min(12.0, max(2.0, 80.0 / (min(m1 + n1, m2 + n2) * math.pi / 2.0)))
-    v, dv = circle(delta1, 64)
+    v, dv = circle(delta1, _circle_nodes(delta1, 0.0, min(delta, 1.0 - delta, g - delta1),
+                                         max(n2, m1)))
     w, dw = vertical_line(delta, length, _line_nodes_for_dim(4, 20.0))
 
     def phi(z, u, e, f):
