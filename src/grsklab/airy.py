@@ -13,10 +13,10 @@ products of the blocks of K (the Plemelj-Smithies expansion of log det,
 then its exponential): the limit terms I_{m,n} are the z2^m z1^n
 coefficients at the scaled times and thresholds, and the block Fredholm
 expansion, kept as a partial-sum diagnostic, sums the coefficients of
-det(I - z K) by total order.  The
-pre-limit counterparts of I_{m,n}, grsklab.contour.prelimit_term, are the
-double-series terms of the polymer at the N^{2/3}-scaled points; the
-orthant form of those terms is the identity they rest on.
+det(I - z K) by total order.  grsklab.contour reads its determinants the
+same two ways; its prelimit_term, the pre-limit counterpart of I_{m,n}, is
+the double-series term of the polymer at the N^{2/3}-scaled points, whose
+orthant form is the identity it rests on.
 """
 from __future__ import annotations
 

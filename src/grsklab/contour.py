@@ -37,8 +37,8 @@ Conventions:
     oy_laplace2 spaces its nodes 2/nodes_per_unit apart;
   - laplace1, laplace2_case_a/_b and bcr_fredholm return the values of
     _laplace1, _laplace2_case_a/_b and _bcr_fredholm, which also return an
-    error estimate; the Sklyanin-line forms take it from subsets of the
-    nodes they sum (_estimated_transform), not from a second evaluation;
+    error estimate from subsets of the line nodes they sum (_subset_error),
+    not from a second evaluation;
   - every Sklyanin line group takes its per-axis weight u^{-z}
     prod Gamma(z - p) prod Gamma(z + q), over its normalization, from
     _axis_weights;
@@ -47,14 +47,11 @@ Conventions:
     from per-node values: e^{Phi(w) - Phi(v)} is a row factor times a
     column factor, and pi/sin(pi(v - w)) a rational function of
     e^{-+i pi v} e^{+-i pi w}, so no exponential or sine runs on the
-    circle x line matrix.  The (k,0) series terms are the z^k coefficients
-    of det(I + z K) for bcr_fredholm's kernel at alpha' = gamma,
-    alphahat' = 0, read by _graded_det_coefficients, an FFT of the values
-    of det(I + z K) on roots of unity (Bornemann, Math. Comp. 79 (2010)
-    871).  det(I + z K) has degree <= n in bcr_fredholm, so its
-    coefficients n + 1 and n + 2 vanish but for rounding: their size is
-    the error bound its range guard checks.  The (1,1) term sums its
-    second-group circle nodes in conjugate pairs;
+    circle x line matrix, with Phi from _phi.  A determinant is read whole
+    by one LU, or to order <= 3 from traces of powers of K
+    (_trace_det_coefficients): the (k,0) series terms are the z^k
+    coefficients of det(I + z K) at alpha' = gamma, alphahat' = 0.  The
+    (1,1) term sums its second-group circle nodes in conjugate pairs;
   - circles C_r are centred at 0 and traced counter-clockwise, on the
     even node count _circle_nodes takes from the distance to the nearest
     singularity in or outside the circle: the trapezoid rule converges
@@ -67,11 +64,12 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections import Counter
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .quadrature import _graded_det_coefficients, gl_panels
+from .quadrature import _trace_det_coefficients, gl_panels
 from .specfun import digamma, log_gamma
 
 TWO_PI_I = 2j * math.pi
@@ -271,17 +269,29 @@ def _pi_csc_circle_line(v, w):
 def _circle_line_kernel(v, dv, w, dw, log_v, log_w):
     """The circle x line Fredholm kernel on the circle nodes v,
     K[a, b] = (2 pi i)^{-2} sum_w pi/sin(pi (v_a - w)) e^{log_w - log_v_a}
-    dw dv_b/(w - v_b): one factor 1/(2 pi i) from the w-integral, one from
-    the circle measure dv/(2 pi i).  This normalization is fixed by the
-    numeric match of the Fredholm form with the line-integral form.
+    dw dv_b/(w - v_b), as the factors (A, B) of K = A B: B is the Cauchy
+    matrix dv/((2 pi i)^2 (w - v)) and the circle x line A holds the rest,
+    so the kernel on the line nodes `nodes` at s times their spacing is
+    s A[:, nodes] B[nodes].  One 1/(2 pi i) is the w-integral's, one the
+    circle measure's; this normalization is fixed by the numeric match of
+    the Fredholm form with the line-integral form.
     e^{log_w - log_v} is the row factor e^{c - log_v} times the column
     factor e^{log_w - c}; with c = max Re log_w the row factor overflows
     only where e^{log_w - log_v} itself would."""
     c = np.max(log_w.real)
-    core = _pi_csc_circle_line(v, w)
-    core *= np.exp(log_w - c) * dw
-    K = core @ (1.0 / np.subtract.outer(w, v))
-    return np.exp(c - log_v)[:, None] * K * (dv / TWO_PI_I**2)
+    A = _pi_csc_circle_line(v, w)
+    A *= np.exp(log_w - c) * dw
+    A *= np.exp(c - log_v)[:, None]
+    return A, (dv / TWO_PI_I**2) / np.subtract.outer(w, v)
+
+
+def _phi(z, log_u, upper, lower):
+    """Phi(z) = log of u^z prod Gamma(a - z)^k / prod Gamma(z + b)^k, with
+    upper and lower mapping each distinct a and b to its multiplicity k, so
+    one log_gamma call per distinct value.  e^{Phi(w) - Phi(v)} is the pair
+    weight of bcr_fredholm's kernel and of every series term."""
+    return (log_u * z + sum(k * log_gamma(a - z) for a, k in upper.items())
+            - sum(k * log_gamma(z + b) for b, k in lower.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +310,17 @@ def _laplace1(m: int, n: int, u: float, alpha: Sequence[float],
     prod_{j,j'} Gamma(-alphahat_{j'} + mu_j) and the ratio
     u^{-mu} F_m^alpha(mu) / (u^{-alphahat_j} F_m^alpha(alphahat_j)) with
     F_m^alpha(mu) = prod_i Gamma(mu + alpha_i).  The line must lie to the
-    right of every alphahat_j and every -alpha_i.
+    right of every alphahat_j and every -alpha_i.  For m < n it evaluates
+    the transposed polymer: Z_{(m,n)} of (alpha, alphahat) has the law of
+    Z_{(n,m)} of (alphahat, alpha).
     """
-    if not (m >= n >= 1):
-        raise ValueError("requires m >= n >= 1")
+    if not min(m, n) >= 1:
+        raise ValueError("requires m, n >= 1")
+    alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
+    if m < n:
+        return _laplace1(n, m, u, alphahat, alpha, delta, nodes_per_unit, length)
     if n > 3:
         raise ValueError("dimension cap: n <= 3")
-    alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
     _check_laplace_args(nodes_per_unit, u)
     if u == 0:
         return 1.0 + 0j, 0.0
@@ -387,15 +401,15 @@ def _two_group_integral(gl, k1, gm, k2, cross, h) -> Tuple[complex, float]:
 
 
 def _checked_transform(val: complex, err: float = 0.0) -> complex:
-    """val, or ArithmeticError when the bound err on its rounding error
-    exceeds 1e-6, its real part lies outside [0, 1] by more than 1e-6 or
-    its imaginary part exceeds 1e-6 in size: the Laplace transform of a
-    positive variable is real and in [0, 1], so the contour quadrature did
-    not resolve the integrand."""
+    """val, or ArithmeticError when err, a bound on its rounding error or
+    an error estimate, exceeds 1e-6, its real part lies outside [0, 1] by
+    more than 1e-6 or its imaginary part exceeds 1e-6 in size: the Laplace
+    transform of a positive variable is real and in [0, 1], so the contour
+    quadrature did not resolve the integrand."""
     if not err <= 1e-6:
         raise ArithmeticError(
-            f"transform rounding error bound {err:.3g} exceeds 1e-6: the "
-            "quadrature sum cancels below double precision for this input"
+            f"transform rounding error bound or estimate {err:.3g} exceeds "
+            "1e-6: the quadrature sum does not resolve this input"
         )
     if not -1e-6 <= val.real <= 1.0 + 1e-6:
         raise ArithmeticError(
@@ -410,29 +424,31 @@ def _checked_transform(val: complex, err: float = 0.0) -> complex:
     return val
 
 
+def _subset_error(val, on, n: int) -> float:
+    """Discretization and truncation error of val = I(h), a trapezoid sum
+    on lines of n nodes, from on(nodes, s), the sum on the nodes `nodes` of
+    each line at s times the spacing.  With d1 = |I(h) - I(2h)| and
+    d2 = |I(2h) - I(4h)|: d1^2/d2 (the error at 4h/3 under geometric
+    convergence), or d1 where d1 >= d2, plus |I(h) - I(inner 3/4)|."""
+    i2, i4 = on(slice(None, None, 2), 2), on(slice(None, None, 4), 4)
+    d1, d2 = abs(val - i2), abs(i2 - i4)
+    trunc = abs(val - on(slice(n // 8, n - n // 8), 1))
+    return (d1 if d1 >= d2 else d1 * d1 / d2) + trunc
+
+
 def _estimated_transform(gl, k1, gm, k2, cross, h) -> Tuple[complex, float]:
     """_two_group_integral's value, checked by _checked_transform against
-    its rounding bound, and an error estimate from subsets of the same
-    nodes: the sums on every 2nd and every 4th node of each line (spacing
-    2h and 4h) and on the inner 3/4 of each line.  With d1 = |I(h) - I(2h)|
-    and d2 = |I(2h) - I(4h)| the discretization term is d1^2/d2, the error
-    of the rule at 4h/3 under geometric convergence, or d1 where d1 >= d2;
-    the truncation term is |I(h) - I(inner)|.  The estimate is their sum
-    plus the rounding bound."""
+    its rounding bound, and an error estimate: _subset_error on the nodes of
+    both lines plus the rounding bound."""
     val, bound = _two_group_integral(gl, k1, gm, k2, cross, h)
     val = _checked_transform(val, bound)
 
-    def on(nodes, s=1):
-        # the sum on the nodes `nodes` of every line, at spacing s h
+    def on(nodes, s):
         return _two_group_integral(
             None if gl is None else gl[nodes] * s, k1, gm[nodes] * s, k2,
             None if cross is None else cross[nodes, nodes], s * h)[0]
 
-    i2, i4 = on(slice(None, None, 2), 2), on(slice(None, None, 4), 4)
-    d1, d2 = abs(val - i2), abs(i2 - i4)
-    n = len(gm)
-    trunc = abs(val - on(slice(n // 8, n - n // 8)))
-    return val, (d1 if d1 >= d2 else d1 * d1 / d2) + trunc + bound
+    return val, _subset_error(val, on, len(gm)) + bound
 
 
 def _check_two_points(m1, n1, m2, n2):
@@ -499,9 +515,10 @@ def _laplace2_case_b(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
                      length: float = 12.0) -> Tuple[complex, float]:
     """Joint Laplace transform in the case m2 < n2 (with m1 <= n1): lambda
     over (ell_delta)^{m1}, mu over (ell_{delta'})^{m2} with delta' > delta,
-    and the cross factor prod Gamma(-lambda_i + mu_{i'}), for u1, u2 > 0.
-    delta defaults to 0.4 gamma and delta' to delta + 0.5, half a unit off
-    the poles of Gamma(mu - lambda) at the integers mu - lambda <= 0."""
+    and the cross factor prod Gamma(-lambda_i + mu_{i'}); a zero u leaves
+    the one-point transform at the other point.  delta defaults to
+    0.4 gamma and delta' to delta + 0.5, half a unit off the poles of
+    Gamma(mu - lambda) at the integers mu - lambda <= 0."""
     _check_two_points(m1, n1, m2, n2)
     if not (m1 <= n1 and m2 < n2):
         raise ValueError("case b requires m1 <= n1 and m2 < n2 "
@@ -510,8 +527,7 @@ def _laplace2_case_b(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
         raise ValueError("dimension cap: m1 + m2 <= 4")
     alpha, alphahat = _leading(alpha, m2, "alpha"), _leading(alphahat, n1, "alphahat")
     _check_laplace_args(nodes_per_unit, u1, u2)
-    if min(u1, u2) == 0:
-        raise ValueError("requires u1, u2 > 0")
+    given, given_prime = delta, delta_prime
     if delta is None:
         delta = 0.4 * gamma
     if delta_prime is None:
@@ -523,6 +539,14 @@ def _laplace2_case_b(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
         raise ValueError("requires |alpha_i| < delta")
     if not all(abs(a - gamma) < delta for a in alphahat):
         raise ValueError("requires |alphahat_j - gamma| < delta")
+    # a zero u leaves the one-point transform at the other point, whose
+    # transposed form has lam's line (u2 = 0) or mu's line (u1 = 0)
+    if u2 == 0:
+        return _laplace1(m1, n1, u1, alpha[:m1], alphahat, given,
+                         nodes_per_unit, length)
+    if u1 == 0:
+        return _laplace1(m2, n2, u2, alpha, alphahat[:n2], given_prime,
+                         nodes_per_unit, length)
 
     nn = _line_nodes_for_dim(m1 + m2, nodes_per_unit, length)
     lam, dlam = vertical_line(delta, length, nn)
@@ -572,6 +596,9 @@ def oy_laplace2(
         raise ValueError("requires |alpha| < delta < delta'")
     if u2 == 0:
         raise ValueError("u2 must be > 0 (take m1 as the only point instead)")
+    if u1 == 0:
+        # the transform at the second point alone: the m1 = 0 form
+        m1 = 0
 
     def half_length(rate: float, growth: float) -> float:
         # smallest Y with (rate/2) Y^2 - growth * Y >= 30
@@ -658,13 +685,14 @@ def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
     Gamma(w + alphahat'_j).  The circle takes n_circle nodes, by default
     _circle_nodes(delta1, max|alphahat'|, min(delta2, 1 - delta2), n): 58
     at a flat (2,2) polymer, and ArithmeticError where delta1 lies so close
-    to either bound that more than 512 would be needed.  The determinant
-    has rank <= n (its only poles in v inside the circle are at
-    -alphahat'_j), so the series truncates, and its coefficients n + 1 and
-    n + 2 vanish but for rounding: the larger of the two is the error
-    estimate, the rounding and aliasing noise that every coefficient
-    carries.  Where it exceeds 1e-6 it raises ArithmeticError, as it does
-    for a value outside [0, 1] or off the real axis.
+    to either bound that more than 512 would be needed.  K has rank <= n
+    (its only poles in v inside the circle are at -alphahat'_j): order None
+    or >= n is the whole det(I + K), by one LU (Bornemann, Math. Comp. 79
+    (2010) 871); order 0..3 the partial sum from traces of powers of K;
+    4 <= order < n raises ValueError.  The error estimate is _subset_error
+    on the w-line plus |Im value| and n_circle eps |value|; the circle's
+    aliasing is below 2^-56 by its node count.  Above 1e-6 it raises
+    ArithmeticError, as does a value outside [0, 1] or off the real axis.
     """
     alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
     _check_laplace_args(nodes_per_unit, u)
@@ -672,29 +700,28 @@ def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
         order = n
     if order < 0:
         raise ValueError("order must be >= 0")
+    if 3 < order < n:
+        raise ValueError(f"order must be <= 3, or >= n = {n} (the whole det)")
     if u == 0:
         return 1.0 + 0j, 0.0
     ap, ahp, delta1, delta2, n_circle, n_line = _fredholm_contours(
         m, n, alpha, alphahat, delta1, delta2, nodes_per_unit, n_circle, length)
     v, dv = circle(delta1, n_circle)
     w, dw = vertical_line(delta2, length, n_line)
+    args = (np.log(u), Counter(ap), Counter(ahp))
+    A, B = _circle_line_kernel(v, dv, w, dw, _phi(v, *args), _phi(w, *args))
 
-    def phi(z):
-        # log of u^z prod_i Gamma(alpha'_i - z) / prod_j Gamma(z + alphahat'_j)
-        out = np.log(u) * z
-        for a in ap:
-            out = out + log_gamma(a - z)
-        for a in ahp:
-            out = out - log_gamma(z + a)
-        return out
+    def on(nodes=slice(None), s=1):
+        # the value on the w-line nodes `nodes` at s times their spacing
+        K = s * (A[:, nodes] @ B[nodes])
+        if order >= n:
+            return complex(np.linalg.det(np.eye(n_circle) + K))
+        return complex(np.sum(_trace_det_coefficients(K, [n_circle], order)))
 
-    Kt = _circle_line_kernel(v, dv, w, dw, phi(v), phi(w))
-    # det(I + z K) has degree <= n, the kernel's rank: of its coefficients on
-    # n + 3 roots of unity the last two vanish but for rounding, which sizes
-    # the error of the rest; the series is truncated at `order`
-    c = _graded_det_coefficients(Kt, n + 3)
-    err = float(np.max(np.abs(c[n + 1:])))
-    return _checked_transform(complex(np.sum(c[: min(order, n) + 1])), err), err
+    val = on()
+    err = (_subset_error(val, on, n_line) + abs(val.imag)
+           + n_circle * np.finfo(float).eps * abs(val))
+    return _checked_transform(val, err), err
 
 
 # the public evaluators: the private forms' values alone
@@ -778,20 +805,14 @@ def joint_series_term(
         delta1, 0.0, min(delta, 1.0 - delta, gamma - delta1), poles))
     w, dw = vertical_line(delta, length, nl)
 
-    def phi(z, u, e_gamma, e_zero):
-        # the pair weight is e^{Phi(w) - Phi(v)}: u^w Gamma(gamma-w)^e_gamma
-        # / Gamma(w)^e_zero over the same at v
-        return np.log(u) * z + e_gamma * log_gamma(gamma - z) - e_zero * log_gamma(z)
-
-    second, first = (u2, m2, n2), (u1, n1, m1)
+    # each group's Phi: u^z Gamma(gamma - z)^e_gamma / Gamma(z)^e_zero
+    second, first = [(np.log(u), {gamma: e_gamma}, {0.0: e_zero})
+                     for u, e_gamma, e_zero in ((u2, m2, n2), (u1, n1, m1))]
     if n == 0 or m == 0:
-        # one group: the term is the z^k coefficient of det(I + z K).
-        # e^{-Phi(v)} has a pole of order e_zero at v = 0 inside the circle,
-        # so K has numerical rank e_zero; fewer roots of unity would alias
-        # the higher coefficients into this one
+        # one group: the term is the z^k coefficient of det(I + z K)
         k, group = (m, second) if m else (n, first)
-        K = _circle_line_kernel(v, dv, w, dw, phi(v, *group), phi(w, *group))
-        return complex(_graded_det_coefficients(K, max(k, group[2]) + 1)[k])
+        A, B = _circle_line_kernel(v, dv, w, dw, _phi(v, *group), _phi(w, *group))
+        return complex(_trace_det_coefficients(A @ B, [len(v)], k)[k])
 
     # (1,1): one pair (v, w) per group, each with its Cauchy factor P, and
     # the cross term Gamma(gamma-a-b) between the groups, numerators on the
@@ -803,7 +824,7 @@ def joint_series_term(
     # the step of node N - a is the conjugate of the step of node a.  For an
     # even node count N the steps of nodes 0..N/2 suffice, the interior ones
     # counted twice, and the sum is their real part
-    (g2v, g2w), (g1v, g1w) = [(np.exp(-phi(v, *g)) * dv, np.exp(phi(w, *g)) * dw)
+    (g2v, g2w), (g1v, g1w) = [(np.exp(-_phi(v, *g)) * dv, np.exp(_phi(w, *g)) * dw)
                               for g in (second, first)]
     P = _pi_csc_circle_line(v, w) / (w[None, :] - v[:, None])
     ww = _gamma_cross(gamma - w, -w, True)

@@ -1,5 +1,6 @@
 """Shared quadrature plumbing: Gauss-Legendre panels and the low-order
-coefficients of Fredholm determinants."""
+coefficients of Fredholm determinants from traces; a whole determinant is
+one LU in its caller."""
 from __future__ import annotations
 
 from functools import lru_cache, reduce
@@ -32,28 +33,6 @@ def gl_panels(a: float, b: float, n_total: int, n_panels: int = 1):
         xs.append(x)
         ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
-
-
-def _graded_det_coefficients(M: np.ndarray, K: int) -> np.ndarray:
-    """Taylor coefficients c[k], 0 <= k < K, of det(I + z M).  z runs over
-    the K-th roots of unity and an FFT turns the determinant values into
-    coefficients by the trapezoid rule (Bornemann, Math. Comp. 79 (2010)
-    871).  Coefficients of degree >= K alias into the result, so K must
-    exceed the numerical degree.  The determinants are taken one at a time
-    to keep memory flat, and c[0] = det(I) = 1 is set exactly.  Subnormal
-    parts are zeroed before each det: numpy's complex LU returns NaN on a
-    subnormal pivot."""
-    eye = np.eye(len(M))
-    tiny = np.finfo(float).tiny
-    vals = np.empty(K, dtype=complex)
-    for k, z in enumerate(np.exp(2j * np.pi * np.arange(K) / K)):
-        A = eye + z * M
-        for part in (A.real, A.imag):
-            part[np.abs(part) < tiny] = 0.0
-        vals[k] = np.linalg.det(A)
-    c = np.fft.fft(vals) / K
-    c[0] = 1.0
-    return c
 
 
 def _trace_det_coefficients(M: np.ndarray, sizes: Sequence[int],

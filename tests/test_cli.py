@@ -258,6 +258,8 @@ def test_non_finite_contour_geometry_is_usage_error(argv):
     ["fredholm", "--points", "2,2,3,1", "--u", "1"],
     ["fredholm", "--points", "2,2", "--u", "1,2"],
     ["fredholm", "--points", "2,2", "--u", "1", "--order", "-1"],
+    # partial sums stop at order 3; order >= n is the whole determinant
+    ["fredholm", "--points", "5,5", "--u", "1", "--order", "4"],
 ])
 def test_fredholm_extra_input_or_negative_order_is_usage_error(argv):
     proc = run_process(*argv)

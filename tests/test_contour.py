@@ -21,6 +21,7 @@ from grsklab import contour
 from grsklab.contour import (
     _circle_line_kernel,
     _circle_nodes,
+    _bcr_fredholm,
     _fredholm_contours,
     _gamma_cross,
     _line_nodes_for_dim,
@@ -112,6 +113,7 @@ VALID_INPUTS = {
 EARLY_RETURNS = {
     laplace1: dict(u=0.0),
     laplace2_case_a: dict(u2=0.0),
+    laplace2_case_b: dict(u2=0.0),
     oy_laplace2: dict(u1=0.0, u2=0.0),
     bcr_fredholm: dict(u=0.0),
     joint_series_term: dict(m=0),
@@ -136,7 +138,7 @@ def _bad_inputs():
         for key, value in kw.items():
             if key in ("u", "u1", "u2"):
                 bads = [math.nan, math.inf, -math.inf, -1.0]
-                if f in (laplace2_case_b, joint_series_term):
+                if f is joint_series_term:
                     bads.append(0.0)
             elif key in ("r1", "r2"):
                 bads = [math.nan, math.inf, -math.inf]
@@ -216,6 +218,14 @@ def test_laplace1_u_limits():
     assert 0 < big < small < 1
 
 
+def test_laplace1_transposes_m_below_n():
+    # Z_{(2,3)} of (alpha, alphahat) is Z_{(3,2)} of (alphahat, alpha)
+    a, ah = [0.0, 0.0], [1.0, 1.0, 1.0]
+    val = laplace1(2, 3, 1.0, a, ah)
+    assert val == laplace1(3, 2, 1.0, ah, a)
+    assert val.real == pytest.approx(0.03204122488961, abs=1e-13)
+
+
 def test_laplace1_small_u_cancellation_raises():
     # the node sum cancels to ~1 from weights of size u^{-delta}: the value
     # 0.99999875 was 1.3e-6 off, and 200 nodes per unit read 1.00000017
@@ -225,7 +235,7 @@ def test_laplace1_small_u_cancellation_raises():
 
 def test_laplace1_validation():
     with pytest.raises(ValueError):
-        laplace1(1, 2, 1.0, [0.0], [1.0, 1.0])  # m < n
+        laplace1(0, 2, 1.0, [], [1.0, 1.0])  # m < 1
     with pytest.raises(ValueError):
         laplace1(2, 2, 1.0, [0.0], [1.0, 1.0])  # wrong alpha count
     with pytest.raises(ValueError):
@@ -297,6 +307,10 @@ def test_bcr_order_zero_is_constant_term_and_negative_order_raises():
     for u in (0.0, 1.0):
         with pytest.raises(ValueError):
             bcr_fredholm(2, 2, u, a, ah, order=-1)
+    # partial sums come from traces up to order 3; beyond it, only the whole
+    # determinant (order >= n)
+    with pytest.raises(ValueError, match="order"):
+        bcr_fredholm(5, 5, 1.0, [0.0] * 5, [1.0] * 5, order=4)
 
 
 def test_circle_nodes_follow_the_nearest_singularity():
@@ -347,10 +361,10 @@ def test_circle_rule_is_converged(name, monkeypatch):
 
 def test_fixed_circle_counts_miss_near_a_singularity(monkeypatch):
     # the tolerances above tell the rule from fixed counts: 128 nodes at
-    # rho = 0.8 are 4.5e-12 off, 32 nodes at rho = 0.5 7.6e-9 relative
+    # rho = 0.8 are 4.6e-11 relative off, 32 nodes at rho = 0.5 7.6e-9
     ref = bcr_fredholm(2, 2, 4.0, [0.0, 0.0], [0.7, 1.3], n_circle=1024)
     fixed = bcr_fredholm(2, 2, 4.0, [0.0, 0.0], [0.7, 1.3], n_circle=128)
-    assert abs(fixed - ref) > 1e-12
+    assert abs(fixed - ref) > 1e-11 * abs(ref)
     ref = prelimit_term(1, 0, 2, 1.0, 0.5, 0.5)
     monkeypatch.setattr(contour, "_circle_nodes", lambda *args: 32)
     assert abs(prelimit_term(1, 0, 2, 1.0, 0.5, 0.5) - ref) > 1e-9 * abs(ref)
@@ -370,6 +384,67 @@ def test_bcr_fredholm_circle_near_its_bound():
     # the rounding guard
     with pytest.raises(ArithmeticError, match="rounding error bound"):
         bcr_fredholm(2, 2, 1.0, a, ah, delta1=0.495, n_circle=128)
+
+
+@pytest.mark.parametrize("n, u, value", [
+    # an FFT of det(I + z K) on roots of unity read 3.5816e-10, 2.54e-11 and
+    # 6.77e-10 here: its noise grows with max |det(I + z K)| on |z| = 1
+    (6, 4.0, 3.5541544e-10),
+    (7, 1.0, 3.7842344e-11),
+    (8, 1.0, 3.05663e-14),
+])
+def test_bcr_fredholm_small_values(n, u, value):
+    got = bcr_fredholm(n, n, u, [0.0] * n, [1.0] * n)
+    assert got.real == pytest.approx(value, rel=1e-5)
+
+
+# flat (n, n) at three u, and two non-flat alphahat at two u
+ESTIMATE_GRID = [((n, n), [0.0] * n, [1.0] * n, u)
+                 for n in (2, 3, 5, 6) for u in (0.01, 1.0, 100.0)]
+ESTIMATE_GRID += [((2, 2), [0.0, 0.0], ah, u)
+                  for ah in ([0.7, 1.3], [0.5, 0.5]) for u in (0.25, 4.0)]
+
+
+def test_bcr_fredholm_error_estimate_covers_the_error(monkeypatch):
+    # the reference doubles the circle nodes, the line density and the line
+    # length; the vanishing coefficients n + 1 and n + 2 of det(I + z K)
+    # read 1.5e-15 at alphahat = (0.7, 1.3), u = 4, where the value is
+    # 8e-11 off
+    got = [_bcr_fredholm(m, n, u, a, ah) for (m, n), a, ah, u in ESTIMATE_GRID]
+    monkeypatch.setattr(contour, "_circle_nodes",
+                        lambda *args: 2 * _circle_nodes(*args))
+    for ((m, n), a, ah, u), (value, estimate) in zip(ESTIMATE_GRID, got):
+        ref = bcr_fredholm(m, n, u, a, ah, nodes_per_unit=40.0, length=24.0)
+        assert estimate + 1e-20 >= abs(value - ref), (m, n, ah, u)
+
+
+# partial sums by an FFT of det(I + z K) on roots of unity, which agrees
+# with the traces to rounding where both apply; None where the sum lies
+# outside [0, 1] and raises
+PARTIAL_SUMS = {
+    (2, 2, 0.01): [0.7175899981407958, 0.7237744513832812, 0.7237744513832812],
+    (2, 2, 0.05): [0.440221500841116, 0.48689477248604807, 0.48689477248604807],
+    (2, 2, 1.0): [None, 0.07469853882814548, 0.07469853882814548],
+    (3, 2, 0.01): [0.5281648581872447, 0.5452879736003747, 0.5452879736003747],
+    (3, 2, 0.05): [0.21905693767715007, 0.3075050834210754, 0.3075050834210754],
+    (3, 3, 0.01): [0.2612737044399197, 0.31504805974098793, 0.31377518459495224],
+    (3, 3, 0.05): [None, 0.15242662804160184, 0.1329026594292928],
+    (3, 3, 0.25): [None, 0.23514902554602335, 0.03547316216342622],
+    (3, 3, 1.0): [None, 0.9594126349122019, 0.006891079804872247],
+}
+
+
+@pytest.mark.parametrize("m, n, u", PARTIAL_SUMS)
+def test_bcr_fredholm_partial_sums(m, n, u):
+    a, ah = [0.0] * m, [1.0] * n
+    assert bcr_fredholm(m, n, u, a, ah, order=0) == 1.0
+    for order, want in enumerate(PARTIAL_SUMS[m, n, u], start=1):
+        if want is None:
+            with pytest.raises(ArithmeticError, match="outside"):
+                bcr_fredholm(m, n, u, a, ah, order=order)
+        else:
+            got = bcr_fredholm(m, n, u, a, ah, order=order)
+            assert got.real == pytest.approx(want, rel=0, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +479,16 @@ def test_case_a_degenerate_u_keeps_length_and_delta():
     assert v == laplace1(3, 1, 0.25, a, ah, delta=1.3, length=3.0)
 
 
+def test_case_b_degenerate_u_limits():
+    # a zero u leaves the one-point value at the other point, m < n there
+    a, ah, g = [0.0, 0.0], [1.0] * 4, 1.0
+    v = laplace2_case_b(1, 4, 2, 3, 0.0, 0.5, a, ah, g)
+    assert v == laplace1(2, 3, 0.5, a, ah[:3])
+    v = laplace2_case_b(1, 4, 2, 3, 0.5, 0.0, a, ah, g)
+    assert v == laplace1(1, 4, 0.5, a[:1], ah)
+    assert v.real == pytest.approx(laplace1(4, 1, 0.5, ah, a[:1]).real, abs=0)
+
+
 def test_case_a_vs_mc_quick():
     g = 1.0
     val = laplace2_case_a(1, 2, 2, 1, 0.5, 0.5, [0.0, 0.0], [g, g], g).real
@@ -433,8 +518,6 @@ def test_two_point_validation():
         laplace2_case_a(1, 2, 2, 1, 0.5, 0.5, a, ah, g, delta=0.6)
     with pytest.raises(ValueError):
         laplace2_case_a(1, 2, 2, 1, 0.5, 0.5, [0.5, 0.0], ah, g)  # |alpha|
-    with pytest.raises(ValueError):
-        laplace2_case_b(1, 4, 2, 3, 0.0, 0.5, a, [g] * 4, g)  # u1 = 0
 
 
 def test_case_a_contour_independence():
@@ -519,6 +602,34 @@ def test_term_11_sums_circle_nodes_in_conjugate_pairs(case):
     assert got.imag == 0.0
     ref = full_circle_term_11(*args, 1.0, delta, delta1)
     assert got.real == pytest.approx(ref.real, rel=1e-14)
+
+
+# one-group terms at the benchmark's inputs and prelimit_term's, as an FFT
+# of det(I + z K) on roots of unity read them
+ONE_GROUP_PINS = {
+    ("1,2,2,1", 1): -0.7763872468744931,
+    ("1,2,2,1", 2): 0.0,
+    ("scaled N=8", 1): -0.02605343646022596,
+    ("scaled N=8", 2): 2.6537814600437785e-06,
+    ("prelimit N=2", 1): -0.027293401715550447,
+    ("prelimit N=8", 1): -0.026053436460225413,
+    ("prelimit N=8", 2): 2.653781459972903e-06,
+    ("prelimit N=16", 1): -0.025443787661084835,
+    ("prelimit N=16", 2): 2.03784943760194e-06,
+}
+
+
+@pytest.mark.parametrize("where, k", ONE_GROUP_PINS)
+def test_one_group_terms_match_the_fft_route(where, k):
+    if where.startswith("prelimit"):
+        N = int(where.split("=")[1])
+        terms = [prelimit_term(m, n, N, 1.0, 0.5, 0.5) for m, n in ((k, 0), (0, k))]
+    else:
+        args = ((1, 2, 2, 1, 1.0, 1.0) if where == "1,2,2,1" else
+                (*scaled_points(8, 0.5, 0.5), *[scaled_u(8, 1.0, 0.0)] * 2))
+        terms = [joint_series_term(m, n, *args, 1.0) for m, n in ((k, 0), (0, k))]
+    for got in terms:
+        assert got.real == pytest.approx(ONE_GROUP_PINS[where, k], rel=0, abs=1e-15)
 
 
 def test_joint_series_term_validation():
@@ -610,6 +721,17 @@ def test_oy_vs_lattice_scaling_link():
     ).real
     assert 0 < oy < 1
     assert abs(lg - oy) / abs(oy) < 5e-2
+
+
+def test_oy_zero_u1_is_the_one_point_form():
+    # math.log(u1/u2) raised "math domain error" here; the small-u1 values
+    # approach the m1 = 0 form, 0.565569023 at u1 = 1e-8
+    alpha = [0.1, -0.05]
+    val = oy_laplace2(1, 1.0, 2, 0.5, 0.0, 1.0, alpha)
+    assert val == oy_laplace2(0, 1.0, 2, 0.5, 0.0, 1.0, alpha)
+    assert val.real == pytest.approx(0.565569034, abs=1e-9)
+    near = oy_laplace2(1, 1.0, 2, 0.5, 1e-8, 1.0, alpha).real
+    assert near == pytest.approx(val.real, abs=2e-8)
 
 
 def test_oy_validation():
@@ -784,8 +906,12 @@ def test_circle_line_kernel_matches_direct_sum():
             terms = (np.pi / np.sin(np.pi * (v[a] - w)) * np.exp(phi(w) - phi(v[a]))
                      * dw * dv[b] / (w - v[b]))
             direct[a, b] = terms.sum() / (2j * np.pi) ** 2
-    got = _circle_line_kernel(v, dv, w, dw, phi(v), phi(w))
-    assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-13
+    A, B = _circle_line_kernel(v, dv, w, dw, phi(v), phi(w))
+    assert np.max(np.abs(A @ B - direct) / np.abs(direct)) <= 1e-13
+    # every 2nd line node at twice its weight, sliced from the same factors
+    A2, B2 = _circle_line_kernel(v, dv, w[::2], 2 * dw[::2], phi(v), phi(w[::2]))
+    sub = A2 @ B2
+    assert np.max(np.abs((2 * A[:, ::2]) @ B[::2] - sub) / np.abs(sub)) <= 1e-13
 
 
 def _brute_two_group(gl, k1, gm, k2, cross, h):

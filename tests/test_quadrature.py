@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grsklab.airy import _N_TAU, _limit_query, _nystrom_matrix
-from grsklab.quadrature import _graded_det_coefficients, _trace_det_coefficients
+from grsklab.quadrature import _trace_det_coefficients
 
 
 def minor_sum(M, sizes, ks):
@@ -66,19 +66,6 @@ def test_coefficients_are_principal_minor_sums(case):
     for ks in np.ndindex(c.shape):
         want = minor_sum(M, sizes, ks) if sum(ks) <= 3 else 0.0
         assert abs(c[ks] - want) <= 1e-13 * scale
-
-
-@settings(max_examples=40, deadline=None)
-@given(grouped_matrices(1))
-@example((np.array([[-1.0, 5e-324], [5e-324, 5e-324]]), [2]))
-def test_fft_coefficients_are_principal_minor_sums(case):
-    M, sizes = case
-    c = _graded_det_coefficients(M, 8)
-    assert c.shape == (8,)
-    assert c[0] == 1.0
-    scale = np.prod(1.0 + np.linalg.norm(M, axis=1))
-    for k in range(8):
-        assert abs(c[k] - minor_sum(M, sizes, [k])) <= 1e-13 * scale
 
 
 # the Airy query of the benchmark's limit terms: t = (0.5, 0.5), r = 0
