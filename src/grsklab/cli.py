@@ -28,8 +28,7 @@ from .contour import (
     _bcr_fredholm,
     _fredholm_contours,
     _laplace1,
-    _laplace2_case_a,
-    _laplace2_case_b,
+    _laplace2,
     laplace1,
     prelimit_term,
 )
@@ -241,7 +240,8 @@ def cmd_sample(args) -> int:
 def _laplace_value(points, us, params, nodes, length, delta=None):
     """The one- or two-point contour transform, its error estimate, and the
     node density of its lines: 4/3 of nodes/length per unit, or of 20
-    without nodes."""
+    without nodes.  _laplace1 and _laplace2 take every corner and every
+    ordered pair of corners, and choose the contour form themselves."""
     base = 20.0 if nodes is None else nodes / max(length, 1e-9)
     density = base * 4.0 / 3.0
     kw = {"nodes_per_unit": density, "length": length, "delta": delta}
@@ -250,9 +250,8 @@ def _laplace_value(points, us, params, nodes, length, delta=None):
         val, err = _laplace1(m, n, us[0], params.alpha, params.alphahat, **kw)
     else:
         (m1, n1), (m2, n2) = points
-        fn = _laplace2_case_a if m2 >= n2 else _laplace2_case_b
-        val, err = fn(m1, n1, m2, n2, us[0], us[1], params.alpha,
-                      params.alphahat, params.gamma, **kw)
+        val, err = _laplace2(m1, n1, m2, n2, us[0], us[1], params.alpha,
+                             params.alphahat, params.gamma, **kw)
     return val, err, density
 
 

@@ -35,10 +35,12 @@ Conventions:
     (240, 240, 200 and 320 nodes for 1, 2, 3 and 4 axes, a spacing of 0.1
     on 1-D and 2-D lines) scaled by nodes_per_unit/20 and by L/12;
     oy_laplace2 spaces its nodes 2/nodes_per_unit apart;
-  - laplace1, laplace2_case_a/_b and bcr_fredholm return the values of
-    _laplace1, _laplace2_case_a/_b and _bcr_fredholm, which also return an
-    error estimate from subsets of the line nodes they sum (_subset_error),
-    not from a second evaluation;
+  - laplace1, laplace2 and bcr_fredholm return the values of _laplace1,
+    _laplace2 and _bcr_fredholm, which also return an error estimate from
+    subsets of the line nodes they sum (_subset_error), not from a second
+    evaluation;
+  - _laplace2 takes every ordered pair of corners, those above the
+    diagonal as the transposed polymer;
   - every Sklyanin line group takes its per-axis weight u^{-z}
     prod Gamma(z - p) prod Gamma(z + q), over its normalization, from
     _axis_weights;
@@ -400,21 +402,14 @@ def _two_group_integral(gl, k1, gm, k2, cross, h) -> Tuple[complex, float]:
     return complex(val / norm), float(bound / abs(norm))
 
 
-def _checked_transform(val: complex, err: float = 0.0) -> complex:
+def _checked_sum(val: complex, err: float = 0.0) -> complex:
     """val, or ArithmeticError when err, a bound on its rounding error or
-    an error estimate, exceeds 1e-6, its real part lies outside [0, 1] by
-    more than 1e-6 or its imaginary part exceeds 1e-6 in size: the Laplace
-    transform of a positive variable is real and in [0, 1], so the contour
-    quadrature did not resolve the integrand."""
+    an error estimate, exceeds 1e-6 or its imaginary part exceeds 1e-6 in
+    size: the quadrature sum of a real quantity did not resolve it."""
     if not err <= 1e-6:
         raise ArithmeticError(
             f"transform rounding error bound or estimate {err:.3g} exceeds "
             "1e-6: the quadrature sum does not resolve this input"
-        )
-    if not -1e-6 <= val.real <= 1.0 + 1e-6:
-        raise ArithmeticError(
-            f"transform real part {val.real:.6g} lies outside [0, 1]: the "
-            "contour quadrature does not resolve this input"
         )
     if abs(val.imag) > 1e-6:
         raise ArithmeticError(
@@ -422,6 +417,19 @@ def _checked_transform(val: complex, err: float = 0.0) -> complex:
             "quadrature does not resolve this input"
         )
     return val
+
+
+def _checked_transform(val: complex, err: float = 0.0) -> complex:
+    """_checked_sum(val, err), which also raises ArithmeticError when the
+    real part lies outside [0, 1] by more than 1e-6: the Laplace transform
+    of a positive variable is real and in [0, 1], so the contour
+    quadrature did not resolve the integrand."""
+    if err <= 1e-6 and not -1e-6 <= val.real <= 1.0 + 1e-6:
+        raise ArithmeticError(
+            f"transform real part {val.real:.6g} lies outside [0, 1]: the "
+            "contour quadrature does not resolve this input"
+        )
+    return _checked_sum(val, err)
 
 
 def _subset_error(val, on, n: int) -> float:
@@ -451,111 +459,96 @@ def _estimated_transform(gl, k1, gm, k2, cross, h) -> Tuple[complex, float]:
     return val, _subset_error(val, on, len(gm)) + bound
 
 
-def _check_two_points(m1, n1, m2, n2):
+def _laplace2(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
+              alpha: Sequence[float], alphahat: Sequence[float], gamma: float,
+              delta: Optional[float] = None,
+              delta_prime: Optional[float] = None,
+              nodes_per_unit: float = 20.0,
+              length: float = 12.0) -> Tuple[complex, float]:
+    """Joint Laplace transform E[exp(-u1 Z_{(m1,n1)} - u2 Z_{(m2,n2)})] at
+    points with m1 < m2, n1 > n2: lambda over (ell_delta)^{m1}, mu over k
+    axes of a second line, the geometry choosing the form:
+      - points on either side of the diagonal (m1 <= n1, m2 >= n2; the
+        paper's case a): k = n2 axes on ell_{delta+gamma}, the cross factor
+        prod Gamma(lambda_i + mu_j) / Gamma(alpha_i + alphahat_j), and
+        delta < gamma/2; this form fixes mu's line, so delta_prime is None;
+      - both below it (m2 < n2; case b): k = m2 axes on ell_{delta'},
+        delta' > delta, and the cross factor prod Gamma(mu_j - lambda_i);
+        delta' defaults to delta + 0.5, half a unit off the poles of
+        Gamma(mu - lambda) at the integers mu - lambda <= 0;
+      - both above it (m1 > n1): the transposed polymer, points (n2, m2)
+        and (n1, m1) at (u2, u1) with (alphahat - gamma, alpha + gamma)
+        for (alpha, alphahat), which lies below the diagonal.
+    Every form requires delta > 0, |alpha_i| < delta and
+    |alphahat_j - gamma| < delta; delta defaults to 0.4 gamma.  A zero u
+    leaves the one-point transform at the other point, on its line as given.
+    """
     if not (m1 < m2 and n1 > n2 and min(m1, n2) >= 1):
         raise ValueError("points must satisfy m1 < m2, n1 > n2, both >= (1,1)")
-
-
-def _laplace2_case_a(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
-                     alpha: Sequence[float], alphahat: Sequence[float],
-                     gamma: float, delta: Optional[float] = None,
-                     nodes_per_unit: float = 20.0,
-                     length: float = 12.0) -> Tuple[complex, float]:
-    """Joint Laplace transform E[exp(-u1 Z_{(m1,n1)} - u2 Z_{(m2,n2)})] in
-    the case m2 >= n2 (with m1 <= n1): an (m1 + n2)-fold contour integral,
-    lambda over (ell_delta)^{m1} and mu over (ell_{delta+gamma})^{n2}, with
-    the cross factor prod Gamma(lambda_i + mu_j) / Gamma(alpha_i + alphahat_j).
-    Requires gamma/2 > delta > 0, |alpha| < delta, |alphahat - gamma| < delta;
-    delta defaults to 0.4 gamma.
-    """
-    _check_two_points(m1, n1, m2, n2)
-    if not (m1 <= n1 and m2 >= n2):
-        raise ValueError("case a requires m1 <= n1 and m2 >= n2")
-    if m1 + n2 > 4:
-        raise ValueError("dimension cap: m1 + n2 <= 4")
     alpha, alphahat = _leading(alpha, m2, "alpha"), _leading(alphahat, n1, "alphahat")
+    if m1 > n1:
+        # Z_{(m,n)} of (alpha, alphahat) has the law of Z_{(n,m)} of
+        # (alphahat, alpha); the shift by gamma keeps every alpha_i +
+        # alphahat_j and maps each condition on alpha, alphahat onto the other
+        try:
+            return _laplace2(n2, m2, n1, m1, u2, u1, [a - gamma for a in alphahat],
+                             [a + gamma for a in alpha], gamma, delta,
+                             delta_prime, nodes_per_unit, length)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (points above the diagonal are taken "
+                             "transposed, alphahat - gamma for alpha and "
+                             "alpha + gamma for alphahat)") from None
+    opposite = m2 >= n2
+    k = n2 if opposite else m2
+    if m1 + k > 4:
+        raise ValueError(f"dimension cap: m1 + {'n2' if opposite else 'm2'} <= 4")
     _check_laplace_args(nodes_per_unit, u1, u2)
-    given = delta
+    given, given_mu = delta, delta_prime
     if delta is None:
         delta = 0.4 * gamma
-    if not (0 < delta < gamma / 2):
-        raise ValueError("requires 0 < delta < gamma/2")
-    if not all(abs(a) < delta for a in alpha):
-        raise ValueError("requires |alpha_i| < delta")
-    if not all(abs(a - gamma) < delta for a in alphahat):
-        raise ValueError("requires |alphahat_j - gamma| < delta")
-    # a zero u leaves the one-point transform at the other point on its own
-    # line: mu on ell_{delta+gamma}; lam on ell_delta, which is a line of
-    # the transposed (n1, m1) form only
-    if u2 == 0:
-        return _laplace1(n1, m1, u1, alphahat, alpha[:m1], given,
-                         nodes_per_unit, length)
-    if u1 == 0:
-        return _laplace1(m2, n2, u2, alpha, alphahat,
-                         None if given is None else given + gamma,
-                         nodes_per_unit, length)
-
-    nn = _line_nodes_for_dim(m1 + n2, nodes_per_unit, length)
-    lam, dlam = vertical_line(delta, length, nn)
-    mu, dmu = vertical_line(delta + gamma, length, nn)
-
-    gl = _axis_weights(lam, dlam, m1, alpha[:m1], alphahat[n2:n1], math.log(u1))
-    gm = _axis_weights(mu, dmu, n2, alphahat[:n2], alpha[m1:m2], math.log(u2))
-    # cross factor Gamma(lambda + mu) / Gamma(alpha_i + alphahat_j)
-    log_cross_den = float(np.sum(log_gamma(np.add.outer(alpha[:m1], alphahat[:n2])).real))
-    cross = _gamma_cross(lam, mu, True, log_cross_den / (m1 * n2))
-    return _estimated_transform(gl, m1, gm, n2, cross, dlam[0].imag)
-
-
-def _laplace2_case_b(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
-                     alpha: Sequence[float], alphahat: Sequence[float],
-                     gamma: float, delta: Optional[float] = None,
-                     delta_prime: Optional[float] = None,
-                     nodes_per_unit: float = 20.0,
-                     length: float = 12.0) -> Tuple[complex, float]:
-    """Joint Laplace transform in the case m2 < n2 (with m1 <= n1): lambda
-    over (ell_delta)^{m1}, mu over (ell_{delta'})^{m2} with delta' > delta,
-    and the cross factor prod Gamma(-lambda_i + mu_{i'}); a zero u leaves
-    the one-point transform at the other point.  delta defaults to
-    0.4 gamma and delta' to delta + 0.5, half a unit off the poles of
-    Gamma(mu - lambda) at the integers mu - lambda <= 0."""
-    _check_two_points(m1, n1, m2, n2)
-    if not (m1 <= n1 and m2 < n2):
-        raise ValueError("case b requires m1 <= n1 and m2 < n2 "
-                         "(m2 >= n2 routes to case a)")
-    if m1 + m2 > 4:
-        raise ValueError("dimension cap: m1 + m2 <= 4")
-    alpha, alphahat = _leading(alpha, m2, "alpha"), _leading(alphahat, n1, "alphahat")
-    _check_laplace_args(nodes_per_unit, u1, u2)
-    given, given_prime = delta, delta_prime
-    if delta is None:
-        delta = 0.4 * gamma
-    if delta_prime is None:
-        delta_prime = delta + 0.5
-    if not (0 < delta < delta_prime):
-        raise ValueError("requires 0 < delta < delta'")
+    if opposite:
+        if delta_prime is not None:
+            raise ValueError("points on either side of the diagonal put mu on "
+                             "delta + gamma: delta_prime must be None")
+        if not (0 < delta < gamma / 2):
+            raise ValueError("requires 0 < delta < gamma/2")
+        delta_prime = delta + gamma
+        if given is not None:
+            given_mu = delta_prime
+    else:
+        if delta_prime is None:
+            delta_prime = delta + 0.5
+        if not (0 < delta < delta_prime):
+            raise ValueError("requires 0 < delta < delta'")
     # phrased so that a NaN gamma fails the check
     if not all(abs(a) < delta for a in alpha):
         raise ValueError("requires |alpha_i| < delta")
     if not all(abs(a - gamma) < delta for a in alphahat):
         raise ValueError("requires |alphahat_j - gamma| < delta")
-    # a zero u leaves the one-point transform at the other point, whose
-    # transposed form has lam's line (u2 = 0) or mu's line (u1 = 0)
+    # a zero u leaves the one-point transform at the other point: (m1, n1)
+    # in its transposed form on the lam line, (m2, n2) on the mu line
     if u2 == 0:
-        return _laplace1(m1, n1, u1, alpha[:m1], alphahat, given,
+        return _laplace1(n1, m1, u1, alphahat, alpha[:m1], given,
                          nodes_per_unit, length)
     if u1 == 0:
-        return _laplace1(m2, n2, u2, alpha, alphahat[:n2], given_prime,
+        return _laplace1(m2, n2, u2, alpha, alphahat, given_mu,
                          nodes_per_unit, length)
 
-    nn = _line_nodes_for_dim(m1 + m2, nodes_per_unit, length)
+    nn = _line_nodes_for_dim(m1 + k, nodes_per_unit, length)
     lam, dlam = vertical_line(delta, length, nn)
     mu, dmu = vertical_line(delta_prime, length, nn)
-    gl = _axis_weights(lam, dlam, m1, alpha[:m1], alphahat[n2:n1], math.log(u1 / u2))
-    gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], alphahat[:n2], math.log(u2),
-                       norm=alpha[:m2])
-    cross = _gamma_cross(lam, mu, False)
-    return _estimated_transform(gl, m1, gm, m2, cross, dlam[0].imag)
+    gl = _axis_weights(lam, dlam, m1, alpha[:m1], alphahat[n2:n1],
+                       math.log(u1 if opposite else u1 / u2))
+    if opposite:
+        gm = _axis_weights(mu, dmu, n2, alphahat[:n2], alpha[m1:m2], math.log(u2))
+        # cross factor Gamma(lambda + mu) / Gamma(alpha_i + alphahat_j)
+        log_cross_den = float(np.sum(log_gamma(np.add.outer(alpha[:m1], alphahat[:n2])).real))
+        cross = _gamma_cross(lam, mu, True, log_cross_den / (m1 * n2))
+    else:
+        gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], alphahat[:n2], math.log(u2),
+                           norm=alpha[:m2])
+        cross = _gamma_cross(lam, mu, False)
+    return _estimated_transform(gl, m1, gm, k, cross, dlam[0].imag)
 
 
 def oy_laplace2(
@@ -692,7 +685,8 @@ def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
     4 <= order < n raises ValueError.  The error estimate is _subset_error
     on the w-line plus |Im value| and n_circle eps |value|; the circle's
     aliasing is below 2^-56 by its node count.  Above 1e-6 it raises
-    ArithmeticError, as does a value outside [0, 1] or off the real axis.
+    ArithmeticError, as does a value off the real axis or, for the whole
+    det(I + K), outside [0, 1]; a partial sum may lie outside [0, 1].
     """
     alpha, alphahat = _leading(alpha, m, "alpha"), _leading(alphahat, n, "alphahat")
     _check_laplace_args(nodes_per_unit, u)
@@ -721,13 +715,16 @@ def _bcr_fredholm(m: int, n: int, u: float, alpha: Sequence[float],
     val = on()
     err = (_subset_error(val, on, n_line) + abs(val.imag)
            + n_circle * np.finfo(float).eps * abs(val))
-    return _checked_transform(val, err), err
+    # a partial sum of the series is not a transform: no range to check
+    check = _checked_transform if order >= n else _checked_sum
+    return check(val, err), err
 
 
 # the public evaluators: the private forms' values alone
 laplace1 = _value_only(_laplace1)
-laplace2_case_a = _value_only(_laplace2_case_a)
-laplace2_case_b = _value_only(_laplace2_case_b)
+laplace2 = _value_only(_laplace2)
+# the former name of laplace2, which perfbench still calls
+laplace2_case_a = laplace2
 bcr_fredholm = _value_only(_bcr_fredholm)
 
 
@@ -753,7 +750,7 @@ def joint_series_term(
     Laplace transform.  The first index m counts contour pairs (v, w)
     attached to the second point (m2, n2) with u2; the second index n
     counts pairs (v', w') attached to the first point (m1, n1) with u1.
-    Summing the terms over m <= n2, n <= m1 reproduces laplace2_case_a.
+    Summing the terms over m <= n2, n <= m1 reproduces laplace2.
 
     Each pair contributes a circle C_{delta1} and a line ell_delta
     integral; pairs interact through Cauchy determinants within a group

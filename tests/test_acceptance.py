@@ -34,8 +34,7 @@ from grsklab.contour import (
     block_cauchy_check,
     joint_series_term,
     laplace1,
-    laplace2_case_a,
-    laplace2_case_b,
+    laplace2,
     prelimit_term,
 )
 from grsklab.quadrature import gl_panels
@@ -240,13 +239,13 @@ def test_criterion_5_two_point_formulas():
     g = 1.0
     # case a at (1,2),(2,1)
     u1 = u2 = 0.5
-    val_a = laplace2_case_a(1, 2, 2, 1, u1, u2, [0.0, 0.0], [g, g], g).real
+    val_a = laplace2(1, 2, 2, 1, u1, u2, [0.0, 0.0], [g, g], g).real
     est = mc_laplace([(1, 2), (2, 1)], [u1, u2], ParameterSet.flat(g, 2, 2),
                      n_samples=10**6, seed=51)
     assert abs(val_a - est.mean) <= 4 * est.stderr
 
     # case b at (1,4),(2,3)
-    vb = laplace2_case_b(1, 4, 2, 3, 0.3, 0.3, [0.0, 0.0], [g] * 4, g).real
+    vb = laplace2(1, 4, 2, 3, 0.3, 0.3, [0.0, 0.0], [g] * 4, g).real
     est = mc_laplace([(1, 4), (2, 3)], [0.3, 0.3], ParameterSet.flat(g, 2, 4),
                      n_samples=10**6, seed=52)
     assert abs(vb - est.mean) <= 4 * est.stderr

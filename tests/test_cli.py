@@ -410,8 +410,8 @@ def test_laplace_two_point_routes_and_custom_nodes(capsys):
 
 
 @pytest.mark.parametrize("u, ref", [
-    # laplace2_case_b with delta' in {0.9, 1.2} at 40 to 80 nodes per unit
-    # agree to 3e-15
+    # laplace2 at (1,4),(2,3) with delta' in {0.9, 1.2} at 40 to 80 nodes
+    # per unit agree to 3e-15
     (0.25, 0.072648692465633), (1.0, 0.0152742691419596),
     (4.0, 0.00158350099849129),
 ])
@@ -421,6 +421,26 @@ def test_laplace_case_b_within_its_error_estimate(capsys, u, ref):
     assert code == EXIT_OK
     assert doc["value"] == pytest.approx(ref, rel=1e-3)
     assert doc["error_estimate"] >= abs(doc["value"] - ref)
+
+
+def test_laplace_points_above_the_diagonal(capsys):
+    # the transposed pair at swapped u gives the same value
+    code, above = run_json(capsys, "laplace", "--points", "3,2,4,1",
+                           "--u", "0.3,0.5")
+    assert code == EXIT_OK
+    code, below = run_json(capsys, "laplace", "--points", "1,4,2,3",
+                           "--u", "0.5,0.3")
+    assert code == EXIT_OK
+    assert above["value"] == below["value"]
+
+
+def test_fredholm_partial_sum_outside_unit_interval(capsys):
+    # a partial sum of the Fredholm series is not a transform: no range check
+    code, doc = run_json(capsys, "fredholm", "--points", "2,2", "--u", "1",
+                         "--order", "1")
+    assert code == EXIT_OK
+    assert doc["value"] == pytest.approx(-0.6563562127124616, rel=0, abs=1e-13)
+    assert doc["error_estimate"] <= 1e-12
 
 
 def test_laplace_input_errors(capsys):
@@ -643,6 +663,14 @@ def test_sweep_contour_monotone(tmp_path, capsys):
     assert vals == sorted(vals, reverse=True)
 
 
+def test_sweep_points_above_the_diagonal(tmp_path, capsys):
+    cfg = {"points": [[3, 2], [4, 1]], "grid": {"u1": [0.3], "u2": [0.5]}}
+    code, rows = sweep_rows(tmp_path, capsys, cfg)
+    assert code == EXIT_OK
+    assert len(rows) == 2 and rows[1][5] == ""
+    assert 0 < float(rows[1][2]) < 1
+
+
 def test_sweep_empty_grid_header_only(tmp_path, capsys):
     cfg = {"points": [[2, 2]], "grid": {"u1": []}}
     code, rows = sweep_rows(tmp_path, capsys, cfg)
@@ -777,15 +805,14 @@ def test_contour_commands_evaluate_once(tmp_path, capsys, monkeypatch, argv,
 def test_laplace_error_estimate_covers_truncation(capsys, points, u):
     # on short lines the truncation error dominates; a reference on long,
     # dense lines checks that the estimate sees it
-    from grsklab.contour import laplace1, laplace2_case_a, laplace2_case_b
+    from grsklab.contour import laplace1, laplace2
     fine = {"nodes_per_unit": 80.0, "length": 20.0}
     alpha, alphahat = [0.0] * 4, [1.0] * 4
     if len(points) == 1:
         ref = laplace1(*points[0], u, alpha, alphahat, **fine)
     else:
         (m1, n1), (m2, n2) = points
-        fn = laplace2_case_a if m2 >= n2 else laplace2_case_b
-        ref = fn(m1, n1, m2, n2, u, u, alpha, alphahat, 1.0, **fine)
+        ref = laplace2(m1, n1, m2, n2, u, u, alpha, alphahat, 1.0, **fine)
     pts = ",".join(f"{m},{n}" for m, n in points)
     for length in ("4", "6", "8", "12"):
         code, doc = run_json(capsys, "laplace", "--points", pts,

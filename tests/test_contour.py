@@ -34,8 +34,7 @@ from grsklab.contour import (
     fub_bound_margin,
     joint_series_term,
     laplace1,
-    laplace2_case_a,
-    laplace2_case_b,
+    laplace2,
     oy_laplace2,
     prelimit_sum,
     prelimit_term,
@@ -87,38 +86,44 @@ def test_evaluators_reject_non_finite_geometry():
     with pytest.raises(ValueError):
         laplace1(2, 2, 1.0, [0.0] * 2, [1.0] * 2, delta=math.nan)
     with pytest.raises(ValueError):
-        laplace2_case_a(1, 2, 2, 1, 0.5, 0.5, [0.0] * 2, [1.0] * 2, 1.0,
-                        length=math.inf)
+        laplace2(1, 2, 2, 1, 0.5, 0.5, [0.0] * 2, [1.0] * 2, 1.0,
+                 length=math.inf)
 
 
-# each evaluator at a valid input, by keyword
-VALID_INPUTS = {
-    laplace1: dict(m=2, n=2, u=1.0, alpha=[0.0] * 2, alphahat=[1.0] * 2),
-    laplace2_case_a: dict(m1=1, n1=3, m2=3, n2=1, u1=1.0, u2=1.0,
-                          alpha=[0.0] * 3, alphahat=[1.0] * 3, gamma=1.0),
-    laplace2_case_b: dict(m1=1, n1=4, m2=2, n2=3, u1=1.0, u2=1.0,
-                          alpha=[0.0] * 2, alphahat=[1.0] * 4, gamma=1.0,
-                          delta=0.4),
-    oy_laplace2: dict(m1=1, t1=1.0, m2=2, t2=0.5, u1=1.0, u2=1.0,
-                      alpha=[0.0] * 2),
-    bcr_fredholm: dict(m=2, n=2, u=1.0, alpha=[0.0] * 2, alphahat=[1.0] * 2),
-    joint_series_term: dict(m=1, n=0, m1=1, n1=2, m2=2, n2=1, u1=1.0,
-                            u2=1.0, gamma=1.0),
-    prelimit_term: dict(m=1, n=0, N=8, gamma=1.0, t1=0.5, t2=0.5,
-                        r1=0.0, r2=0.0),
-}
+def _geometry(f, kw):
+    """The id of an evaluator at an input: its name, and the corners where
+    it takes several geometries."""
+    if f is laplace2:
+        return "laplace2[{m1},{n1},{m2},{n2}]".format(**kw)
+    return f.__name__
 
-# the changes to VALID_INPUTS at which an evaluator returns without a line:
+
+# each evaluator at a valid input, by keyword; laplace2 at points on either
+# side of the diagonal, both below it and both above it
+VALID_INPUTS = [
+    (laplace1, dict(m=2, n=2, u=1.0, alpha=[0.0] * 2, alphahat=[1.0] * 2)),
+    (laplace2, dict(m1=1, n1=3, m2=3, n2=1, u1=1.0, u2=1.0,
+                    alpha=[0.0] * 3, alphahat=[1.0] * 3, gamma=1.0)),
+    (laplace2, dict(m1=1, n1=4, m2=2, n2=3, u1=1.0, u2=1.0,
+                    alpha=[0.0] * 2, alphahat=[1.0] * 4, gamma=1.0, delta=0.4)),
+    (laplace2, dict(m1=3, n1=2, m2=4, n2=1, u1=1.0, u2=1.0,
+                    alpha=[0.0] * 4, alphahat=[1.0] * 2, gamma=1.0)),
+    (oy_laplace2, dict(m1=1, t1=1.0, m2=2, t2=0.5, u1=1.0, u2=1.0,
+                       alpha=[0.0] * 2)),
+    (bcr_fredholm, dict(m=2, n=2, u=1.0, alpha=[0.0] * 2, alphahat=[1.0] * 2)),
+    (joint_series_term, dict(m=1, n=0, m1=1, n1=2, m2=2, n2=1, u1=1.0,
+                             u2=1.0, gamma=1.0)),
+    (prelimit_term, dict(m=1, n=0, N=8, gamma=1.0, t1=0.5, t2=0.5,
+                         r1=0.0, r2=0.0)),
+]
+
+# the inputs near VALID_INPUTS at which an evaluator returns without a line:
 # a zero Laplace argument or the (0,0) series term
-EARLY_RETURNS = {
-    laplace1: dict(u=0.0),
-    laplace2_case_a: dict(u2=0.0),
-    laplace2_case_b: dict(u2=0.0),
-    oy_laplace2: dict(u1=0.0, u2=0.0),
-    bcr_fredholm: dict(u=0.0),
-    joint_series_term: dict(m=0),
-    prelimit_term: dict(m=0),
-}
+EARLY_RETURNS = [
+    (f, {**kw, **early}) for (f, kw), early in zip(VALID_INPUTS, [
+        dict(u=0.0), dict(u2=0.0), dict(u2=0.0), dict(u2=0.0),
+        dict(u1=0.0, u2=0.0), dict(u=0.0), dict(m=0), dict(m=0)])
+]
 
 
 def _bad_inputs():
@@ -127,14 +132,12 @@ def _bad_inputs():
     gives u = 0 or inf), a non-finite gamma, a NaN among the alpha or
     alphahat it reads, or a line density that is not finite and > 0, also
     at the input where it returns early."""
-    for f, kw in VALID_INPUTS.items():
-        inputs = {"": kw}
-        if f in EARLY_RETURNS:
-            inputs["early-"] = {**kw, **EARLY_RETURNS[f]}
-        for tag, base in inputs.items():
+    for tag, inputs in (("", VALID_INPUTS), ("early-", EARLY_RETURNS)):
+        for f, kw in inputs:
             for bad in (0.0, -1.0, math.nan, math.inf):
-                yield pytest.param(f, {**base, "nodes_per_unit": bad},
-                                   id=f"{f.__name__}-{tag}nodes_per_unit={bad}")
+                yield pytest.param(f, {**kw, "nodes_per_unit": bad},
+                                   id=f"{_geometry(f, kw)}-{tag}nodes_per_unit={bad}")
+    for f, kw in VALID_INPUTS:
         for key, value in kw.items():
             if key in ("u", "u1", "u2"):
                 bads = [math.nan, math.inf, -math.inf, -1.0]
@@ -150,12 +153,12 @@ def _bad_inputs():
                 continue
             for bad in bads:
                 yield pytest.param(f, {**kw, key: bad},
-                                   id=f"{f.__name__}-{key}={bad}")
+                                   id=f"{_geometry(f, kw)}-{key}={bad}")
 
 
 def test_valid_inputs_evaluate():
-    for f, kw in VALID_INPUTS.items():
-        assert math.isfinite(abs(f(**kw))), f.__name__
+    for f, kw in VALID_INPUTS:
+        assert math.isfinite(abs(f(**kw))), _geometry(f, kw)
 
 
 @pytest.mark.parametrize("f, kw", list(_bad_inputs()))
@@ -419,18 +422,18 @@ def test_bcr_fredholm_error_estimate_covers_the_error(monkeypatch):
 
 
 # partial sums by an FFT of det(I + z K) on roots of unity, which agrees
-# with the traces to rounding where both apply; None where the sum lies
-# outside [0, 1] and raises
+# with the traces to rounding where both apply; a partial sum is not a
+# transform and may lie outside [0, 1]
 PARTIAL_SUMS = {
     (2, 2, 0.01): [0.7175899981407958, 0.7237744513832812, 0.7237744513832812],
     (2, 2, 0.05): [0.440221500841116, 0.48689477248604807, 0.48689477248604807],
-    (2, 2, 1.0): [None, 0.07469853882814548, 0.07469853882814548],
+    (2, 2, 1.0): [-0.6563562127124616, 0.07469853882814548, 0.07469853882814548],
     (3, 2, 0.01): [0.5281648581872447, 0.5452879736003747, 0.5452879736003747],
     (3, 2, 0.05): [0.21905693767715007, 0.3075050834210754, 0.3075050834210754],
     (3, 3, 0.01): [0.2612737044399197, 0.31504805974098793, 0.31377518459495224],
-    (3, 3, 0.05): [None, 0.15242662804160184, 0.1329026594292928],
-    (3, 3, 0.25): [None, 0.23514902554602335, 0.03547316216342622],
-    (3, 3, 1.0): [None, 0.9594126349122019, 0.006891079804872247],
+    (3, 3, 0.05): [-0.03912943184848716, 0.15242662804160184, 0.1329026594292928],
+    (3, 3, 0.25): [-0.4765876705241623, 0.23514902554602335, 0.03547316216342622],
+    (3, 3, 1.0): [-1.397074671973379, 0.9594126349122019, 0.006891079804872247],
 }
 
 
@@ -439,12 +442,8 @@ def test_bcr_fredholm_partial_sums(m, n, u):
     a, ah = [0.0] * m, [1.0] * n
     assert bcr_fredholm(m, n, u, a, ah, order=0) == 1.0
     for order, want in enumerate(PARTIAL_SUMS[m, n, u], start=1):
-        if want is None:
-            with pytest.raises(ArithmeticError, match="outside"):
-                bcr_fredholm(m, n, u, a, ah, order=order)
-        else:
-            got = bcr_fredholm(m, n, u, a, ah, order=order)
-            assert got.real == pytest.approx(want, rel=0, abs=1e-13)
+        got = bcr_fredholm(m, n, u, a, ah, order=order)
+        assert got.real == pytest.approx(want, rel=0, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +454,11 @@ def test_bcr_fredholm_partial_sums(m, n, u):
 def test_case_a_degenerate_u_limits():
     a, ah, g = [0.0, 0.0], [1.0, 1.0], 1.0
     # u1 = 0: reduces to the one-point value at (m2, n2)
-    v = laplace2_case_a(1, 2, 2, 1, 0.0, 0.8, a, ah, g)
+    v = laplace2(1, 2, 2, 1, 0.0, 0.8, a, ah, g)
     ref = laplace1(2, 1, 0.8, a, ah[:1])
     assert v == pytest.approx(ref, rel=1e-10)
     # u2 = 0: reduces to the one-point value at (m1, n1) (transposed)
-    v = laplace2_case_a(1, 2, 2, 1, 0.8, 0.0, a, ah, g)
+    v = laplace2(1, 2, 2, 1, 0.8, 0.0, a, ah, g)
     ref = laplace1(2, 1, 0.8, ah, a[:1])
     assert v == pytest.approx(ref, rel=1e-10)
 
@@ -468,30 +467,30 @@ def test_case_a_degenerate_u_keeps_length_and_delta():
     # the fallbacks run the one-point transform on the caller's line: the
     # L = 12 value was 0.38834578 here
     a, ah, g = [0.0] * 3, [1.0] * 3, 1.0
-    v = laplace2_case_a(1, 3, 3, 1, 0.25, 0.0, a, ah, g, length=3.0)
+    v = laplace2(1, 3, 3, 1, 0.25, 0.0, a, ah, g, length=3.0)
     ref = laplace1(3, 1, 0.25, ah, a[:1], length=3.0)
     assert v == ref
     assert v.real == pytest.approx(0.38834606, abs=5e-9)
     # a given delta is the lam line (transposed form) or mu - gamma
-    v = laplace2_case_a(1, 3, 3, 1, 0.25, 0.0, a, ah, g, delta=0.3, length=3.0)
+    v = laplace2(1, 3, 3, 1, 0.25, 0.0, a, ah, g, delta=0.3, length=3.0)
     assert v == laplace1(3, 1, 0.25, ah, a[:1], delta=0.3, length=3.0)
-    v = laplace2_case_a(1, 3, 3, 1, 0.0, 0.25, a, ah, g, delta=0.3, length=3.0)
+    v = laplace2(1, 3, 3, 1, 0.0, 0.25, a, ah, g, delta=0.3, length=3.0)
     assert v == laplace1(3, 1, 0.25, a, ah, delta=1.3, length=3.0)
 
 
 def test_case_b_degenerate_u_limits():
     # a zero u leaves the one-point value at the other point, m < n there
     a, ah, g = [0.0, 0.0], [1.0] * 4, 1.0
-    v = laplace2_case_b(1, 4, 2, 3, 0.0, 0.5, a, ah, g)
+    v = laplace2(1, 4, 2, 3, 0.0, 0.5, a, ah, g)
     assert v == laplace1(2, 3, 0.5, a, ah[:3])
-    v = laplace2_case_b(1, 4, 2, 3, 0.5, 0.0, a, ah, g)
+    v = laplace2(1, 4, 2, 3, 0.5, 0.0, a, ah, g)
     assert v == laplace1(1, 4, 0.5, a[:1], ah)
     assert v.real == pytest.approx(laplace1(4, 1, 0.5, ah, a[:1]).real, abs=0)
 
 
 def test_case_a_vs_mc_quick():
     g = 1.0
-    val = laplace2_case_a(1, 2, 2, 1, 0.5, 0.5, [0.0, 0.0], [g, g], g).real
+    val = laplace2(1, 2, 2, 1, 0.5, 0.5, [0.0, 0.0], [g, g], g).real
     est = mc_laplace([(1, 2), (2, 1)], [0.5, 0.5], ParameterSet.flat(g, 2, 2),
                      n_samples=2 * 10**5, seed=31)
     assert abs(val - est.mean) <= 4 * est.stderr
@@ -499,7 +498,7 @@ def test_case_a_vs_mc_quick():
 
 def test_case_b_vs_mc_quick():
     g = 1.0
-    val = laplace2_case_b(1, 4, 2, 3, 0.3, 0.3, [0.0, 0.0], [g] * 4, g).real
+    val = laplace2(1, 4, 2, 3, 0.3, 0.3, [0.0, 0.0], [g] * 4, g).real
     est = mc_laplace([(1, 4), (2, 3)], [0.3, 0.3], ParameterSet.flat(g, 2, 4),
                      n_samples=2 * 10**5, seed=41)
     assert abs(val - est.mean) <= 4 * est.stderr
@@ -509,25 +508,62 @@ def test_two_point_validation():
     g = 1.0
     a, ah = [0.0, 0.0], [g, g]
     with pytest.raises(ValueError):
-        laplace2_case_a(2, 1, 1, 2, 0.5, 0.5, a, ah, g)  # not ordered
+        laplace2(2, 1, 1, 2, 0.5, 0.5, a, ah, g)  # not ordered
     with pytest.raises(ValueError):
-        laplace2_case_a(1, 4, 2, 3, 0.5, 0.5, a, [g] * 4, g)  # m2 < n2
+        laplace2(1, 2, 2, 1, 0.5, 0.5, a, ah, g, delta=0.6)
     with pytest.raises(ValueError):
-        laplace2_case_b(1, 2, 2, 1, 0.5, 0.5, a, ah, g)  # m2 >= n2
-    with pytest.raises(ValueError):
-        laplace2_case_a(1, 2, 2, 1, 0.5, 0.5, a, ah, g, delta=0.6)
-    with pytest.raises(ValueError):
-        laplace2_case_a(1, 2, 2, 1, 0.5, 0.5, [0.5, 0.0], ah, g)  # |alpha|
+        laplace2(1, 2, 2, 1, 0.5, 0.5, [0.5, 0.0], ah, g)  # |alpha|
+    # points on either side put mu on ell_{delta+gamma}: no delta' to choose
+    with pytest.raises(ValueError, match="delta_prime"):
+        laplace2(1, 2, 2, 1, 0.5, 0.5, a, ah, g, delta_prime=0.9)
+    # above the diagonal the message says the parameters were transposed
+    with pytest.raises(ValueError, match="transposed"):
+        laplace2(3, 2, 4, 1, 0.5, 0.5, [0.5, 0.0, 0.0, 0.0], ah, g)
 
 
 def test_case_a_contour_independence():
     g = 1.0
     a, ah = [0.0, 0.0], [g, g]
-    v1 = laplace2_case_a(1, 2, 2, 1, 0.7, 0.4, a, ah, g, delta=0.35,
-                         nodes_per_unit=40.0)
-    v2 = laplace2_case_a(1, 2, 2, 1, 0.7, 0.4, a, ah, g, delta=0.45,
-                         nodes_per_unit=40.0)
+    v1 = laplace2(1, 2, 2, 1, 0.7, 0.4, a, ah, g, delta=0.35,
+                  nodes_per_unit=40.0)
+    v2 = laplace2(1, 2, 2, 1, 0.7, 0.4, a, ah, g, delta=0.45,
+                  nodes_per_unit=40.0)
     assert v1 == pytest.approx(v2, rel=1e-7)
+
+
+# both points above the diagonal, and a non-flat polymer there
+ABOVE = (3, 2, 4, 1)
+ALPHA, ALPHAHAT = [0.1, -0.05, 0.08, 0.0], [1.1, 0.95]
+
+
+def test_points_above_the_diagonal_are_the_transposed_pair():
+    # on the flat polymer (alphahat - gamma, alpha + gamma) is (alpha,
+    # alphahat) again, so the transposed pair gives the same bits
+    v = laplace2(*ABOVE, 0.3, 0.5, [0.0] * 4, [1.0] * 2, 1.0)
+    assert v == laplace2(1, 4, 2, 3, 0.5, 0.3, [0.0] * 2, [1.0] * 4, 1.0)
+    assert v.real == pytest.approx(0.0517480929, abs=1e-10)
+
+
+def test_points_above_the_diagonal_vs_mc():
+    val = laplace2(*ABOVE, 0.3, 0.5, ALPHA, ALPHAHAT, 1.0).real
+    est = mc_laplace([(3, 2), (4, 1)], [0.3, 0.5],
+                     ParameterSet(alpha=ALPHA, alphahat=ALPHAHAT, gamma=1.0),
+                     n_samples=2 * 10**5, seed=5)
+    assert abs(val - est.mean) <= 4 * est.stderr
+
+
+def test_points_above_the_diagonal_zero_u():
+    # u1 = 0 leaves the one-point transform at (4, 1), on the line of the
+    # transposed form, which reads the shifted parameters
+    v = laplace2(*ABOVE, 0.0, 0.5, ALPHA, ALPHAHAT, 1.0)
+    shifted = ([a + 1.0 for a in ALPHA], [a - 1.0 for a in ALPHAHAT])
+    assert v == laplace1(4, 1, 0.5, *shifted)
+    assert v.real == pytest.approx(laplace1(4, 1, 0.5, ALPHA, ALPHAHAT).real,
+                                   abs=1e-14)
+    # u2 = 0 leaves (3, 2), the mu point of the transposed form, on delta'
+    v = laplace2(*ABOVE, 0.5, 0.0, ALPHA, ALPHAHAT, 1.0, delta=0.3,
+                 delta_prime=0.9)
+    assert v == laplace1(3, 2, 0.5, *shifted, delta=0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +575,7 @@ def test_joint_series_sums_to_case_a():
     # on the m1 = n2 = 1 geometry the series truncates at m, n <= 1
     g = 1.0
     u1 = u2 = 0.5
-    ref = laplace2_case_a(1, 2, 2, 1, u1, u2, [0.0, 0.0], [g, g], g).real
+    ref = laplace2(1, 2, 2, 1, u1, u2, [0.0, 0.0], [g, g], g).real
     total = sum(
         joint_series_term(m, n, 1, 2, 2, 1, u1, u2, g).real
         for m in (0, 1)
@@ -715,7 +751,7 @@ def test_oy_vs_lattice_scaling_link():
     u1N = u1 * math.exp(N * t1 * math.log(N) - t1 / 2)
     u2N = u2 * math.exp(N * t2 * math.log(N) - t2 / 2)
     oy = oy_laplace2(1, t1, 2, t2, u1, u2, alpha).real
-    lg = laplace2_case_b(
+    lg = laplace2(
         1, n1, 2, n2, u1N, u2N, alpha, [float(N)] * n1, gamma=float(N),
         delta=0.4, delta_prime=0.5, length=24.0, nodes_per_unit=60.0,
     ).real
@@ -766,7 +802,7 @@ def test_prelimit_sum_matches_case_a_anchor():
     # truncates at m, n <= 1 and must equal the closed two-point integral
     g, t = 1.0, 0.5
     u = scaled_u(2, g, 0.0)
-    ref = laplace2_case_a(1, 3, 3, 1, u, u, [0.0] * 3, [g] * 3, g).real
+    ref = laplace2(1, 3, 3, 1, u, u, [0.0] * 3, [g] * 3, g).real
     total = prelimit_sum(2, g, t, t).real
     assert abs(total - ref) / abs(ref) < 1e-4
 
@@ -776,7 +812,7 @@ def test_prelimit_term_matches_orthant_values():
     # 1024-node Gauss-Legendre per orthant axis; the joint-series term is
     # the same integral with those axes done in closed form.  The (1,1)
     # value at N = 2 is the case-a anchor: 1 + 2 I_10 + I_11 equals
-    # laplace2_case_a(1, 3, 3, 1, u, u) at 60 nodes per unit to 1.8e-15
+    # laplace2(1, 3, 3, 1, u, u) at 60 nodes per unit to 1.8e-15
     g, t = 1.0, 0.5
     pins = {(1, 0, 2): -0.027293398234508583,
             (1, 0, 8): -0.026053436460265735,
@@ -972,14 +1008,14 @@ def test_two_group_integral_matches_brute_force(k1, k2, n_lam, n_mu):
      0.6336049719987555),
     (lambda: prelimit_term(1, 1, 8, 1.0, 0.5, 0.5), 0.004652294966762942),
     # the two line integrals are pinned on trapezoid lines at 5 nodes per
-    # unit, far from converged (case b tends to 0.000948662): they pin the
-    # structured matrices and the 4-axis contraction, not the transform,
-    # so case b keeps the second line at delta' = 0.5 rather than its default
-    (lambda: laplace2_case_a(2, 4, 4, 2, 0.25, 0.25, [0.0] * 4, [1.0] * 4, 1.0,
-                             nodes_per_unit=5),
+    # unit, far from converged (the second tends to 0.000948662): they pin
+    # the structured matrices and the 4-axis contraction, not the transform,
+    # so the second keeps its mu line at delta' = 0.5 rather than its default
+    (lambda: laplace2(2, 4, 4, 2, 0.25, 0.25, [0.0] * 4, [1.0] * 4, 1.0,
+                      nodes_per_unit=5),
      0.011698547113378125),
-    (lambda: laplace2_case_b(1, 5, 3, 4, 1.0, 1.0, [0.0] * 3, [1.0] * 5, 1.0,
-                             delta_prime=0.5, nodes_per_unit=5),
+    (lambda: laplace2(1, 5, 3, 4, 1.0, 1.0, [0.0] * 3, [1.0] * 5, 1.0,
+                      delta_prime=0.5, nodes_per_unit=5),
      0.0011110090157402121),
 ])
 def test_four_axis_values_are_pinned(call, value):
@@ -988,12 +1024,13 @@ def test_four_axis_values_are_pinned(call, value):
 
 
 @pytest.mark.parametrize("call, ref, rel", [
-    # case b: delta' in {0.9, 1.2} at 40 to 80 nodes per unit agree to 3e-15
-    (lambda: laplace2_case_b(1, 4, 2, 3, 0.25, 0.25, [0.0] * 2, [1.0] * 4, 1.0),
+    # both points below the diagonal: delta' in {0.9, 1.2} at 40 to 80
+    # nodes per unit agree to 3e-15
+    (lambda: laplace2(1, 4, 2, 3, 0.25, 0.25, [0.0] * 2, [1.0] * 4, 1.0),
      0.072648692465633, 1e-8),
-    (lambda: laplace2_case_b(1, 4, 2, 3, 1.0, 1.0, [0.0] * 2, [1.0] * 4, 1.0),
+    (lambda: laplace2(1, 4, 2, 3, 1.0, 1.0, [0.0] * 2, [1.0] * 4, 1.0),
      0.0152742691419596, 1e-8),
-    (lambda: laplace2_case_b(1, 4, 2, 3, 4.0, 4.0, [0.0] * 2, [1.0] * 4, 1.0),
+    (lambda: laplace2(1, 4, 2, 3, 4.0, 4.0, [0.0] * 2, [1.0] * 4, 1.0),
      0.00158350099849129, 1e-8),
     # oy_laplace2 at delta' = 0.9 and 60 nodes per unit
     (lambda: oy_laplace2(1, 1.0, 2, 0.5, 1.0, 1.0, [0.0, 0.0]),
