@@ -6,11 +6,17 @@ the extended Airy kernel on L^2({t1,t2} x R), computed in full as the
 determinant of its weighted Nystrom matrix K (Bornemann, Math. Comp. 79
 (2010) 871).  One lambda rule, _lambda_rule, integrates the kernel: each
 block of that matrix is a weighted product of two Ai tables, evaluated once
-per threshold and grid.  The series terms are coefficients of the
-graded determinant det(I - z1 P1 K - z2 P2 K), where P_l keeps the rows
-of time l.  They have total degree <= 3 and come from the traces of
-products of the blocks of K (the Plemelj-Smithies expansion of log det,
-then its exponential): the limit terms I_{m,n} are the z2^m z1^n
+per threshold and grid.  The blocks with t >= t' share the positive-lambda
+grid, and so do those with 0 < t' - t <= 1, through the heat-kernel
+identity (_heat; Prahofer and Spohn, J. Stat. Phys. 108 (2002); Bornemann,
+arXiv:0904.1581); only t' - t > 1, where the identity cancels, runs a
+negative-lambda window of at most 40 units and 400 nodes.  Negative-time
+blocks raise ArithmeticError below t' - t = 0.0505, where the 64-node tau
+rule no longer resolves the identity's Gaussian.  The series terms are
+coefficients of the graded determinant det(I - z1 P1 K - z2 P2 K), where
+P_l keeps the rows of time l.  They have total degree <= 3 and come from
+the traces of products of the blocks of K (the Plemelj-Smithies expansion
+of log det, then its exponential): the limit terms I_{m,n} are the z2^m z1^n
 coefficients at the scaled times and thresholds, and the block Fredholm
 expansion, kept as a partial-sum diagnostic, sums the coefficients of
 det(I - z K) by total order.  grsklab.contour reads its determinants the
@@ -29,10 +35,15 @@ import numpy as np
 from .quadrature import _trace_det_coefficients, gl_panels
 from .specfun import airy_ai, scaling_constants
 
+_MIN_THRESHOLD = -5.0
 _TAU_MAX = 10.0  # orthant truncation; Ai decay makes the tail < 1e-10
 _N_TAU = 64  # Gauss-Legendre nodes on [0, _TAU_MAX] per time
-_LAMBDA_MAX = 12.0
-_MIN_THRESHOLD = -5.0
+# the positive grid ends where _ai (zero above 10) vanishes for every
+# supported threshold: e^{lambda sigma} lifts its tail in the heat-kernel
+# identity, which at 12 left 2e-8 of the kernel at (-5, -5, sigma = 1)
+_LAMBDA_MAX = 10.0 - _MIN_THRESHOLD
+_HEAT_MAX = 1.0  # largest t' - t whose kernel comes from the heat-kernel identity
+_MIN_GAP = 0.050505931104047  # smallest t' - t the tau rule resolves; see _lambda_rule
 
 
 # ---------------------------------------------------------------------------
@@ -85,39 +96,74 @@ def _ai(x) -> np.ndarray:
 def _lambda_rule(s, lam_max=_LAMBDA_MAX, n_lam=200):
     """Nodes and weights of the extended Airy kernel's lambda integral at
     s = t - t', with e^{-lambda s} folded into the weights: over lambda > 0
-    for s >= 0, and minus the integral over lambda < 0 for s < 0.
+    for s >= -_HEAT_MAX, and minus the integral over lambda < 0 below.
 
-    The negative branch runs on lambda = -x with negated weights.  Ai(. - x)
-    only decays polynomially there, so the exponential must do the work:
-    the window stretches to 40/rate (capped at 400), its node density
-    tracks the Airy oscillation, and an error is raised when the dropped
-    tail is not negligible."""
-    if s >= 0:
+    For -_HEAT_MAX <= s < 0 the positive grid carries the heat-kernel
+    identity: its weighted sum minus _heat is the negative-time kernel.
+    Against a scipy-Ai Nystrom reference at n_tau = 64 the determinant's
+    error there was at most 3.8e-13 for t' - t in {0.1, 0.25, 0.5, 1} and
+    thresholds in {-5, -3, -1, 1}; the former negative window's was 2.3e-12.
+    The order-3 series, read from traces, is more sensitive: at (-5, -5,
+    sigma = 1) it is 1.2e-11 off, _ai's 1.3e-13 absolute error lifted by
+    e^{lambda sigma}.  The identity's Gaussian has width sqrt(2 sigma),
+    sigma = t' - t, and below _MIN_GAP the 64-node tau rule stops
+    resolving it: against n_tau = 256 the determinant moved by at most
+    6.0e-13 at sigma = 0.05, 1.7e-11 at 0.04 and 8.9e-7 at 0.02
+    (thresholds -5 to 1).  So sigma < _MIN_GAP raises; the value keeps
+    the reach that a negative window of 400 units had, with a dropped tail
+    of 0.3 e^{-400 sigma}/sigma <= 1e-8.
+
+    Above _HEAT_MAX the identity cancels (7e-12 off at sigma = 2 and
+    threshold -5, and a "probability" of 2.3e3 at sigma = 6), and the
+    branch runs on lambda = -x with negated weights.  Ai(. - x) only decays
+    polynomially there, so the exponential does the work: the window
+    stretches to max(lam_max, 40/sigma) <= 40 units, its node density
+    tracks the Airy oscillation, and the dropped tail is below
+    0.3 e^{-40}/sigma."""
+    if s >= -_HEAT_MAX:
+        if -_MIN_GAP < s < 0:
+            raise ArithmeticError(
+                f"negative-time kernel needs t' - t >= {_MIN_GAP:.4g}, got "
+                f"{-s:.3g}: below it the tau rule does not resolve the "
+                "heat-kernel Gaussian"
+            )
         lam, w = gl_panels(0.0, lam_max, n_lam, 4)
     else:
-        rate = max(-s, 1e-300)
-        x_max = min(max(lam_max, 40.0 / rate), 400.0)
-        tail = 0.3 * math.exp(-x_max * rate) / rate
-        if tail > 1e-8:
-            raise ArithmeticError(
-                "negative-time branch needs |t - t'| large enough for the "
-                f"truncation window (dropped tail ~ {tail:.2e})"
-            )
+        x_max = max(lam_max, 40.0 / -s)
         xg, wx = gl_panels(0.0, x_max, max(n_lam, int(10.0 * x_max)), 16)
         lam, w = -xg, -wx
     return lam, np.exp(-lam * s) * w
 
 
+def _heat(x, y, s):
+    """The Gaussian of the heat-kernel identity at s = t - t' (Prahofer and
+    Spohn, J. Stat. Phys. 108 (2002); Bornemann, arXiv:0904.1581): for
+    sigma = -s > 0,
+
+        int_R e^{lambda sigma} Ai(x + lambda) Ai(y + lambda) dlambda
+            = (4 pi sigma)^{-1/2} exp(sigma^3/12 - (x + y) sigma/2
+                                       - (x - y)^2/(4 sigma)),
+
+    so the negative-time kernel is the positive-lambda sum minus this term.
+    Zero outside -_HEAT_MAX <= s < 0, where _lambda_rule needs no term."""
+    if not -_HEAT_MAX <= s < 0:
+        return 0.0
+    sigma = -s
+    return np.exp(
+        sigma**3 / 12.0 - (x + y) * sigma / 2.0 - (x - y) ** 2 / (4.0 * sigma)
+    ) / math.sqrt(4.0 * math.pi * sigma)
+
+
 def extended_airy_kernel(t: float, xi: float, tp: float, xip: float) -> float:
-    """The extended Airy kernel Ai(t, xi; t', xi'), checked against a
-    longer, denser rule."""
+    """The extended Airy kernel Ai(t, xi; t', xi'): the weighted sum of
+    _lambda_rule minus _heat, checked against a longer, denser rule."""
     if not all(math.isfinite(v) for v in (t, xi, tp, xip)):
         raise ValueError("times and arguments must be finite")
     rules = _lambda_rule(t - tp), _lambda_rule(t - tp, _LAMBDA_MAX + 4.0, 300)
     val, ref = (float(w @ (_ai(xi + lam) * _ai(xip + lam))) for lam, w in rules)
     if abs(val - ref) > 1e-8 + 1e-8 * abs(ref):
         raise ArithmeticError("extended Airy kernel did not converge under refinement")
-    return ref
+    return float(ref - _heat(xi, xip, t - tp))
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +204,22 @@ def _operator(q: AiryQuery):
 def _nystrom_matrix(times, thresholds, n_tau):
     """Weighted Nystrom matrix of f Ai f on the union of the per-time
     half-lines [xi_l, inf), truncated at xi_l + TAU_MAX.  Block (a, b) is
-    (A_a * w)^T A_b on the lambda rule of t_a - t_b, with one Ai table A
-    per threshold and grid: the blocks with t_a >= t_b share the positive
-    grid, and each negative window is keyed by its rate."""
+    (A_a * w)^T A_b on the lambda rule of t_a - t_b, minus the heat-kernel
+    Gaussian at (xi_a + tau_i, xi_b + tau_j), with one Ai table A per
+    threshold and grid: the blocks with t_b - t_a <= _HEAT_MAX share the
+    positive grid, and each negative window is keyed by its rate."""
     tau, wt = gl_panels(0.0, _TAU_MAX, n_tau, 4)
     tables = {}
 
     def block(ta, xa, tb, xb):
-        lam, w = _lambda_rule(ta - tb)
-        rate = max(tb - ta, 0.0)
+        s = ta - tb
+        lam, w = _lambda_rule(s)
+        rate = -s if s < -_HEAT_MAX else 0.0  # the window's rate, 0 on the positive grid
         for xi in (xa, xb):
             if (xi, rate) not in tables:
                 tables[xi, rate] = _ai((xi + tau)[None, :] + lam[:, None])
-        return (tables[xa, rate] * w[:, None]).T @ tables[xb, rate]
+        return (tables[xa, rate] * w[:, None]).T @ tables[xb, rate] - _heat(
+            (xa + tau)[:, None], (xb + tau)[None, :], s)
 
     return np.block([
         [block(ta, xa, tb, xb) for tb, xb in zip(times, thresholds)]

@@ -13,6 +13,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from grsklab import airy
 from grsklab.airy import (
     AiryQuery,
     _ai,
@@ -88,8 +89,9 @@ def test_forward_time_kernel_vs_scipy_quadrature():
 @pytest.mark.parametrize("rate, upper", [(1.1, 120.0), (0.25, 200.0), (0.1, 450.0)],
                          ids=["rate1.1", "rate0.25", "rate0.1"])
 def test_backward_time_kernel_vs_scipy_quadrature(rate, upper):
-    # t < t': negative branch probes Ai on the oscillatory side; rates 0.25
-    # and 0.1 run the 160- and 400-unit windows, and the oracle's upper
+    # t < t': the negative-lambda integral probes Ai on the oscillatory
+    # side; rate 1.1 runs the negative window, rates 0.25 and 0.1 the
+    # heat-kernel identity on the positive grid, and the oracle's upper
     # limit covers 40/rate
     ref, _ = scipy.integrate.quad(
         lambda u: math.exp(-rate * u) * scipy_ai(0.3 - u) * scipy_ai(0.1 - u),
@@ -99,8 +101,57 @@ def test_backward_time_kernel_vs_scipy_quadrature(rate, upper):
     assert val == pytest.approx(-ref, abs=1e-7)
 
 
+def test_backward_time_kernel_on_the_identity_vs_scipy_quadrature():
+    # t' - t = 1, the largest separation the heat-kernel identity serves
+    ref, _ = scipy.integrate.quad(
+        lambda u: math.exp(-u) * scipy_ai(0.3 - u) * scipy_ai(0.1 - u),
+        0.0, 60.0, limit=4000,
+    )
+    val = extended_airy_kernel(0.0, 0.3, 1.0, 0.1)
+    assert val == pytest.approx(-ref, abs=1e-8)
+
+
+@pytest.mark.parametrize("xi", [-5.0, -3.0, -1.0, 1.0])
+def test_identity_and_window_agree_at_the_crossover(xi):
+    # t' - t = 1 takes the heat-kernel identity on the positive grid, and
+    # 1 + 1e-12 the negative window; a step of 1e-9 moves P by ~3e-11
+    identity = airy_two_point(0.0, 1.0, xi, xi)
+    window = airy_two_point(0.0, 1.0 + 1e-12, xi, xi)
+    assert abs(identity - window) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _nystrom_matrix([0.0, 0.25], [-2.0, -2.0], 64),
+    lambda: limit_term(1, 1, 0.5, 0.5, 0.0, 0.0),
+], ids=["nystrom", "limit_term-11"])
+def test_negative_time_blocks_share_the_positive_table(monkeypatch, call):
+    # one threshold and t' - t <= 1: every block reads one 200 x 64 Ai
+    # table on the positive grid, with no negative window
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return _ai(x)
+
+    monkeypatch.setattr(airy, "_ai", counted)
+    call()
+    assert sum(calls) == 200 * 64
+
+
+def test_small_separation_on_the_identity():
+    # t' - t = 0.06: the 64-node tau rule still resolves the Gaussian
+    val = airy_two_point(0.0, 0.06, -3.0, -3.0)
+    assert abs(val - airy_two_point(0.0, 0.06, -3.0, -3.0, n_tau=128)) <= 1e-12
+    assert abs(val - 0.05622966969023597) <= 1e-11
+    # the edge of the reach
+    with pytest.raises(ArithmeticError, match="negative-time"):
+        airy_two_point(0.0, 0.0505, 0.0, 0.0)
+    assert 0.0 < airy_two_point(0.0, 0.0506, 0.0, 0.0) < 1.0
+
+
 def test_backward_branch_rejects_tiny_separation():
-    # the required truncation window diverges as |t - t'| -> 0
+    # the heat-kernel Gaussian narrows as |t - t'| -> 0, past what the tau
+    # rule resolves
     with pytest.raises(ArithmeticError):
         extended_airy_kernel(0.0, 0.0, 1e-4, 0.0)
 
@@ -281,7 +332,8 @@ def test_limit_term_at_small_and_large_gamma(g):
 
 def test_conjecture_rhs_at_small_gamma():
     # at gamma = 0.3 the Airy times (-c3 t, c3 t) are 0.077 apart, enough for
-    # the negative-time window; at t = (0.2, 0.4) they are 0.046 apart and
+    # the 64-node tau rule to resolve the heat-kernel Gaussian of the
+    # negative-time blocks; at t = (0.2, 0.4) they are 0.046 apart and
     # conjecture_rhs raises
     rhs = conjecture_rhs(0.5, 0.5, 0.0, 0.0, 0.3)
     assert rhs == pytest.approx(0.96747, abs=1e-5)
@@ -397,7 +449,8 @@ def test_limit_sum_matches_kernel_route_tight():
 @pytest.mark.parametrize("t2", [0.2, 1.0, 3.0])
 def test_partial_sums_match_eigenvalue_recursion(t2):
     # at the supported threshold floor the two-time operator has the
-    # highest numerical degree; the FFT coefficients must not alias
+    # highest numerical degree; the coefficients from traces must still
+    # match those of its eigenvalues
     Mw = _nystrom_matrix([0.0, t2], [-5.0, -5.0], 64)
     e = np.zeros(4, dtype=complex)
     e[0] = 1.0
