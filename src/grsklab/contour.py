@@ -19,16 +19,19 @@ Conventions:
     (1,1) series line at 0.35 gamma, 0.3 gamma from the Gamma(gamma - w - w')
     pole.  On uniform lines the pair factor of a group is Toeplitz and the
     cross factor between groups is Hankel (Gamma(lambda + mu)) or
-    Toeplitz (Gamma(mu - lambda)): each matrix is gathered from its 2n-1
-    generating values instead of n^2 special-function evaluations;
+    Toeplitz (Gamma(mu - lambda)): each matrix is one strided copy of its
+    2n-1 generating values instead of n^2 special-function evaluations,
+    and |cross| comes from the real part of the same log-gamma values;
   - on such a line the Sklyanin pair product of k axes is a product of two
     Vandermonde determinants, so the k-fold node sum is k! det A of a k x k
     matrix of 1-D sums (Andreief's identity, _andreief): exact on the
     nodes at O(k^2 n) cost instead of n^k.  Of the two groups of a
     two-point integral the larger goes through the determinant, the smaller
-    (at most 2 axes) stays an explicit sum over its nodes.  The evaluators
-    keep their dimension caps: beyond them the fixed line length and
-    spacing, not the cost, limit the accuracy;
+    (at most 2 axes) stays an explicit sum over its nodes: its node weight
+    (gm for one axis, cross[a] gm per lam node a for two) scales the
+    n x k^2 basis, and A = cross @ (weight basis) forms no n x n
+    temporary.  The evaluators keep their dimension caps: beyond them the
+    fixed line length and spacing, not the cost, limit the accuracy;
   - the contour evaluators take one resolution argument, nodes_per_unit
     (default 20, finite and > 0, checked with the Laplace arguments before
     any early return).  A line's node count is its base count on L = 12
@@ -38,20 +41,23 @@ Conventions:
   - laplace1, laplace2 and bcr_fredholm return the values of _laplace1,
     _laplace2 and _bcr_fredholm, which also return an error estimate from
     subsets of the line nodes they sum (_subset_error), not from a second
-    evaluation;
+    evaluation; the line integrals add the rounding bound, the Hadamard
+    bound of the determinants of |weights|, formed once, on the full lines;
   - _laplace2 takes every ordered pair of corners, those above the
     diagonal as the transposed polymer;
   - every Sklyanin line group takes its per-axis weight u^{-z}
     prod Gamma(z - p) prod Gamma(z + q), over its normalization, from
-    _axis_weights;
+    _axis_weights, one log_gamma call per line on its distinct poles,
+    shifts and normalization points;
   - bcr_fredholm and joint_series_term build the circle x line kernel
     pi/sin(pi(v - w)) e^{Phi(w) - Phi(v)}/(w - v') with _circle_line_kernel
     from per-node values: e^{Phi(w) - Phi(v)} is a row factor times a
     column factor, and pi/sin(pi(v - w)) a rational function of
     e^{-+i pi v} e^{+-i pi w}, so no exponential or sine runs on the
-    circle x line matrix, with Phi from _phi.  A determinant is read whole
-    by one LU, or to order <= 3 from traces of powers of K
-    (_trace_det_coefficients): the (k,0) series terms are the z^k
+    circle x line matrix, with Phi from _phi; E is built into the array
+    that becomes A, and the row and column factors are applied in place.
+    A determinant is read whole by one LU, or to order <= 3 from traces of
+    powers of K (_trace_det_coefficients): the (k,0) series terms are the z^k
     coefficients of det(I + z K) at alpha' = gamma, alphahat' = 0.  The
     (1,1) term sums its second-group circle nodes in conjugate pairs;
   - circles C_r are centred at 0 and traced counter-clockwise, on the
@@ -70,6 +76,7 @@ from collections import Counter
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import _trace_det_coefficients, gl_panels
 from .specfun import digamma, log_gamma
@@ -195,10 +202,14 @@ def _line_nodes_for_dim(dim: int, nodes_per_unit: float,
     return max(32, round(base * length / 12.0))
 
 
-def _toeplitz_index(rows: int, cols: int) -> np.ndarray:
-    """index[i, j] = j - i + rows - 1 into a vector of rows + cols - 1
-    generating values, first column reversed then first row."""
-    return np.arange(cols)[None, :] - np.arange(rows)[:, None] + (rows - 1)
+def _structured(values: np.ndarray, rows: int, hankel: bool) -> np.ndarray:
+    """The Hankel (M[i, j] = values[i + j]) or Toeplitz
+    (M[i, j] = values[j - i + rows - 1]) matrix of rows rows and
+    len(values) - rows + 1 columns, as one strided copy of its generating
+    values: row i is the window of values at i (Hankel) or at rows - 1 - i
+    (Toeplitz)."""
+    windows = sliding_window_view(values, len(values) - rows + 1)
+    return (windows if hankel else windows[::-1]).copy()
 
 
 def _sklyanin_pair(n: int, h: float) -> np.ndarray:
@@ -207,28 +218,33 @@ def _sklyanin_pair(n: int, h: float) -> np.ndarray:
     By the reflection formula Gamma(d) Gamma(-d) = -pi/(d sin(pi d)) and
     sin(pi i t) = i sinh(pi t) this is the real t sinh(pi t)/pi, exactly
     zero on the diagonal (the density vanishes at coincident points).  The
-    matrix is Toeplitz: it is gathered from the 2n-1 offsets.  sinh
+    matrix is Toeplitz: it is filled from the 2n-1 offsets.  sinh
     overflows only beyond |t| = 226, where the product already has."""
-    t = h * np.arange(1 - n, n)
-    return (t * np.sinh(np.pi * t) / math.pi)[_toeplitz_index(n, n).T]
+    t = h * np.arange(n - 1, -n, -1)
+    return _structured(t * np.sinh(np.pi * t) / math.pi, n, False)
+
+
+def _cross_logs(lam: np.ndarray, mu: np.ndarray, hankel: bool,
+                log_scale: float = 0.0) -> np.ndarray:
+    """log_gamma(z) - log_scale on the len(lam) + len(mu) - 1 values that
+    generate z_ij = lam_i + mu_j (Hankel in i + j) if hankel, else
+    z_ij = mu_j - lam_i (Toeplitz in j - i), between two trapezoid lines of
+    one spacing: the entries of the first column and the last row (Hankel)
+    or first row (Toeplitz), in _structured's order."""
+    if hankel:
+        z = np.concatenate([lam + mu[0], lam[-1] + mu[1:]])
+    else:
+        z = np.concatenate([mu[0] - lam[::-1], mu[1:] - lam[0]])
+    return log_gamma(z) - log_scale
 
 
 def _gamma_cross(lam: np.ndarray, mu: np.ndarray, hankel: bool,
                  log_scale: float = 0.0) -> np.ndarray:
     """exp(log_gamma(z_ij) - log_scale) between two trapezoid lines of one
-    spacing, with z_ij = lam_i + mu_j (Hankel in i + j) if hankel, else
-    z_ij = mu_j - lam_i (Toeplitz in j - i).  log_gamma and exp run once on
-    the len(lam) + len(mu) - 1 generating values, the entries of the first
-    column and the last row (Hankel) or first row (Toeplitz); a gather fills
-    the grid."""
-    nl, nm = len(lam), len(mu)
-    if hankel:
-        z = np.concatenate([lam + mu[0], lam[-1] + mu[1:]])
-        index = np.arange(nl)[:, None] + np.arange(nm)[None, :]
-    else:
-        z = np.concatenate([mu[0] - lam[::-1], mu[1:] - lam[0]])
-        index = _toeplitz_index(nl, nm)
-    return np.exp(log_gamma(z) - log_scale)[index]
+    spacing, z_ij as in _cross_logs: log_gamma and exp run once on the
+    generating values, and one strided copy fills the grid."""
+    return _structured(np.exp(_cross_logs(lam, mu, hankel, log_scale)),
+                       len(lam), hankel)
 
 
 def _axis_weights(z, dz, k, poles, shifts, log_u, quad=0.0, norm=None):
@@ -236,35 +252,50 @@ def _axis_weights(z, dz, k, poles, shifts, log_u, quad=0.0, norm=None):
     included: exp(log f(z) - log C / k) dz, with f(z) = prod_p Gamma(z - p)
     F(z), F(z) = u^{-z} e^{quad z^2/2} prod_q Gamma(z + q) over the shifts q,
     and C = prod_{p in norm} F(p), norm defaulting to the poles.  The k axes
-    of the group together carry the normalization 1/C."""
-    poles = np.asarray(poles, dtype=float)
-    norm = poles if norm is None else np.asarray(norm, dtype=float)
-
-    def log_F(x):
-        return (-log_u * x + 0.5 * quad * x * x
-                + log_gamma(np.add.outer(x, np.asarray(shifts, dtype=float))).sum(-1))
-
-    log_f = log_gamma(np.subtract.outer(z, poles)).sum(-1) + log_F(z)
-    log_c = float(np.sum(log_F(norm).real))
+    of the group together carry the normalization 1/C.  One log_gamma call
+    takes z minus each distinct pole and z and each distinct normalization
+    point plus each distinct shift; each column enters with its
+    multiplicity."""
+    poles = Counter(float(p) for p in poles)
+    norm = poles if norm is None else Counter(float(p) for p in norm)
+    shifts = Counter(float(q) for q in shifts)
+    n = len(z)
+    # the points where F is read: the line, then the normalization points
+    x = np.concatenate([z, list(norm)])
+    lg = log_gamma(np.concatenate([z - p for p in poles]
+                                  + [x + q for q in shifts]))
+    split = n * len(poles)
+    log_F = (-log_u * x + 0.5 * quad * x * x
+             + np.array(list(shifts.values()), dtype=float)
+             @ lg[split:].reshape(len(shifts), len(x)))
+    log_f = (np.array(list(poles.values()), dtype=float)
+             @ lg[:split].reshape(len(poles), n) + log_F[:n])
+    log_c = float(np.array(list(norm.values()), dtype=float) @ log_F[n:].real)
     return np.exp(log_f - log_c / k) * dz
 
 
-def _pi_csc_circle_line(v, w):
-    """pi/sin(pi (v_a - w_b)) for circle nodes v and line nodes w, from the
+def _pi_csc_circle_line(v, w, row=None, col=1.0):
+    """row_a col_b pi/sin(pi (v_a - w_b)) for circle nodes v and line nodes
+    w, with optional per-node factors row (of v) and col (of w), from the
     per-node exponentials e^{-+i pi v} and e^{+-i pi w}.  With s = +1 for
-    Im w >= 0, else -1, and E = e^{-i s pi (v - w)}, the value is
-    2 pi i s E/(1 - E^2); |E| <= e^{pi |Im v|}, so nothing overflows for any
-    line length.  Both callers have Re(v - w) in (-1, 0), which keeps
-    1 - E^2 away from 0."""
-    s = np.where(np.imag(w) >= 0, 1.0, -1.0)
+    Im w >= 0, else -1, and E = e^{-i s pi (v - w)}, pi/sin(pi (v - w)) is
+    2 pi i s E/(1 - E^2); |E| <= e^{pi |Im v|}, so nothing overflows for
+    any line length.  Both callers have Re(v - w) in (-1, 0), which keeps
+    1 - E^2 away from 0.  E is built once, into the array returned, from
+    each column's circle factor e^{-i s pi v} and its line factor;
+    2 pi i s col is one column factor and row one row factor, both applied
+    in place, and 1 - E^2 is the one temporary of E's size."""
+    upper = np.imag(w) >= 0
+    s = np.where(upper, 1.0, -1.0)
     ev = np.exp(-1j * np.pi * v)
-    # in-place steps: each fresh circle x line temporary costs page faults
-    E = np.where(s > 0, ev[:, None], 1.0 / ev[:, None])
+    E = np.stack([1.0 / ev, ev], axis=1)[:, upper.astype(np.intp)]
     E *= np.exp(1j * np.pi * s * w)
     D = E * E
     np.subtract(1.0, D, out=D)
     E /= D
-    E *= TWO_PI_I * s
+    E *= TWO_PI_I * s * col
+    if row is not None:
+        E *= row[:, None]
     return E
 
 
@@ -279,12 +310,13 @@ def _circle_line_kernel(v, dv, w, dw, log_v, log_w):
     the Fredholm form with the line-integral form.
     e^{log_w - log_v} is the row factor e^{c - log_v} times the column
     factor e^{log_w - c}; with c = max Re log_w the row factor overflows
-    only where e^{log_w - log_v} itself would."""
+    only where e^{log_w - log_v} itself would.  _pi_csc_circle_line
+    applies both factors, dw in the column one, and B is divided in place."""
     c = np.max(log_w.real)
-    A = _pi_csc_circle_line(v, w)
-    A *= np.exp(log_w - c) * dw
-    A *= np.exp(c - log_v)[:, None]
-    return A, (dv / TWO_PI_I**2) / np.subtract.outer(w, v)
+    A = _pi_csc_circle_line(v, w, np.exp(c - log_v), np.exp(log_w - c) * dw)
+    B = np.subtract.outer(w, v)
+    np.divide(dv / TWO_PI_I**2, B, out=B)
+    return A, B
 
 
 def _phi(z, log_u, upper, lower):
@@ -336,7 +368,7 @@ def _laplace1(m: int, n: int, u: float, alpha: Sequence[float],
     nn = _line_nodes_for_dim(n, nodes_per_unit, length)
     mu, dmu = vertical_line(delta, length, nn)
     g = _axis_weights(mu, dmu, n, alphahat, alpha, math.log(u))
-    return _estimated_transform(None, 0, g, n, None, dmu[0].imag)
+    return _estimated_transform(None, 0, g, n, dmu[0].imag)
 
 
 # ---------------------------------------------------------------------------
@@ -344,31 +376,76 @@ def _laplace1(m: int, n: int, u: float, alpha: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-def _andreief(F: np.ndarray, k: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """For each row f of F, the sum over k-tuples of the n trapezoid nodes
-    y_a = h (a - (n-1)/2) of prod_l f(y_{a_l}) times the Sklyanin pair
-    factors of the tuple, and a bound on its rounding error.
+def _andreief(weight: np.ndarray, k: int, h: float, cross: np.ndarray,
+              bound: bool = False) -> np.ndarray:
+    """For each row c of cross, the sum over k-tuples of the n trapezoid
+    nodes y_a = h (a - (n-1)/2) of prod_l c(y_{a_l}) weight(y_{a_l}) times
+    the Sklyanin pair factors of the tuple.
 
     With d = i t the pair factor is t sinh(pi t)/pi, so a tuple's pair
     product is (-L/2 pi)^{k(k-1)/2} det[(y_a/L)^i] det[e^{pi (k-1-2j) y_a}],
     L = n h/2 (the line offset cancels in d), and Andreief's identity (de
     Bruijn, J. Indian Math. Soc. 19 (1955) 133) makes the sum
-    k! (-L/2 pi)^{k(k-1)/2} det A with A_ij = sum_y f(y) (y/L)^i
-    e^{pi (k-1-2j) y}: exact on the nodes, at O(k^2 n) per row.  The bound
-    is eps times the same constant times the Hadamard bound
-    prod_i ||B_i,:|| of B, built like A from |f| and the |basis|."""
-    n = F.shape[-1]
+    k! (-L/2 pi)^{k(k-1)/2} det A with A_ij = sum_y c(y) weight(y) (y/L)^i
+    e^{pi (k-1-2j) y}: exact on the nodes, at O(k^2 n) per row.  The
+    weight scales the n x k^2 basis and one product with cross gives the
+    A of every row, A = cross @ (weight basis), with no temporary of the
+    size of cross; at k = 1 the basis is 1 and det A is A itself.
+
+    With bound=True, weight and cross are absolute values, and each row
+    gives instead a bound on the rounding error of its sum: eps times the
+    constant's modulus times the Hadamard bound prod_i ||B_i,:|| of B,
+    built like A from the |basis|."""
+    if k == 1:
+        A = cross @ weight
+        return np.finfo(float).eps * A if bound else A
+    n = len(weight)
     L = 0.5 * n * h
     y = h * (np.arange(n) - 0.5 * (n - 1))
-    i = np.arange(k)
-    basis = ((y / L)[:, None, None] ** i[None, :, None]
-             * np.exp(math.pi * np.outer(y, k - 1 - 2 * i))[:, None, :])
-    basis = basis.reshape(n, k * k)
-    A = (F @ basis).reshape(len(F), k, k)
-    B = (np.abs(F) @ np.abs(basis)).reshape(len(F), k, k)
+    powers = np.vander(y / L, k, increasing=True)
+    exps = np.exp(math.pi * np.outer(y, k - 1 - 2 * np.arange(k)))
+    basis = (powers[:, :, None] * exps[:, None, :]).reshape(n, k * k)
     c = math.factorial(k) * (-L / (2.0 * math.pi)) ** (k * (k - 1) // 2)
-    hadamard = np.prod(np.linalg.norm(B, axis=2), axis=1)
-    return c * np.linalg.det(A), abs(c) * np.finfo(float).eps * hadamard
+    if bound:
+        basis = np.abs(basis)
+    A = (cross @ (weight[:, None] * basis)).reshape(len(cross), k, k)
+    if bound:
+        hadamard = np.prod(np.linalg.norm(A, axis=2), axis=1)
+        return abs(c) * np.finfo(float).eps * hadamard
+    return c * np.linalg.det(A)
+
+
+def _node_sum(gl, k1, gm, k2, cross, h, bound=False):
+    """(2 pi i)^{-(k1+k2)}/(k1! k2!) times the sum over k1 axes on the lam
+    line and k2 axes on the mu line of the per-axis weights gl and gm, the
+    Sklyanin pair factors within each group and cross[i, j] between every
+    lam-axis and every mu-axis, as _two_group_integral sums it; with
+    bound=True and gl, gm and cross given as absolute values, the same sum
+    with _andreief's rounding bound in place of each determinant, which
+    bounds the rounding error of the value.
+
+    The larger group is summed by _andreief for every node of the smaller
+    one, which has at most 2 axes under the evaluators' dimension caps: its
+    weight and the cross rows of its fixed nodes scale the larger group's
+    weight, and cross gives the rows."""
+    if k1 > k2:
+        gl, k1, gm, k2, cross = gm, k2, gl, k1, cross.T
+    if k1 == 0:
+        # one row of ones: the plain sum over the mu nodes
+        terms, cross = [(gm, np.ones(1))], np.ones((1, len(gm)))
+    elif k1 == 1:
+        terms = [(gm, gl)]
+    elif k1 == 2:
+        # one lam node a at a time: its cross row joins the mu weight, and
+        # the other lam node sums over the rows with its pair factor, which
+        # is >= 0
+        P = _sklyanin_pair(len(gl), h)
+        terms = ((cross[a] * gm, gl[a] * gl * P[a]) for a in range(len(gl)))
+    else:
+        raise ValueError("the smaller group has more than 2 axes")
+    total = sum(coef @ _andreief(w, k2, h, cross, bound) for w, coef in terms)
+    norm = TWO_PI_I ** (k1 + k2) * math.factorial(k1) * math.factorial(k2)
+    return float(total / abs(norm)) if bound else complex(total / norm)
 
 
 def _two_group_integral(gl, k1, gm, k2, cross, h) -> Tuple[complex, float]:
@@ -376,30 +453,11 @@ def _two_group_integral(gl, k1, gm, k2, cross, h) -> Tuple[complex, float]:
     line and k2 axes on the mu line of the per-axis weights gl and gm (line
     elements included), the Sklyanin pair factors within each group, and
     cross[i, j] between every lam-axis and every mu-axis, with a bound on
-    its rounding error.  Both lines are trapezoid lines of spacing h.
-
-    The larger group is summed by _andreief for every node of the smaller
-    one, which has at most 2 axes under the evaluators' dimension caps."""
-    if k1 > k2:
-        gl, k1, gm, k2, cross = gm, k2, gl, k1, cross.T
-    if k1 == 0:
-        val, bound = _andreief(gm[None], k2, h)
-        val, bound = val[0], bound[0]
-    elif k1 == 1:
-        dets, bounds = _andreief(cross * gm, k2, h)
-        val, bound = gl @ dets, np.abs(gl) @ bounds
-    elif k1 == 2:
-        # one lam node at a time keeps the temporaries at n x n
-        P = _sklyanin_pair(len(gl), h)
-        val, bound = 0j, 0.0
-        for a in range(len(gl)):
-            dets, bounds = _andreief(cross * (cross[a] * gm), k2, h)
-            val += gl[a] * ((gl * P[a]) @ dets)
-            bound += abs(gl[a]) * ((np.abs(gl) * np.abs(P[a])) @ bounds)
-    else:
-        raise ValueError("the smaller group has more than 2 axes")
-    norm = TWO_PI_I ** (k1 + k2) * math.factorial(k1) * math.factorial(k2)
-    return complex(val / norm), float(bound / abs(norm))
+    its rounding error: _node_sum of the values and of their moduli.  Both
+    lines are trapezoid lines of spacing h."""
+    return (_node_sum(gl, k1, gm, k2, cross, h),
+            _node_sum(None if gl is None else np.abs(gl), k1, np.abs(gm), k2,
+                      None if cross is None else np.abs(cross), h, bound=True))
 
 
 def _checked_sum(val: complex, err: float = 0.0) -> complex:
@@ -444,17 +502,28 @@ def _subset_error(val, on, n: int) -> float:
     return (d1 if d1 >= d2 else d1 * d1 / d2) + trunc
 
 
-def _estimated_transform(gl, k1, gm, k2, cross, h) -> Tuple[complex, float]:
+def _estimated_transform(gl, k1, gm, k2, h, cross_logs=None,
+                         hankel=False) -> Tuple[complex, float]:
     """_two_group_integral's value, checked by _checked_transform against
     its rounding bound, and an error estimate: _subset_error on the nodes of
-    both lines plus the rounding bound."""
-    val, bound = _two_group_integral(gl, k1, gm, k2, cross, h)
-    val = _checked_transform(val, bound)
+    both lines plus the rounding bound.  The cross matrix is
+    exp(cross_logs) filled by _structured.  The bound is formed once, on
+    the full lines, from the modulus exp(Re cross_logs), which is released
+    before the cross matrix is formed, so no two n x n matrices are held
+    at once; the subset sums are values alone."""
+    def fill(logs):
+        return None if logs is None else _structured(np.exp(logs), len(gl), hankel)
+
+    bound = _node_sum(None if gl is None else np.abs(gl), k1, np.abs(gm), k2,
+                      fill(None if cross_logs is None else cross_logs.real), h,
+                      bound=True)
+    cross = fill(cross_logs)
+    val = _checked_transform(_node_sum(gl, k1, gm, k2, cross, h), bound)
 
     def on(nodes, s):
-        return _two_group_integral(
+        return _node_sum(
             None if gl is None else gl[nodes] * s, k1, gm[nodes] * s, k2,
-            None if cross is None else cross[nodes, nodes], s * h)[0]
+            None if cross is None else cross[nodes, nodes], s * h)
 
     return val, _subset_error(val, on, len(gm)) + bound
 
@@ -543,12 +612,12 @@ def _laplace2(m1: int, n1: int, m2: int, n2: int, u1: float, u2: float,
         gm = _axis_weights(mu, dmu, n2, alphahat[:n2], alpha[m1:m2], math.log(u2))
         # cross factor Gamma(lambda + mu) / Gamma(alpha_i + alphahat_j)
         log_cross_den = float(np.sum(log_gamma(np.add.outer(alpha[:m1], alphahat[:n2])).real))
-        cross = _gamma_cross(lam, mu, True, log_cross_den / (m1 * n2))
+        logs = _cross_logs(lam, mu, True, log_cross_den / (m1 * n2))
     else:
         gm = _axis_weights(mu, dmu, m2, alpha[m1:m2], alphahat[:n2], math.log(u2),
                            norm=alpha[:m2])
-        cross = _gamma_cross(lam, mu, False)
-    return _estimated_transform(gl, m1, gm, k, cross, dlam[0].imag)
+        logs = _cross_logs(lam, mu, False)
+    return _estimated_transform(gl, m1, gm, k, dlam[0].imag, logs, opposite)
 
 
 def oy_laplace2(

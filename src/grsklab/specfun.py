@@ -42,40 +42,73 @@ _LANCZOS_C = np.array(
     ]
 )
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))[:, None]
+
+
+def _log(z: np.ndarray) -> np.ndarray:
+    """Principal complex log from real ufuncs: log|z| as the log of
+    hypot(Re z, Im z), which does not overflow where Re z^2 + Im z^2
+    would, and arg z by arctan2.  numpy's complex log runs as a scalar
+    libm call per element, several times the cost of the two."""
+    out = np.empty_like(z)
+    np.log(np.hypot(z.real, z.imag), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out
+
+
+# the Lanczos sums of up to this many points go in one table of 15 rows,
+# 120 KB
+_LANCZOS_BLOCK = 512
 
 
 def _lanczos_right(z: np.ndarray) -> np.ndarray:
-    """log Gamma for Re z >= 0.5 (no reflection needed)."""
-    zm1 = z - 1.0
-    s = np.full_like(z, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        s = s + _LANCZOS_C[k] / (zm1 + k)
+    """log Gamma for Re z >= 0.5 (no reflection needed).  The Lanczos sum
+    C_0 + sum_k C_k/(z - 1 + k) of each block of points is a table with
+    the row C_0 and the rows C_k/(z - 1 + k), summed down its columns in
+    the order k = 0, 1, ...: a few ufunc calls per block, whatever the
+    number of coefficients."""
+    zm1 = (z - 1.0).reshape(-1)
+    s = np.empty_like(zm1)
+    for i in range(0, zm1.size, _LANCZOS_BLOCK):
+        block = zm1[i:i + _LANCZOS_BLOCK]
+        q = np.empty((len(_LANCZOS_C), block.size), dtype=complex)
+        q[0] = _LANCZOS_C[0]
+        np.add(_LANCZOS_K, block, out=q[1:])
+        np.divide(_LANCZOS_C[1:, None], q[1:], out=q[1:])
+        q.sum(axis=0, out=s[i:i + _LANCZOS_BLOCK])
     t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(s)
+    out = _LOG_SQRT_2PI + (zm1 + 0.5) * _log(t) - t + _log(s)
+    return out.reshape(z.shape)
 
 
 def log_gamma(z):
     """Principal-branch log Gamma, complex, >= 12 significant digits on the
     working range.  Reflection formula for Re z < 0.5; note that after
     reflection the result is only guaranteed modulo 2*pi*i (all callers
-    exponentiate or use integer-coefficient combinations).
+    exponentiate or use integer-coefficient combinations).  Every log is
+    taken by _log, from real ufuncs.  A non-finite argument or a pole
+    raises ValueError; where every Re z >= 0.5 neither the pole test nor
+    the split between the two formulas runs.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"log_gamma of a non-finite argument {z[~finite][0]}")
+    right = z.real >= 0.5
+    if right.all():
+        out = _lanczos_right(z)
+        return out[0] if scalar else out
     on_pole = (z.imag == 0) & (z.real <= 0) & (z.real == np.round(z.real))
     if np.any(on_pole):
         raise ValueError("log_gamma pole at non-positive integer")
     out = np.empty_like(z)
-    right = z.real >= 0.5
     if np.any(right):
         out[right] = _lanczos_right(z[right])
-    if np.any(~right):
-        zr = z[~right]
-        # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
-        out[~right] = (
-            math.log(math.pi) - _log_sin_pi(zr) - _lanczos_right(1.0 - zr)
-        )
+    zr = z[~right]
+    # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
+    out[~right] = math.log(math.pi) - _log_sin_pi(zr) - _lanczos_right(1.0 - zr)
     return out[0] if scalar else out
 
 
@@ -92,7 +125,7 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
     big = np.where(upper, -ipz, ipz)
     decaying = np.exp(np.where(upper, 2 * ipz, -2 * ipz))  # always |.| <= 1
     rest = np.where(upper, decaying - 1.0, 1.0 - decaying)
-    return big + np.log(rest / 2j)
+    return big + _log(rest / 2j)
 
 
 def gamma(z):

@@ -1003,6 +1003,137 @@ def test_two_group_integral_matches_brute_force(k1, k2, n_lam, n_mu):
         assert abs(swapped - ref) <= 1e-13 * abs(ref)
 
 
+def _explicit_two_group(gl, k1, gm, k2, cross, h):
+    """_two_group_integral's value and rounding bound through the explicit
+    matrices F = cross * gm (and cross * (cross[a] * gm) per lam node a),
+    each with its |F|, the route before the weights scaled the basis."""
+    def andreief(F, k):
+        n = F.shape[-1]
+        L = 0.5 * n * h
+        y = h * (np.arange(n) - 0.5 * (n - 1))
+        i = np.arange(k)
+        basis = ((y / L)[:, None, None] ** i[None, :, None]
+                 * np.exp(math.pi * np.outer(y, k - 1 - 2 * i))[:, None, :])
+        basis = basis.reshape(n, k * k)
+        A = (F @ basis).reshape(len(F), k, k)
+        B = (np.abs(F) @ np.abs(basis)).reshape(len(F), k, k)
+        c = math.factorial(k) * (-L / (2.0 * math.pi)) ** (k * (k - 1) // 2)
+        hadamard = np.prod(np.linalg.norm(B, axis=2), axis=1)
+        return c * np.linalg.det(A), abs(c) * np.finfo(float).eps * hadamard
+
+    if k1 > k2:
+        gl, k1, gm, k2, cross = gm, k2, gl, k1, cross.T
+    if k1 == 0:
+        val, bound = andreief(gm[None], k2)
+        val, bound = val[0], bound[0]
+    elif k1 == 1:
+        dets, bounds = andreief(cross * gm, k2)
+        val, bound = gl @ dets, np.abs(gl) @ bounds
+    else:
+        P = _sklyanin_pair(len(gl), h)
+        val, bound = 0j, 0.0
+        for a in range(len(gl)):
+            dets, bounds = andreief(cross * (cross[a] * gm), k2)
+            val += gl[a] * ((gl * P[a]) @ dets)
+            bound += abs(gl[a]) * ((np.abs(gl) * np.abs(P[a])) @ bounds)
+    norm = (2j * math.pi) ** (k1 + k2) * math.factorial(k1) * math.factorial(k2)
+    return complex(val / norm), float(bound / abs(norm))
+
+
+@pytest.mark.parametrize("k1", [0, 1, 2])
+@pytest.mark.parametrize("k2", [1, 2, 3])
+def test_two_group_integral_matches_explicit_products(k1, k2):
+    # the weights scale the n x k^2 basis and cross multiplies the result:
+    # the same value and bound as the explicit n x n products
+    rng = np.random.default_rng(10 * k1 + k2)
+    h, n_lam, n_mu = 0.2, 34, 30
+
+    def crand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    gl = crand(n_lam) if k1 else None
+    gm = crand(n_mu)
+    cross = crand(n_lam, n_mu) if k1 else None
+    val, bound = _two_group_integral(gl, k1, gm, k2, cross, h)
+    ref_val, ref_bound = _explicit_two_group(gl, k1, gm, k2, cross, h)
+    assert abs(val - ref_val) <= 1e-13 * abs(ref_val)
+    assert bound == pytest.approx(ref_bound, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("hankel", [True, False])
+def test_gamma_cross_equals_index_gather(hankel):
+    # one strided copy of the generating values, bit for bit the gather
+    # through an n x m index array, on lines of different lengths
+    h = 0.1
+    lam = vertical_line(0.4, 0.5 * 170 * h, 170)[0]
+    mu = vertical_line(1.4 if hankel else 0.9, 0.5 * 231 * h, 231)[0]
+    nl, nm = len(lam), len(mu)
+    if hankel:
+        z = np.concatenate([lam + mu[0], lam[-1] + mu[1:]])
+        index = np.arange(nl)[:, None] + np.arange(nm)[None, :]
+    else:
+        z = np.concatenate([mu[0] - lam[::-1], mu[1:] - lam[0]])
+        index = np.arange(nm)[None, :] - np.arange(nl)[:, None] + (nl - 1)
+    logs = specfun.log_gamma(z) - 0.3
+    got = _gamma_cross(lam, mu, hankel, 0.3)
+    assert got.shape == (nl, nm)
+    assert np.array_equal(got, np.exp(logs)[index])
+    # laplace2's rounding bound reads the modulus, filled from the real
+    # part of the same logs
+    assert np.array_equal(contour._cross_logs(lam, mu, hankel, 0.3), logs)
+    modulus = contour._structured(np.exp(logs.real), nl, hankel)
+    assert np.array_equal(modulus, np.exp(logs.real)[index])
+    assert np.allclose(modulus, np.abs(got), rtol=1e-14, atol=0)
+
+
+def test_flat_one_point_weights_take_one_log_gamma_call(monkeypatch):
+    # all three poles and all three shifts of the flat polymer share one
+    # value: 200 line nodes minus the pole, the 200 nodes and the one
+    # normalization point plus the shift
+    sizes = []
+    monkeypatch.setattr(contour, "log_gamma",
+                        lambda z: sizes.append(np.size(z)) or specfun.log_gamma(z))
+    laplace1(3, 3, 1.0, [0.0] * 3, [1.0] * 3)
+    assert sizes == [401]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: laplace1(2, 2, 1.0, [0.0] * 2, [1.0] * 2),
+    lambda: laplace2(1, 3, 3, 1, 1.0, 1.0, [0.0] * 3, [1.0] * 3, 1.0),
+    lambda: laplace2(1, 4, 2, 3, 1.0, 1.0, [0.0] * 2, [1.0] * 4, 1.0),
+    lambda: laplace2(2, 4, 3, 2, 1.0, 1.0, [0.0] * 3, [1.0] * 4, 1.0,
+                     nodes_per_unit=8),
+], ids=["one-point", "case-a", "case-b", "two-axis-smaller-group"])
+def test_transform_forms_one_rounding_bound(monkeypatch, call):
+    # the rounding bound belongs to the full-line sum; the three subset
+    # sums of the error estimate are values alone
+    kinds = []
+    original = contour._node_sum
+    monkeypatch.setattr(contour, "_node_sum",
+                        lambda *a, **k: kinds.append(k.get("bound", False))
+                        or original(*a, **k))
+    call()
+    assert sorted(kinds) == [False] * 4 + [True]
+
+
+def test_two_point_transform_peak_memory():
+    # the cross matrix (n^2 complex) is the one n x n array held at a time:
+    # its modulus (n^2 real) is released once the rounding bound has read
+    # it, and there is no product of cross with the weights, no index array
+    # and no complex abs
+    import tracemalloc
+    n = _line_nodes_for_dim(2, 20.0)
+    args = (1, 3, 3, 1, 1.0, 1.0, [0.0] * 3, [1.0] * 3, 1.0)
+    laplace2(*args)
+    tracemalloc.start()
+    try:
+        laplace2(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 16
+
+
 @pytest.mark.parametrize("call, value", [
     (lambda: joint_series_term(1, 1, 1, 2, 2, 1, 1.0, 1.0, 1.0),
      0.6336049719987555),

@@ -6,12 +6,14 @@ itself never uses mpmath/scipy — these are test-side cross-checks only.
 """
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
+from grsklab import specfun
 from grsklab.quadrature import gl_nodes
 from grsklab.specfun import (
     WhittakerArg,
@@ -93,6 +95,114 @@ def test_reflection_modulo_2pi():
         )
         k = resid / (2j * math.pi)
         assert abs(k - round(k.real)) <= 1e-10
+
+
+def _mod_2pi_i(d):
+    """d shifted by the multiple of 2 pi i nearest to its imaginary part."""
+    return d - 2j * math.pi * round(d.imag / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("z", [
+    1e150 + 1e150j, 1e200 + 1e200j, 3e300 - 1e299j, 0.75 + 1e300j,
+    1e250 - 2e250j, -1e200 + 1e200j, -5e299 - 5e299j, 2.5 - 1e160j,
+])
+def test_log_gamma_huge_modulus_matches_mpmath(z):
+    # |z| from 1e150 to 1e300: x^2 + y^2 overflows beyond 1.3e154, so
+    # log|t| and log|s| must not square; no overflow warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = complex(log_gamma(z))
+    with mpmath.workdps(40):
+        ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+    assert abs(_mod_2pi_i(got - ref)) <= 1e-13 * abs(ref)
+
+
+def test_log_gamma_at_one_huge_point_is_pinned():
+    # the value before the logs moved to real ufuncs
+    got = complex(log_gamma(1e200 + 1e200j))
+    assert got.real == pytest.approx(4.590781940256916e202, rel=1e-14, abs=0)
+    assert got.imag == pytest.approx(4.606489903524866e202, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("x", [-0.2, -2.5, -7.3, -15.6])
+@pytest.mark.parametrize("y", [1e-300, 1e-12, -1e-9, 1e-6, -0.01])
+def test_log_gamma_just_off_negative_axis_matches_mpmath(x, y):
+    # the reflection branch, with Im z down to the smallest normal doubles
+    z = complex(x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = complex(log_gamma(z))
+    with mpmath.workdps(40):
+        ref = complex(mpmath.loggamma(mpmath.mpc(x, y)))
+    assert abs(_mod_2pi_i(got - ref)) <= 1e-13 * max(1.0, abs(ref))
+
+
+def _log_gamma_complex_log(z):
+    """log_gamma as it was with numpy's complex log: the same Lanczos sum,
+    summed term by term, and the same reflection."""
+    z = np.asarray(z, dtype=complex)
+    C = specfun._LANCZOS_C
+
+    def right(z):
+        zm1 = z - 1.0
+        s = np.full_like(z, C[0])
+        for k in range(1, len(C)):
+            s = s + C[k] / (zm1 + k)
+        t = zm1 + specfun._LANCZOS_G + 0.5
+        return specfun._LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(s)
+
+    def log_sin_pi(z):
+        ipz = 1j * math.pi * z
+        upper = z.imag > 0
+        decaying = np.exp(np.where(upper, 2 * ipz, -2 * ipz))
+        rest = np.where(upper, decaying - 1.0, 1.0 - decaying)
+        return np.where(upper, -ipz, ipz) + np.log(rest / 2j)
+
+    left = z.real < 0.5
+    out = np.empty_like(z)
+    out[~left] = right(z[~left])
+    zl = z[left]
+    out[left] = math.log(math.pi) - log_sin_pi(zl) - right(1.0 - zl)
+    return out
+
+
+def test_log_gamma_on_contour_lines_matches_complex_log_route(monkeypatch):
+    # every argument the contour evaluators pass at the benchmark's
+    # geometries: one- and two-point line integrals and the circle x line
+    # Fredholm kernel, all at u = 1
+    from grsklab import contour
+    seen = []
+    monkeypatch.setattr(contour, "log_gamma",
+                        lambda z: seen.append(np.ravel(z)) or log_gamma(z))
+    flat_a, flat_ah = [0.0] * 4, [1.0] * 4
+    contour.laplace1(2, 2, 1.0, flat_a, flat_ah)
+    contour.laplace1(3, 3, 1.0, flat_a, flat_ah)
+    contour.laplace2(1, 3, 3, 1, 1.0, 1.0, flat_a, flat_ah, 1.0)
+    contour.laplace2(1, 4, 2, 3, 1.0, 1.0, flat_a, flat_ah, 1.0)
+    contour.bcr_fredholm(2, 2, 1.0, flat_a, flat_ah)
+    z = np.concatenate(seen)
+    assert len(z) > 4000
+    got, ref = log_gamma(z), _log_gamma_complex_log(z)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("z", [
+    float("nan"), float("inf"), -float("inf"), complex(0.5, float("inf")),
+    complex(float("nan"), 1.0), np.array([1.0, 2.0 + 1j, float("nan")]),
+])
+def test_log_gamma_rejects_non_finite_argument(z):
+    # -inf used to read as a pole, nan and inf as a silent nan
+    with pytest.raises(ValueError, match="non-finite"):
+        log_gamma(z)
+
+
+def test_log_gamma_keeps_shape_and_scalars():
+    z = 0.7 + 1j * np.arange(12.0).reshape(3, 4)
+    got = log_gamma(z)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got.ravel(), log_gamma(z.ravel()))
+    assert np.ndim(log_gamma(2.5)) == 0
+    assert log_gamma(np.array([], dtype=complex)).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
